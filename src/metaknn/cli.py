@@ -27,6 +27,7 @@ from .evaluation import EvalContext
 from .knn import ModelSpec
 from .metasearch import (build_pool, evaluate_sequence, meta_search,
                          select_model_sequence)
+from .optimize import BUDGET, K_RANGE, STEP, WEIGHT_METHOD, WEIGHT_METHODS
 from .reproduce import SUITE_NAMES, run_suite
 
 DISTANCE_NAMES = {
@@ -74,10 +75,10 @@ def _add_search_args(p: _Parser):
                    help="comma-separated channel order")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="minimum accuracy gain to accept a level")
-    p.add_argument("--k-range", default="1:10", metavar="LO:HI")
-    p.add_argument("--weight-method", choices=("quantized", "simplex"), default="quantized")
-    p.add_argument("--step", type=float, default=0.1, help="weight grid step")
-    p.add_argument("--budget", type=int, default=2000, help="simplex evaluation budget")
+    p.add_argument("--k-range", default="{}:{}".format(*K_RANGE), metavar="LO:HI")
+    p.add_argument("--weight-method", choices=WEIGHT_METHODS, default=WEIGHT_METHOD)
+    p.add_argument("--step", type=float, default=STEP, help="weight grid step")
+    p.add_argument("--budget", type=int, default=BUDGET, help="simplex evaluation budget")
 
 
 def build_parser() -> _Parser:
@@ -130,9 +131,9 @@ def _load(args) -> tuple[Dataset, Dataset | None]:
         train, test = part.train, part.test
     else:
         train, test = single(args.train), None
-    if args.rescale:
+    if args.rescale:  # the test set takes the training set's min and max
+        test = minmax_rescale(test, reference=train) if test is not None else None
         train = minmax_rescale(train)
-        test = minmax_rescale(test) if test is not None else None
     return train, test
 
 

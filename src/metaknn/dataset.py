@@ -146,11 +146,16 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
     dataset, its feature kinds, symbol codes, and class names are reused so
     test rows are encoded identically to the training rows.
     """
-    with open(path, newline="") as f:
-        rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no rows")
     width = len(rows[0])
+    if width < 2:
+        raise DataError(f"{path}: need a label column and at least one feature column")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
@@ -171,9 +176,9 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
             raise DataError(f"{path}: label column {label_column!r} not found")
         label_idx = names.index(label_column)
     else:
-        label_idx = label_column % width
-        if not 0 <= label_idx < width:
+        if not -width <= label_column < width:
             raise DataError(f"{path}: label column {label_column} out of range")
+        label_idx = label_column % width
 
     feat_cols = [j for j in range(width) if j != label_idx]
     schema = schema or {}
@@ -229,19 +234,23 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
 def load_monks(path, reference: Dataset | None = None) -> Dataset:
     """Load a UCI Monk file: "class a1 a2 a3 a4 a5 a6 case-id" per line."""
     vectors, raw_labels = [], []
-    with open(path) as f:
-        for i, line in enumerate(f):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != 8:
-                raise DataError(f"{path}: line {i + 1} has {len(tokens)} tokens, expected 8")
-            try:
-                attrs = [int(t) for t in tokens[1:7]]
-            except ValueError:
-                raise DataError(f"{path}: line {i + 1}: non-integer attribute") from None
-            raw_labels.append(tokens[0])
-            vectors.append(attrs)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        if len(tokens) != 8:
+            raise DataError(f"{path}: line {i + 1} has {len(tokens)} tokens, expected 8")
+        try:
+            attrs = [int(t) for t in tokens[1:7]]
+        except ValueError:
+            raise DataError(f"{path}: line {i + 1}: non-integer attribute") from None
+        raw_labels.append(tokens[0])
+        vectors.append(attrs)
     if not vectors:
         raise DataError(f"{path}: no rows")
     labels, class_names = _encode_labels(
@@ -249,7 +258,11 @@ def load_monks(path, reference: Dataset | None = None) -> Dataset:
     features = [FeatureSpec(f"a{j + 1}", SYMBOLIC, j,
                             {str(v): v for v in sorted({row[j] for row in vectors})})
                 for j in range(6)]
-    return Dataset(features, np.array(vectors, dtype=float), np.array(labels), class_names)
+    try:
+        matrix = np.array(vectors, dtype=float)
+    except OverflowError:
+        raise DataError(f"{path}: attribute value too large") from None
+    return Dataset(features, matrix, np.array(labels), class_names)
 
 
 def load_partition(train_path, test_path, fmt="csv", **kwargs) -> Partition:
@@ -274,10 +287,16 @@ def split_rows(data: Dataset, n_train: int, n_test: int) -> Partition:
                      unused_rows=data.n - n_train - n_test)
 
 
-def minmax_rescale(data: Dataset) -> Dataset:
-    """Optional per-feature min-max rescale to [0,1]; off in all reproduction runs."""
-    lo = data.vectors.min(axis=0)
-    span = data.vectors.max(axis=0) - lo
+def minmax_rescale(data: Dataset, reference: Dataset | None = None) -> Dataset:
+    """Optional per-feature min-max rescale; off in all reproduction runs.
+
+    The bounds are the reference dataset's when one is given (a test set takes
+    its training set's min and max, so it may land outside [0,1]), otherwise
+    the data's own, which maps it onto [0,1].
+    """
+    source = data if reference is None else reference
+    lo = source.vectors.min(axis=0)
+    span = source.vectors.max(axis=0) - lo
     span[span == 0] = 1.0
     return Dataset(data.features, (data.vectors - lo) / span, data.labels, data.class_names)
 

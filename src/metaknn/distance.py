@@ -10,14 +10,16 @@ Three families share one parameterisation (scaling weights s_j >= 0):
 Minkowski values are left in the power domain: the root is monotone, so
 neighbor rankings are unchanged and leaving it out keeps sums exact.
 
-pairwise_matrix accumulates one feature at a time, in index order, with the
-same per-term operations as the scalar loop, so matrix entries are bitwise
-equal to dissimilarity() on the corresponding rows.
+accumulate() is the one matrix kernel: it combines per-feature term matrices
+one feature at a time, in index order, with the same per-term operations as
+the scalar loop, so matrix entries are bitwise equal to dissimilarity() on
+the corresponding rows.  pairwise_matrix and cross_matrix feed it fresh
+terms; evaluation.EvalContext feeds it cached ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,35 +109,33 @@ def dissimilarity(spec: DistanceSpec, x, y) -> float:
     return float(acc)
 
 
-def _accumulated(spec: DistanceSpec, a: np.ndarray, b: np.ndarray,
-                 columns=None, weights=None) -> np.ndarray:
-    """Distance matrix between rows of a and rows of b.
+def accumulate(kind: str, terms, weights, shape) -> np.ndarray:
+    """Distance matrix of the given shape from per-feature term matrices.
 
-    columns/weights restrict and scale the feature set; terms are combined in
-    ascending column order to mirror the scalar loop exactly.
+    terms yields one term matrix per active feature and weights holds the
+    matching scaling factors; they are combined in the order given, which
+    callers keep ascending by column to mirror the scalar loop exactly.
     """
-    if columns is None:
-        columns = range(a.shape[1])
-    if weights is None:
-        weights = spec.resolved_weights(a.shape[1])
-    key = term_key(spec.kind, spec.alpha)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for idx, j in enumerate(columns):
-        t = feature_terms(a[:, j], b[:, j], key)
-        if spec.kind == CHEBYSHEV:
-            np.maximum(out, weights[idx] * t, out=out)
+    out = np.zeros(shape)
+    for w, t in zip(weights, terms):
+        if kind == CHEBYSHEV:
+            np.maximum(out, w * t, out=out)
         else:
-            out += weights[idx] * t
+            out += w * t
     return out
 
 
 def pairwise_matrix(spec: DistanceSpec, data) -> np.ndarray:
     """All-pairs distance matrix for a Dataset (zero diagonal, symmetric)."""
-    return _accumulated(spec, data.vectors, data.vectors)
+    return cross_matrix(spec, data, data)
 
 
 def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
     """Matrix of distances from each row of `data` to each row of `other`."""
     if data.n_features != other.n_features:
         raise ValueError("datasets have different widths")
-    return _accumulated(spec, data.vectors, other.vectors)
+    a, b = data.vectors, other.vectors
+    key = term_key(spec.kind, spec.alpha)
+    terms = (feature_terms(a[:, j], b[:, j], key) for j in range(data.n_features))
+    return accumulate(spec.kind, terms, spec.resolved_weights(data.n_features),
+                      (len(a), len(b)))

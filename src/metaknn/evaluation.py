@@ -2,9 +2,9 @@
 
 EvalContext caches per-feature term tensors for a dataset pair so that the
 optimization channels can score thousands of candidate models without
-recomputing |x-y| terms.  Distances are accumulated per feature in index
-order, which keeps the cached path bitwise identical to classifying each
-vector independently with knn.classify.
+recomputing |x-y| terms.  The cached terms go through distance.accumulate,
+per feature in index order, which keeps the cached path bitwise identical to
+classifying each vector independently with knn.classify.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import CHEBYSHEV, DistanceSpec, feature_terms, term_key
+from .distance import accumulate, feature_terms, term_key
 from .knn import ModelSpec, Prediction, shell_vote
 
 
@@ -62,69 +62,51 @@ class EvalContext:
         self._terms: dict[tuple[str, str], np.ndarray] = {}
         self.evaluations = 0
 
-    def _term(self, side: str, key: str, j: int) -> np.ndarray:
-        cached = self._terms.get((side, key))
-        if cached is None:
-            a = self.train.vectors if side == "train" else self.test.vectors
-            cached = np.stack([feature_terms(a[:, jj], self.train.vectors[:, jj], key)
-                               for jj in range(self.n_features)])
-            self._terms[(side, key)] = cached
-        return cached[j]
-
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
-        mask = model.mask_for(self.n_features)
-        weights = model.active_weights(self.n_features)
         key = term_key(model.distance.kind, model.distance.alpha)
-        rows = self.train.n if side == "train" else self.test.n
-        out = np.zeros((rows, self.train.n))
-        for idx, j in enumerate(np.flatnonzero(mask)):
-            t = self._term(side, key, int(j))
-            if model.distance.kind == CHEBYSHEV:
-                np.maximum(out, weights[idx] * t, out=out)
-            else:
-                out += weights[idx] * t
-        return out
+        terms = self._terms.get((side, key))
+        if terms is None:
+            a = self.train.vectors if side == "train" else self.test.vectors
+            terms = np.stack([feature_terms(a[:, j], self.train.vectors[:, j], key)
+                              for j in range(self.n_features)])
+            self._terms[(side, key)] = terms
+        columns = np.flatnonzero(model.mask_for(self.n_features))
+        return accumulate(model.distance.kind, (terms[j] for j in columns),
+                          model.active_weights(self.n_features), terms.shape[1:])
 
-    def _predict(self, model: ModelSpec, dist: np.ndarray, truths: np.ndarray):
-        correct = 0
-        predictions = []
-        for p in range(dist.shape[0]):
-            winner, votes, size = shell_vote(dist[p], self.train.labels, model.k, self.n_classes)
-            predictions.append(Prediction(winner, votes / size))
-            correct += winner == int(truths[p])
-        return correct, predictions
+    def _score(self, model: ModelSpec, side: str, report: bool):
+        """The one per-row vote loop: leave-one-out on "train", else the test set.
+
+        Returns the correct count, or the full EvalReport when report is set.
+        """
+        if side == "test" and self.test is None:
+            raise ValueError("context has no test set")
+        data = self.train if side == "train" else self.test
+        dist = self._distances(model, side)
+        if side == "train":
+            self.evaluations += 1
+            np.fill_diagonal(dist, np.inf)
+        labels, k, n_classes = self.train.labels, model.k, self.n_classes
+        correct, predictions = 0, []
+        for row, truth in zip(dist, data.labels.tolist()):
+            winner, votes, size = shell_vote(row, labels, k, n_classes)
+            correct += winner == truth
+            if report:
+                predictions.append(Prediction(winner, votes / size))
+        return _report(data.labels, predictions, n_classes) if report else correct
 
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""
-        self.evaluations += 1
-        dist = self._distances(model, "train")
-        np.fill_diagonal(dist, np.inf)
-        correct = 0
-        for p in range(self.train.n):
-            winner, _, _ = shell_vote(dist[p], self.train.labels, model.k, self.n_classes)
-            correct += winner == int(self.train.labels[p])
-        return correct
+        return self._score(model, "train", report=False)
 
     def loo_report(self, model: ModelSpec) -> EvalReport:
-        self.evaluations += 1
-        dist = self._distances(model, "train")
-        np.fill_diagonal(dist, np.inf)
-        _, predictions = self._predict(model, dist, self.train.labels)
-        return _report(self.train.labels, predictions, self.n_classes)
+        return self._score(model, "train", report=True)
 
     def test_count(self, model: ModelSpec) -> int:
-        if self.test is None:
-            raise ValueError("context has no test set")
-        dist = self._distances(model, "test")
-        correct, _ = self._predict(model, dist, self.test.labels)
-        return correct
+        return self._score(model, "test", report=False)
 
     def test_report(self, model: ModelSpec) -> EvalReport:
-        if self.test is None:
-            raise ValueError("context has no test set")
-        dist = self._distances(model, "test")
-        _, predictions = self._predict(model, dist, self.test.labels)
-        return _report(self.test.labels, predictions, self.n_classes)
+        return self._score(model, "test", report=True)
 
 
 def leave_one_out(model: ModelSpec, train: Dataset) -> EvalReport:

@@ -81,18 +81,27 @@ class Prediction:
         self.class_probs = np.asarray(self.class_probs, dtype=float)
 
 
-def shell_vote(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
-    """Shell-neighborhood vote on a precomputed distance row.
+def _shell(dist: np.ndarray, k: int):
+    """Stable distance order of a row and the size of its k-th shell.
 
-    Entries set to +inf are excluded.  Returns (winner, votes, size) where
-    votes counts each class inside the deciding neighborhood of that size.
+    Entries set to +inf are excluded.  Returns (order, sorted distances,
+    available points, shell size).
     """
     order = np.argsort(dist, kind="stable")
     ds = dist[order]
     available = int(np.sum(np.isfinite(ds)))
     if k > available:
         raise ValueError(f"k={k} but only {available} training points available")
-    size = int(np.searchsorted(ds[:available], ds[k - 1], side="right"))
+    return order, ds, available, int(np.searchsorted(ds[:available], ds[k - 1], side="right"))
+
+
+def shell_vote(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
+    """Shell-neighborhood vote on a precomputed distance row.
+
+    Entries set to +inf are excluded.  Returns (winner, votes, size) where
+    votes counts each class inside the deciding neighborhood of that size.
+    """
+    order, ds, available, size = _shell(dist, k)
     while True:
         votes = np.bincount(labels[order[:size]], minlength=n_classes)
         top = votes.max()
@@ -108,7 +117,7 @@ def shell_vote(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     return int(tied[int(np.argmin(sums))]), votes, size
 
 
-def _distance_row(model: ModelSpec, train: Dataset, query) -> np.ndarray:
+def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None) -> np.ndarray:
     query = np.asarray(query, dtype=float)
     if query.shape != (train.n_features,):
         raise ValueError(f"query must have {train.n_features} components")
@@ -116,7 +125,10 @@ def _distance_row(model: ModelSpec, train: Dataset, query) -> np.ndarray:
     spec = replace(model.distance, weights=model.active_weights(train.n_features))
     q = query[mask]
     rows = train.vectors[:, mask]
-    return np.array([dissimilarity(spec, rows[p], q) for p in range(train.n)])
+    d = np.array([dissimilarity(spec, rows[p], q) for p in range(train.n)])
+    if exclude is not None:
+        d[exclude] = np.inf
+    return d
 
 
 def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = None):
@@ -124,22 +136,12 @@ def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = Non
 
     Returns (row_index, distance) pairs sorted by distance, then row index.
     """
-    d = _distance_row(model, train, query)
-    if exclude is not None:
-        d[exclude] = np.inf
-    available = train.n - (exclude is not None)
-    if model.k > available:
-        raise ValueError(f"k={model.k} but only {available} training points available")
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    size = int(np.searchsorted(ds[:available], ds[model.k - 1], side="right"))
+    order, ds, _, size = _shell(_distance_row(model, train, query, exclude), model.k)
     return [(int(order[i]), float(ds[i])) for i in range(size)]
 
 
 def classify(model: ModelSpec, train: Dataset, query, exclude: int | None = None) -> Prediction:
     """Classify a query vector against the training data."""
-    d = _distance_row(model, train, query)
-    if exclude is not None:
-        d[exclude] = np.inf
+    d = _distance_row(model, train, query, exclude)
     winner, votes, size = shell_vote(d, train.labels, model.k, train.n_classes)
     return Prediction(winner, votes / size)

@@ -22,7 +22,7 @@ from .dataset import Dataset
 from .distance import DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec, Prediction, classify
-from .optimize import CHANNELS
+from .optimize import BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD
 
 DEFAULT_CHANNELS = ("k", "distance", "features", "weights")
 
@@ -37,6 +37,7 @@ class CandidateRecord:
     evaluations: int
     test_correct: int | None = None
     test_total: int | None = None
+    budget_exhausted: bool = False  # the channel stopped on its evaluation budget
 
     def to_record(self, n_features: int) -> dict:
         out = {
@@ -51,6 +52,8 @@ class CandidateRecord:
         if self.test_correct is not None:
             out["test_correct"] = self.test_correct
             out["test_total"] = self.test_total
+        if self.budget_exhausted:
+            out["budget_exhausted"] = True
         return out
 
 
@@ -91,9 +94,9 @@ class SearchTrace:
 
 def meta_search(train: Dataset, test: Dataset | None = None,
                 channels=DEFAULT_CHANNELS, epsilon: float = 0.0,
-                initial: ModelSpec | None = None, k_range=(1, 10),
-                weight_method: str = "quantized", step: float = 0.1,
-                budget: int = 2000, max_levels: int | None = None):
+                initial: ModelSpec | None = None, k_range=K_RANGE,
+                weight_method: str = WEIGHT_METHOD, step: float = STEP,
+                budget: int = BUDGET, max_levels: int | None = None):
     """Level-wise search through the model space.
 
     Returns (final model, SearchTrace).  The final model is the reference
@@ -127,8 +130,10 @@ def meta_search(train: Dataset, test: Dataset | None = None,
         level += 1
         candidates = []
         for name in channels:
-            model, count, evals = CHANNELS[name](ctx, ref, opts)
-            candidates.append(observed(CandidateRecord(level, name, model, count, train.n, evals)))
+            result = CHANNELS[name](ctx, ref, **opts)
+            candidates.append(observed(CandidateRecord(
+                level, name, result.model, result.correct_count, train.n, result.evaluations,
+                budget_exhausted=result.budget_exhausted)))
         if not candidates:
             trace.stop_reason = "channel-exhaustion"
             break
@@ -259,12 +264,9 @@ def build_pool(train: Dataset, trace: SearchTrace) -> tuple[list[PoolMember], np
 def evaluate_sequence(sequence: ModelSequence, train: Dataset, test: Dataset) -> tuple[int, int]:
     """Majority-vote correct count of the sequence on a test set."""
     ctx = EvalContext(train, test)
-    member_preds = []
-    for member in sequence.members:
-        report = ctx.test_report(member.model)
-        member_preds.append(np.array([p.winner for p in report.predictions]))
-    stacked = np.stack(member_preds)
-    joint = np.array([_majority(stacked[:, p], train.n_classes) for p in range(test.n)])
+    members = [PoolMember(m.model, [p.winner for p in ctx.test_report(m.model).predictions])
+               for m in sequence.members]
+    joint = _joint_predictions(members, train.n_classes)
     return int(np.sum(joint == test.labels)), test.n
 
 

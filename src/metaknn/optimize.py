@@ -24,6 +24,13 @@ from .knn import ModelSpec
 # candidate distance kinds, in evaluation order
 DISTANCE_CANDIDATES = ((MINKOWSKI, 1), (MINKOWSKI, 2), (CHEBYSHEV, None), (CAMBERRA, None))
 
+# search defaults, shared by meta_search and the command line
+K_RANGE = (1, 10)  # neighborhood sizes scanned by the k channel
+STEP = 0.1  # quantized weight grid step
+BUDGET = 2000  # simplex leave-one-out evaluation budget
+WEIGHT_METHODS = ("quantized", "simplex")
+WEIGHT_METHOD = WEIGHT_METHODS[0]
+
 
 @dataclass
 class ChannelResult:
@@ -51,7 +58,7 @@ def _with_kind(model: ModelSpec, kind: str, alpha) -> ModelSpec:
 
 # ---------------------------------------------------------------- k channel
 
-def _k_channel(ctx: EvalContext, ref: ModelSpec, k_range=(1, 10)):
+def _k_channel(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> ChannelResult:
     lo, hi = k_range
     hi = min(hi, ctx.train.n - 1)
     if lo < 1 or lo > hi:
@@ -68,20 +75,18 @@ def _k_channel(ctx: EvalContext, ref: ModelSpec, k_range=(1, 10)):
         evals += 1
         if ref_count >= best_count:
             best_model, best_count = ref, ref_count
-    return best_model, best_count, evals
+    return _result(ctx, best_model, best_count, evals)
 
 
-def optimize_k(ref: ModelSpec, train: Dataset, k_range=(1, 10)) -> ChannelResult:
+def optimize_k(ref: ModelSpec, train: Dataset, k_range=K_RANGE) -> ChannelResult:
     """Exhaustive scan of the neighborhood size; ties keep the smallest k."""
-    ctx = EvalContext(train)
-    model, count, evals = _k_channel(ctx, ref, k_range)
-    return _result(ctx, model, count, evals)
+    return _k_channel(EvalContext(train), ref, k_range=k_range)
 
 
 # --------------------------------------------------------- distance channel
 
-def _distance_channel(ctx: EvalContext, ref: ModelSpec, step=0.1,
-                      kinds=DISTANCE_CANDIDATES):
+def _distance_channel(ctx: EvalContext, ref: ModelSpec, step=STEP,
+                      kinds=DISTANCE_CANDIDATES, **_) -> ChannelResult:
     ref_count = ctx.loo_count(ref)
     evals = 1
     best_model, best_count = ref, ref_count
@@ -93,27 +98,26 @@ def _distance_channel(ctx: EvalContext, ref: ModelSpec, step=0.1,
         if weighted and kind == MINKOWSKI:
             # weights tuned under one exponent rarely transfer to another;
             # re-run the quantized weight search under the candidate exponent
-            cand, count, spent = _quantized_channel(ctx, cand, step)
-            evals += spent
+            refit = _quantized_channel(ctx, cand, step)
+            cand, count = refit.model, refit.correct_count
+            evals += refit.evaluations
         else:
             count = ctx.loo_count(cand)
             evals += 1
         if count > best_count:  # strict: ties keep the reference / earlier kind
             best_model, best_count = cand, count
-    return best_model, best_count, evals
+    return _result(ctx, best_model, best_count, evals)
 
 
 def optimize_distance(ref: ModelSpec, train: Dataset,
-                      kinds=DISTANCE_CANDIDATES, step=0.1) -> ChannelResult:
+                      kinds=DISTANCE_CANDIDATES, step=STEP) -> ChannelResult:
     """Try each candidate distance kind in order; keep the reference on ties.
 
     When the reference carries non-unit weights, Minkowski candidates get a
     quantized weight re-fit before comparison; Chebyshev and Camberra are
     scored with the weights as they are.
     """
-    ctx = EvalContext(train)
-    model, count, evals = _distance_channel(ctx, ref, step, tuple(kinds))
-    return _result(ctx, model, count, evals)
+    return _distance_channel(EvalContext(train), ref, step=step, kinds=tuple(kinds))
 
 
 # --------------------------------------------------------- feature channel
@@ -128,7 +132,7 @@ def _drop_feature(model: ModelSpec, mask: np.ndarray, j: int) -> ModelSpec:
     return out
 
 
-def _feature_channel(ctx: EvalContext, ref: ModelSpec):
+def _feature_channel(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     best_model = ref
     best_count = ctx.loo_count(ref)
     best_size = int(ref.mask_for(ctx.n_features).sum())
@@ -147,7 +151,7 @@ def _feature_channel(ctx: EvalContext, ref: ModelSpec):
         size = int(current_mask.sum())
         if count > best_count or (count == best_count and size < best_size):
             best_model, best_count, best_size = current, count, size
-    return best_model, best_count, evals
+    return _result(ctx, best_model, best_count, evals)
 
 
 def select_features(ref: ModelSpec, train: Dataset) -> ChannelResult:
@@ -158,9 +162,7 @@ def select_features(ref: ModelSpec, train: Dataset) -> ChannelResult:
     anywhere along the march is returned, preferring fewer features on equal
     score.
     """
-    ctx = EvalContext(train)
-    model, count, evals = _feature_channel(ctx, ref)
-    return _result(ctx, model, count, evals)
+    return _feature_channel(EvalContext(train), ref)
 
 
 # -------------------------------------------------- quantized weight search
@@ -212,32 +214,30 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     return _with_weights(model, w), count, evals
 
 
-def _quantized_channel(ctx: EvalContext, ref: ModelSpec, step=0.1):
+def _quantized_channel(ctx: EvalContext, ref: ModelSpec, step=STEP, **_) -> ChannelResult:
     grid = _grid(step)
     m1, c1, e1 = _cd_pass(ctx, ref, grid, "near")
     m2, c2, e2 = _cd_pass(ctx, ref, grid, "low")
     nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))
     nnz2 = int(np.count_nonzero(m2.active_weights(ctx.n_features)))
     if c2 > c1 or (c2 == c1 and nnz2 < nnz1):
-        return m2, c2, e1 + e2
-    return m1, c1, e1 + e2
+        return _result(ctx, m2, c2, e1 + e2)
+    return _result(ctx, m1, c1, e1 + e2)
 
 
-def weight_search_quantized(ref: ModelSpec, train: Dataset, step=0.1) -> ChannelResult:
+def weight_search_quantized(ref: ModelSpec, train: Dataset, step=STEP) -> ChannelResult:
     """Coordinate descent over quantized weights in [0, 1].
 
     Two passes with different plateau policies are run (conservative
     nearest-value moves, and sideways moves toward zero); the better final
     score wins, and equal scores prefer the sparser weight vector.
     """
-    ctx = EvalContext(train)
-    model, count, evals = _quantized_channel(ctx, ref, step)
-    return _result(ctx, model, count, evals)
+    return _quantized_channel(EvalContext(train), ref, step=step)
 
 
 # ---------------------------------------------------- simplex weight search
 
-def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=2000):
+def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=BUDGET, **_) -> ChannelResult:
     if budget < 1:
         raise ValueError("budget must be a positive integer")
     dim = int(ref.mask_for(ctx.n_features).sum())
@@ -247,26 +247,23 @@ def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=2000):
         count = ctx.loo_count(_with_weights(ref, w))
         return count, -float(np.sum(w))
 
-    start = ref.active_weights(ctx.n_features).copy()
-    vertices = [start] + [start + 0.5 * np.eye(dim)[i] for i in range(dim)]
-    vertices = vertices[: max(1, min(len(vertices), budget))]
-    scores = []
     best_w, best_score = None, (-1, 0.0)
-    evals = 0
-    for v in vertices:
-        s = objective(v)
-        evals += 1
-        scores.append(s)
-        if s > best_score:
-            best_w, best_score = v.copy(), s
-    exhausted = evals >= budget
 
     def track(w, s):
         nonlocal best_w, best_score
         if s > best_score:
             best_w, best_score = w.copy(), s
 
-    while not exhausted and len(vertices) == dim + 1:
+    start = ref.active_weights(ctx.n_features).copy()
+    vertices = [start] + [start + 0.5 * np.eye(dim)[i] for i in range(dim)]
+    vertices = vertices[:budget]
+    scores = [objective(v) for v in vertices]
+    for v, s in zip(vertices, scores):
+        track(v, s)
+    evals = len(vertices)
+
+    # stops on convergence or on the budget; evals >= budget tells which
+    while evals < budget and len(vertices) == dim + 1:
         order = sorted(range(dim + 1), key=lambda i: scores[i], reverse=True)
         vertices = [vertices[i] for i in order]
         scores = [scores[i] for i in order]
@@ -279,7 +276,6 @@ def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=2000):
         evals += 1
         track(reflected, s_r)
         if evals >= budget:
-            exhausted = True
             break
         if s_r > scores[0]:
             expanded = np.maximum(centroid + 2.0 * (centroid - vertices[-1]), 0.0)
@@ -302,19 +298,16 @@ def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=2000):
             else:
                 for i in range(1, dim + 1):
                     if evals >= budget:
-                        exhausted = True
                         break
                     vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
                     scores[i] = objective(vertices[i])
                     evals += 1
                     track(vertices[i], scores[i])
-        if evals >= budget:
-            exhausted = True
 
-    return _with_weights(ref, best_w), best_score[0], evals, exhausted
+    return _result(ctx, _with_weights(ref, best_w), best_score[0], evals, evals >= budget)
 
 
-def weight_search_simplex(ref: ModelSpec, train: Dataset, budget=2000) -> ChannelResult:
+def weight_search_simplex(ref: ModelSpec, train: Dataset, budget=BUDGET) -> ChannelResult:
     """Nelder-Mead search over continuous non-negative weights.
 
     The objective maximizes leave-one-out correct count, breaking ties
@@ -323,17 +316,16 @@ def weight_search_simplex(ref: ModelSpec, train: Dataset, budget=2000) -> Channe
     evaluation budget runs out; the best vertex ever evaluated is returned
     either way, with a flag recording budget exhaustion.
     """
-    ctx = EvalContext(train)
-    model, count, evals, exhausted = _simplex_channel(ctx, ref, budget)
-    return _result(ctx, model, count, evals, exhausted)
+    return _simplex_channel(EvalContext(train), ref, budget=budget)
 
 
-CHANNELS = {
-    "k": lambda ctx, ref, opts: _k_channel(ctx, ref, opts.get("k_range", (1, 10))),
-    "distance": lambda ctx, ref, opts: _distance_channel(ctx, ref, opts.get("step", 0.1)),
-    "features": lambda ctx, ref, opts: _feature_channel(ctx, ref),
-    "weights": lambda ctx, ref, opts: (
-        _quantized_channel(ctx, ref, opts.get("step", 0.1))
-        if opts.get("weight_method", "quantized") == "quantized"
-        else _simplex_channel(ctx, ref, opts.get("budget", 2000))[:3]),
-}
+def _weight_channel(ctx: EvalContext, ref: ModelSpec, weight_method=WEIGHT_METHOD,
+                    **options) -> ChannelResult:
+    """The quantized grid search for the default method, else the simplex search."""
+    search = _quantized_channel if weight_method == WEIGHT_METHOD else _simplex_channel
+    return search(ctx, ref, **options)
+
+
+# channel name -> channel(ctx, ref, **search options) -> ChannelResult
+CHANNELS = {"k": _k_channel, "distance": _distance_channel,
+            "features": _feature_channel, "weights": _weight_channel}

@@ -92,11 +92,33 @@ class TestExitCodes:
         assert code == 2
         assert "UCI" in err
 
+    @pytest.mark.parametrize("content", [b"A\nB\n", b"1.0,A\n\xff,B\n"],
+                             ids=["label-only", "non-utf8"])
+    def test_bad_input_file_is_2(self, capsys, tmp_path, content):
+        data = tmp_path / "t.csv"
+        data.write_bytes(content)
+        code, out, err = run(capsys, ["eval", "--train", str(data)])
+        assert code == 2
+        assert "data error" in err and out == ""
+
     def test_bad_split_is_1(self, capsys, tmp_path):
         data = tmp_path / "t.csv"
         data.write_text("0.0,A\n1.0,B\n")
         code, _, _ = run(capsys, ["eval", "--train", str(data), "--split", "nope"])
         assert code == 1
+
+
+class TestRescale:
+    def test_test_set_takes_training_bounds(self, capsys, tmp_path):
+        # own bounds would map the test rows onto 0 and 1 (one right);
+        # the training bounds put both at 0.6 and 0.9, next to the B row
+        train, test = tmp_path / "a.csv", tmp_path / "b.csv"
+        train.write_text("0,A\n10,B\n")
+        test.write_text("6,B\n9,B\n")
+        code, out, _ = run(capsys, ["eval", "--train", str(train), "--test", str(test),
+                                    "--rescale"])
+        assert code == 0
+        assert "test: 2/2 (100.0%)" in out
 
 
 class TestSearch:

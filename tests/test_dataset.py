@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaknn import (CONTINUOUS, SYMBOLIC, DataError, Dataset, FeatureSpec,
                      Partition, encode_symbolic, load_csv, load_monks,
@@ -52,6 +57,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="column"):
             load_csv(path, schema={0: CONTINUOUS})
 
+    @pytest.mark.parametrize("column", [-100, -4, 3, 5])
+    def test_label_position_out_of_range(self, tmp_path, column):
+        path = write(tmp_path, "t.csv", "1,2,A\n3,4,B\n")
+        with pytest.raises(DataError, match="out of range"):
+            load_csv(path, label_column=column)
+
+    @pytest.mark.parametrize("column, names", [(-3, ["1", "3"]), (2, ["A", "B"])])
+    def test_label_position_at_the_edges(self, tmp_path, column, names):
+        path = write(tmp_path, "t.csv", "1,2,A\n3,4,B\n")
+        assert load_csv(path, label_column=column).class_names == names
+
+    def test_label_only_file_rejected(self, tmp_path):
+        path = write(tmp_path, "t.csv", "A\nB\n")
+        with pytest.raises(DataError, match="feature column"):
+            load_csv(path)
+
     def test_unknown_label_column(self, tmp_path):
         path = write(tmp_path, "t.csv", "x,y\n1,A\n2,B\n")
         with pytest.raises(DataError, match="label column"):
@@ -84,6 +105,11 @@ class TestLoadMonks:
         assert ds.class_names == ["1", "0"]
         assert list(ds.labels) == [0, 1]
         assert np.array_equal(ds.vectors[0], [1, 1, 1, 1, 3, 1])
+
+    def test_huge_attribute_rejected(self, tmp_path):
+        path = write(tmp_path, "m", f"1 {'9' * 400} 1 1 1 1 1 d1\n0 1 1 1 1 1 1 d2\n")
+        with pytest.raises(DataError, match="too large"):
+            load_monks(path)
 
     def test_wrong_token_count(self, tmp_path):
         path = write(tmp_path, "m.train", "1 1 1 1 1 3 data_5\n")
@@ -168,3 +194,32 @@ class TestPartitionHelpers:
         spans = scaled.vectors.max(axis=0) - scaled.vectors.min(axis=0)
         varying = ionosphere.train.vectors.std(axis=0) > 0
         assert np.allclose(spans[varying], 1.0)
+
+    def test_rescale_with_training_bounds(self, tmp_path):
+        train = load_csv(write(tmp_path, "a.csv", "0,A\n10,B\n"))
+        test = load_csv(write(tmp_path, "b.csv", "5,A\n20,B\n"), reference=train)
+        assert np.array_equal(minmax_rescale(test, reference=train).vectors, [[0.5], [2.0]])
+        assert np.array_equal(minmax_rescale(test).vectors, [[0.0], [1.0]])
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("loader", [load_csv, load_monks])
+    def test_non_utf8_is_data_error(self, tmp_path, loader):
+        path = tmp_path / "bad"
+        path.write_bytes(b"1 1 1 1 1 1 1 d\xff\n0 2 2 2 2 2 2 e\n")
+        with pytest.raises(DataError, match="(?i)utf-8"):
+            loader(path)
+
+    @given(st.one_of(st.binary(max_size=200),
+                     st.text(alphabet="0123456789,.- e\n\r\"AB\x00", max_size=200)
+                     .map(str.encode)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_load_or_raise_data_error(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "blob"
+            path.write_bytes(blob)
+            for loader in (load_csv, load_monks):
+                try:
+                    loader(path)
+                except DataError:
+                    pass

@@ -1,0 +1,66 @@
+"""Golden-output guard: fixed CLI commands must keep byte-identical output.
+
+Each command's stdout and --output JSONL are stored under tests/golden/.
+The config line echoes --train verbatim, so commands run from the repository
+root with relative data paths.  After an intended output change, regenerate
+the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from metaknn.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+MONK1 = ["--format", "monks", "--train", "data/monks-1.train", "--test", "data/monks-1.test"]
+MONK3 = ["--format", "monks", "--train", "data/monks-3.train", "--test", "data/monks-3.test"]
+IONO = ["--train", "data/ionosphere.data", "--split", "200:150"]
+
+COMMANDS = {
+    "eval_monk1": ["eval", *MONK1, "--k", "3", "--distance", "euclidean"],
+    "eval_ionosphere": ["eval", *IONO, "--distance", "manhattan", "--features", "1,3,5",
+                        "--weights", "1,0.5,0.2"],
+    "search_monk1": ["search", *MONK1],
+    "sequence_monk1": ["sequence", *MONK1],
+    "search_monk3_simplex": ["search", *MONK3, "--weight-method", "simplex"],
+    "search_monk1_budget": ["search", *MONK1, "--channels", "weights,k",
+                            "--weight-method", "simplex", "--budget", "20"],
+    "search_ionosphere_rescale": ["search", *IONO, "--channels", "k,distance", "--rescale"],
+    "search_ionosphere_features": ["search", *IONO, "--channels", "features,k"],
+}
+
+
+def run(name: str, output: Path) -> tuple[int, str, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(COMMANDS[name] + ["--output", str(output)])
+    return code, stdout.getvalue(), output.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, stdout, jsonl = run(name, tmp_path / "out.jsonl")
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.stdout").read_text()
+    assert jsonl == (GOLDEN / f"{name}.jsonl").read_text()
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(COMMANDS):
+        code, stdout, jsonl = run(name, GOLDEN / f"{name}.jsonl")
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.stdout").write_text(stdout)
+        print(f"wrote {name}")

@@ -56,6 +56,16 @@ class TestMetaSearch:
         with pytest.raises(ValueError, match="unknown channels"):
             meta_search(monks1.train, channels=("k", "nope"))
 
+    def test_budget_exhaustion_reaches_the_trace(self, monks1):
+        _, trace = meta_search(monks1.train, channels=("weights", "k"),
+                               weight_method="simplex", budget=20)
+        first = {c.channel: c for c in trace.levels[0].candidates}
+        assert first["weights"].budget_exhausted and first["weights"].evaluations == 20
+        assert not first["k"].budget_exhausted
+        records = trace.to_records()
+        assert {r["channel"] for r in records if "budget_exhausted" in r} == {"weights"}
+        assert all(r["budget_exhausted"] is True for r in records if "budget_exhausted" in r)
+
     def test_trace_serialization_is_stable(self, monks1):
         _, trace_a = meta_search(monks1.train, monks1.test)
         _, trace_b = meta_search(monks1.train, monks1.test)
