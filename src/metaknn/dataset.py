@@ -136,6 +136,14 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
+def _symbol_floats(path, name: str, values: list[int]) -> list[float]:
+    """Symbol codes as floats; a native integer too large for a float is a DataError."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise DataError(f"{path}: column {name!r}: symbol value too large") from None
+
+
 def load_csv(path, label_column=-1, schema: dict | None = None,
              header: bool | str = "auto", reference: Dataset | None = None) -> Dataset:
     """Load a CSV classification table.
@@ -204,7 +212,7 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
             if kind == SYMBOLIC:
                 values, codes = encode_symbolic(raw, ref.codes)
                 features.append(FeatureSpec(ref.name, SYMBOLIC, out_idx, codes))
-                columns.append([float(v) for v in values])
+                columns.append(_symbol_floats(path, names[j], values))
                 continue
         else:
             kind = declared_kind(j)
@@ -222,7 +230,7 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
         else:
             values, codes = encode_symbolic(raw)
             features.append(FeatureSpec(names[j], SYMBOLIC, out_idx, codes))
-            columns.append([float(v) for v in values])
+            columns.append(_symbol_floats(path, names[j], values))
 
     raw_labels = [row[label_idx] for row in body]
     labels, class_names = _encode_labels(

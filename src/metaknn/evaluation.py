@@ -1,10 +1,12 @@
 """Model evaluation: leave-one-out and train/test scoring.
 
-EvalContext caches per-feature term tensors for a dataset pair so that the
-optimization channels can score thousands of candidate models without
-recomputing |x-y| terms.  The cached terms go through distance.accumulate,
-per feature in index order, which keeps the cached path bitwise identical to
-classifying each vector independently with knn.classify.
+EvalContext caches the training set's per-feature term tensors so that the
+optimization channels can score thousands of leave-one-out candidates without
+recomputing |x-y| terms; test-side terms are computed afresh per scoring.
+Both go through distance.accumulate, per feature in index order, which keeps
+the matrix path bitwise identical to classifying each vector independently
+with knn.classify.  Every row of a scoring is voted by one knn.shell_votes
+call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distance import accumulate, feature_terms, term_key
-from .knn import ModelSpec, Prediction, shell_vote
+from .knn import ModelSpec, Prediction, shell_votes
 
 
 @dataclass
@@ -52,30 +54,37 @@ def _report(truths: np.ndarray, predictions: list[Prediction], n_classes: int) -
 
 
 class EvalContext:
-    """Caches per-feature term tensors for one training set (and optional test set)."""
+    """Scores models on one training set (and optional test set), caching training terms."""
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
         self.train = train
         self.test = test
         self.n_features = train.n_features
         self.n_classes = train.n_classes
-        self._terms: dict[tuple[str, str], np.ndarray] = {}
+        self._terms: dict[str, np.ndarray] = {}  # training-side terms per term key
         self.evaluations = 0
 
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
         key = term_key(model.distance.kind, model.distance.alpha)
-        terms = self._terms.get((side, key))
-        if terms is None:
-            a = self.train.vectors if side == "train" else self.test.vectors
-            terms = np.stack([feature_terms(a[:, j], self.train.vectors[:, j], key)
-                              for j in range(self.n_features)])
-            self._terms[(side, key)] = terms
         columns = np.flatnonzero(model.mask_for(self.n_features))
-        return accumulate(model.distance.kind, (terms[j] for j in columns),
-                          model.active_weights(self.n_features), terms.shape[1:])
+        weights = model.active_weights(self.n_features)
+        train = self.train.vectors
+        if side == "test":
+            # test terms are streamed, not cached: each test scoring is one model
+            test = self.test.vectors
+            terms = (feature_terms(test[:, j], train[:, j], key) for j in columns)
+            return accumulate(model.distance.kind, terms, weights, (len(test), len(train)))
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = np.empty((self.n_features, len(train), len(train)))
+            for j in range(self.n_features):
+                terms[j] = feature_terms(train[:, j], train[:, j], key)
+            self._terms[key] = terms
+        return accumulate(model.distance.kind, (terms[j] for j in columns), weights,
+                          terms.shape[1:])
 
     def _score(self, model: ModelSpec, side: str, report: bool):
-        """The one per-row vote loop: leave-one-out on "train", else the test set.
+        """Leave-one-out on "train", else the test set, through one shell_votes call.
 
         Returns the correct count, or the full EvalReport when report is set.
         """
@@ -86,14 +95,11 @@ class EvalContext:
         if side == "train":
             self.evaluations += 1
             np.fill_diagonal(dist, np.inf)
-        labels, k, n_classes = self.train.labels, model.k, self.n_classes
-        correct, predictions = 0, []
-        for row, truth in zip(dist, data.labels.tolist()):
-            winner, votes, size = shell_vote(row, labels, k, n_classes)
-            correct += winner == truth
-            if report:
-                predictions.append(Prediction(winner, votes / size))
-        return _report(data.labels, predictions, n_classes) if report else correct
+        winners, votes, sizes = shell_votes(dist, self.train.labels, model.k, self.n_classes)
+        if not report:
+            return int(np.count_nonzero(winners == data.labels))
+        predictions = [Prediction(int(w), v / s) for w, v, s in zip(winners, votes, sizes)]
+        return _report(data.labels, predictions, self.n_classes)
 
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""

@@ -10,6 +10,10 @@ Class votes are counted over the whole neighborhood.  A tied vote widens
 the neighborhood by one more shell and re-votes; if the shells are
 exhausted while still tied, the class with the smallest summed distance to
 the query wins, then the lowest class index.
+
+shell_votes votes every row of a distance matrix in one pass; shell_vote is
+the per-row form it falls back to for tied rows, and classify/dissimilarity
+stay the scalar reference.
 """
 
 from __future__ import annotations
@@ -115,6 +119,30 @@ def shell_vote(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     in_hood = labels[order[:size]]
     sums = np.array([ds[:size][in_hood == c].sum() for c in tied])
     return int(tied[int(np.argmin(sums))]), votes, size
+
+
+def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
+    """shell_vote for every row of a distance matrix at once.
+
+    The k-th shell of a row is every finite entry at or below its k-th
+    smallest distance.  Rows whose top vote is tied there go to shell_vote,
+    which widens the shell; the rest are decided by the matrix counts.
+    Returns (winners, votes, sizes) with one entry (or votes row) per row.
+    """
+    available = np.count_nonzero(np.isfinite(dist), axis=1)
+    short = np.flatnonzero(available < k)
+    if len(short):
+        raise ValueError(f"k={k} but only {available[short[0]]} training points available")
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    inside = dist <= kth[:, None]  # +inf entries stay outside: kth is finite
+    onehot = np.equal.outer(labels, np.arange(n_classes)).astype(float)
+    votes = (inside @ onehot).astype(np.int64)
+    sizes = votes.sum(axis=1)
+    winners = votes.argmax(axis=1)
+    tied = np.flatnonzero(np.count_nonzero(votes == votes.max(axis=1, keepdims=True), axis=1) > 1)
+    for i in tied:
+        winners[i], votes[i], sizes[i] = shell_vote(dist[i], labels, k, n_classes)
+    return winners, votes, sizes
 
 
 def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None) -> np.ndarray:

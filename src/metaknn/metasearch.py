@@ -22,7 +22,7 @@ from .dataset import Dataset
 from .distance import DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec, Prediction, classify
-from .optimize import BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD
+from .optimize import BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_weight_method
 
 DEFAULT_CHANNELS = ("k", "distance", "features", "weights")
 
@@ -109,6 +109,7 @@ def meta_search(train: Dataset, test: Dataset | None = None,
     unknown = [c for c in channels if c not in CHANNELS]
     if unknown:
         raise ValueError(f"unknown channels {unknown}")
+    check_weight_method(weight_method)
     opts = {"k_range": k_range, "weight_method": weight_method,
             "step": step, "budget": budget}
     ctx = EvalContext(train, test)

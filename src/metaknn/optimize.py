@@ -319,10 +319,18 @@ def weight_search_simplex(ref: ModelSpec, train: Dataset, budget=BUDGET) -> Chan
     return _simplex_channel(EvalContext(train), ref, budget=budget)
 
 
+def check_weight_method(weight_method: str) -> None:
+    """Raise ValueError unless weight_method names one of WEIGHT_METHODS."""
+    if weight_method not in WEIGHT_METHODS:
+        raise ValueError(f"unknown weight method {weight_method!r}; "
+                         f"expected one of {WEIGHT_METHODS}")
+
+
 def _weight_channel(ctx: EvalContext, ref: ModelSpec, weight_method=WEIGHT_METHOD,
                     **options) -> ChannelResult:
-    """The quantized grid search for the default method, else the simplex search."""
-    search = _quantized_channel if weight_method == WEIGHT_METHOD else _simplex_channel
+    """The quantized grid search or the simplex search, by weight_method."""
+    check_weight_method(weight_method)
+    search = _quantized_channel if weight_method == "quantized" else _simplex_channel
     return search(ctx, ref, **options)
 
 

@@ -85,6 +85,11 @@ class TestLoadCsv:
         # all-integer tokens keep their native values
         assert list(ds.vectors[:, 0]) == [3, 7, 3]
 
+    def test_symbolic_integer_too_large_for_float(self, tmp_path):
+        path = write(tmp_path, "t.csv", f"{'9' * 400},A\n1,B\n")
+        with pytest.raises(DataError, match="too large"):
+            load_csv(path, schema={0: SYMBOLIC})
+
     def test_ionosphere_shape_and_split(self, ionosphere):
         assert ionosphere.train.n == 200
         assert ionosphere.test.n == 150

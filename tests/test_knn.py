@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from metaknn import DistanceSpec, ModelSpec, classify, neighbors, shell_vote
+from metaknn import DistanceSpec, EvalContext, ModelSpec, classify, neighbors, shell_vote
 from metaknn.distance import MINKOWSKI
+from metaknn.knn import shell_votes
 
 from conftest import ALL_KINDS, make_dataset, random_dataset, random_model
 
@@ -152,6 +155,51 @@ class TestShellVote:
             ModelSpec(k=0)
         with pytest.raises(ValueError):
             ModelSpec(k=1, feature_mask=np.zeros(3, dtype=bool))
+
+
+@st.composite
+def vote_cases(draw):
+    """Small distance matrices over a few integer values (so ties abound), some +inf."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    n_classes = draw(st.integers(2, 3))
+    cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
+    dist = np.array(draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows)))
+    finite = int(np.isfinite(dist).sum(axis=1).min())
+    assume(finite >= 1)
+    labels = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                    min_size=n_cols, max_size=n_cols)))
+    return dist, labels, draw(st.integers(1, finite)), n_classes
+
+
+class TestShellVotes:
+    @given(vote_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_shell_vote(self, case):
+        dist, labels, k, n_classes = case
+        winners, votes, sizes = shell_votes(dist, labels, k, n_classes)
+        for i, row in enumerate(dist):
+            winner, row_votes, size = shell_vote(row, labels, k, n_classes)
+            assert winners[i] == winner
+            assert np.array_equal(votes[i], row_votes)
+            assert sizes[i] == size
+
+    def test_k_above_finite_count_raises(self):
+        dist = np.array([[0.0, 1.0, 2.0], [np.inf, 1.0, np.inf]])
+        labels = np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="k=2 but only 1"):
+            shell_votes(dist, labels, 2, 2)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_monk2_loo_report_matches_classify(self, monks2, k):
+        # Monk-2 attributes are small integers, so most shells hold ties
+        train = monks2.train
+        model = manhattan(k=k)
+        report = EvalContext(train).loo_report(model)
+        for i in range(train.n):
+            direct = classify(model, train, train.vectors[i], exclude=i)
+            assert report.predictions[i].winner == direct.winner
+            assert np.array_equal(report.predictions[i].class_probs, direct.class_probs)
 
 
 class TestComplexityRank:

@@ -56,6 +56,10 @@ class TestMetaSearch:
         with pytest.raises(ValueError, match="unknown channels"):
             meta_search(monks1.train, channels=("k", "nope"))
 
+    def test_unknown_weight_method_rejected(self, monks1):
+        with pytest.raises(ValueError, match="unknown weight method"):
+            meta_search(monks1.train, channels=("weights",), weight_method="bogus", budget=3)
+
     def test_budget_exhaustion_reaches_the_trace(self, monks1):
         _, trace = meta_search(monks1.train, channels=("weights", "k"),
                                weight_method="simplex", budget=20)
