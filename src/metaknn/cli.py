@@ -237,8 +237,7 @@ def cmd_search(args) -> int:
         print(f"  accepted: {level.accepted if level.accepted else 'none'}")
     print(f"stop: {trace.stop_reason}")
     print("final model: " + _model_line(model, train.n_features))
-    accepted = trace.accepted_records()
-    final = accepted[-1] if accepted else trace.initial
+    final = trace.final
     print(f"final train {_fmt(final.train_correct, final.train_total)}"
           + (f"  test {_fmt(final.test_correct, final.test_total)}" if test is not None else ""))
     _emit(args, [{"type": "config", **config}] + trace.to_records()

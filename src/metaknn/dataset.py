@@ -287,6 +287,8 @@ def split_rows(data: Dataset, n_train: int, n_test: int) -> Partition:
     Rows beyond n_train + n_test are left unused and surfaced on the
     Partition so callers can report the discrepancy.
     """
+    if n_train < 0 or n_test < 0:
+        raise DataError(f"split {n_train}:{n_test} has a negative row count")
     if n_train + n_test > data.n:
         raise DataError(f"split {n_train}+{n_test} exceeds {data.n} rows")
     take = lambda lo, hi: Dataset(data.features, data.vectors[lo:hi],

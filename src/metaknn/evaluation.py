@@ -1,8 +1,9 @@
 """Model evaluation: leave-one-out and train/test scoring.
 
-EvalContext caches the training set's per-feature term tensors so that the
-optimization channels can score thousands of leave-one-out candidates without
-recomputing |x-y| terms; test-side terms are computed afresh per scoring.
+EvalContext caches the training set's per-feature term matrices, each built
+the first time a scored model uses its column, so that the optimization
+channels can score thousands of leave-one-out candidates without recomputing
+|x-y| terms; test-side terms are computed afresh per scoring.
 Both go through distance.accumulate, per feature in index order, which keeps
 the matrix path bitwise identical to classifying each vector independently
 with knn.classify.  Every row of a scoring is voted by one knn.shell_votes
@@ -46,22 +47,17 @@ def confusion_of(truths: np.ndarray, predictions: list[Prediction], n_classes: i
     return out
 
 
-def _report(truths: np.ndarray, predictions: list[Prediction], n_classes: int) -> EvalReport:
-    truths = np.asarray(truths)
-    correct = int(sum(p.winner == int(t) for t, p in zip(truths, predictions)))
-    return EvalReport(correct / len(truths), correct, len(truths), predictions,
-                      truths, confusion_of(truths, predictions, n_classes))
-
-
 class EvalContext:
     """Scores models on one training set (and optional test set), caching training terms."""
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
+        if test is not None and test.n_features != train.n_features:
+            raise ValueError("train and test widths differ")
         self.train = train
         self.test = test
         self.n_features = train.n_features
         self.n_classes = train.n_classes
-        self._terms: dict[str, np.ndarray] = {}  # training-side terms per term key
+        self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
         self.evaluations = 0
 
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
@@ -74,14 +70,12 @@ class EvalContext:
             test = self.test.vectors
             terms = (feature_terms(test[:, j], train[:, j], key) for j in columns)
             return accumulate(model.distance.kind, terms, weights, (len(test), len(train)))
-        terms = self._terms.get(key)
-        if terms is None:
-            terms = np.empty((self.n_features, len(train), len(train)))
-            for j in range(self.n_features):
+        terms = self._terms.setdefault(key, {})
+        for j in columns:
+            if j not in terms:
                 terms[j] = feature_terms(train[:, j], train[:, j], key)
-            self._terms[key] = terms
         return accumulate(model.distance.kind, (terms[j] for j in columns), weights,
-                          terms.shape[1:])
+                          (len(train), len(train)))
 
     def _score(self, model: ModelSpec, side: str, report: bool):
         """Leave-one-out on "train", else the test set, through one shell_votes call.
@@ -96,10 +90,12 @@ class EvalContext:
             self.evaluations += 1
             np.fill_diagonal(dist, np.inf)
         winners, votes, sizes = shell_votes(dist, self.train.labels, model.k, self.n_classes)
+        correct = int(np.count_nonzero(winners == data.labels))
         if not report:
-            return int(np.count_nonzero(winners == data.labels))
+            return correct
         predictions = [Prediction(int(w), v / s) for w, v, s in zip(winners, votes, sizes)]
-        return _report(data.labels, predictions, self.n_classes)
+        return EvalReport(correct / data.n, correct, data.n, predictions, data.labels,
+                          confusion_of(data.labels, predictions, self.n_classes))
 
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""
@@ -126,6 +122,4 @@ def leave_one_out(model: ModelSpec, train: Dataset) -> EvalReport:
 
 def evaluate(model: ModelSpec, train: Dataset, test: Dataset) -> EvalReport:
     """Classify every test vector against the full training data."""
-    if train.n_features != test.n_features:
-        raise ValueError("train and test widths differ")
     return EvalContext(train, test).test_report(model)

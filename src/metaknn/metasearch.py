@@ -78,6 +78,12 @@ class SearchTrace:
                 out.append(next(c for c in level.candidates if c.channel == level.accepted))
         return out
 
+    @property
+    def final(self) -> CandidateRecord:
+        """The search's result: the last accepted record, else the initial reference."""
+        accepted = self.accepted_records()
+        return accepted[-1] if accepted else self.initial
+
     def levels_accepted(self) -> int:
         return sum(1 for level in self.levels if level.accepted is not None)
 

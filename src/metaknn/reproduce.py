@@ -22,9 +22,6 @@ from .evaluation import EvalContext
 from .knn import ModelSpec
 from .metasearch import CandidateRecord, meta_search
 
-SUITE_NAMES = ("monks1", "monks2", "monks3", "ionosphere")
-
-
 @dataclass
 class RowResult:
     label: str
@@ -70,18 +67,8 @@ def _level1(trace) -> dict:
     return {c.channel: c for c in trace.levels[0].candidates}
 
 
-def _active(model: ModelSpec, n_features: int) -> list[int]:
-    return [int(j) + 1 for j in np.flatnonzero(model.mask_for(n_features))]
-
-
-def _monks(data_dir, number: int):
-    base = Path(data_dir)
-    return load_partition(base / f"monks-{number}.train", base / f"monks-{number}.test",
-                          fmt="monks")
-
-
-def run_monks1(data_dir) -> SuiteResult:
-    part = _monks(data_dir, 1)
+def run_monks1(train_file: Path, test_file: Path) -> SuiteResult:
+    part = load_partition(train_file, test_file, fmt="monks")
     result = SuiteResult("monks1")
     model, trace = meta_search(part.train, part.test)
     level1 = _level1(trace)
@@ -105,18 +92,18 @@ def run_monks1(data_dir) -> SuiteResult:
                and abs(r.test_correct - 382) <= 1)
 
     r = level1["features"]
+    features = r.model.describe(nfeat)["features"]
     result.add("feature selection channel",
                "features {1,2,5}, train 120/124, test 432/432",
-               f"features {_active(r.model, nfeat)}, " + _scores(r),
-               _active(r.model, nfeat) == [1, 2, 5] and r.train_correct == 120
-               and r.test_correct == 432)
+               f"features {features}, " + _scores(r),
+               features == [1, 2, 5] and r.train_correct == 120 and r.test_correct == 432)
 
     r = level1["weights"]
     result.add("weight channel", "train >= 123/124, test 432/432", _scores(r),
                r.train_correct >= 123 and r.test_correct == 432)
 
     accepted = trace.accepted_records()
-    final = accepted[-1] if accepted else trace.initial
+    final = trace.final
     two_levels = (trace.levels_accepted() == 2 and len(accepted) == 2
                   and accepted[1].model.distance.kind == CAMBERRA)
     result.add("meta-search", "2 levels, level 2 accepts camberra, train 124/124, test 432/432",
@@ -126,8 +113,8 @@ def run_monks1(data_dir) -> SuiteResult:
     return result
 
 
-def run_monks2(data_dir) -> SuiteResult:
-    part = _monks(data_dir, 2)
+def run_monks2(train_file: Path, test_file: Path) -> SuiteResult:
+    part = load_partition(train_file, test_file, fmt="monks")
     result = SuiteResult("monks2")
     _, trace = meta_search(part.train, part.test)
     r = _level1(trace)["distance"]
@@ -138,8 +125,8 @@ def run_monks2(data_dir) -> SuiteResult:
     return result
 
 
-def run_monks3(data_dir) -> SuiteResult:
-    part = _monks(data_dir, 3)
+def run_monks3(train_file: Path, test_file: Path) -> SuiteResult:
+    part = load_partition(train_file, test_file, fmt="monks")
     result = SuiteResult("monks3")
     ctx = EvalContext(part.train, part.test)
 
@@ -152,8 +139,7 @@ def run_monks3(data_dir) -> SuiteResult:
                abs(_pct(test_c, part.test.n) - 97.2) <= 0.5 + 1e-9)
 
     model, trace = meta_search(part.train, part.test)
-    accepted = trace.accepted_records()
-    final = accepted[-1] if accepted else trace.initial
+    final = trace.final
     support = model.full_weights(part.train.n_features)
     nnz = int(np.count_nonzero(support))
     if nnz == 2:
@@ -165,13 +151,13 @@ def run_monks3(data_dir) -> SuiteResult:
         ok = final.train_correct >= train_c
         expected = "train >= published (support differs from published run)"
     result.add("meta-search", expected,
-               f"{nnz} active features {_active(model, part.train.n_features)}, "
+               f"{nnz} active features {model.describe(part.train.n_features)['features']}, "
                + _scores(final), ok)
     return result
 
 
-def run_ionosphere(data_dir) -> SuiteResult:
-    data = load_csv(Path(data_dir) / "ionosphere.data", label_column=-1)
+def run_ionosphere(data_file: Path) -> SuiteResult:
+    data = load_csv(data_file, label_column=-1)
     part = split_rows(data, 200, 150)
     result = SuiteResult("ionosphere")
     _, trace = meta_search(part.train, part.test)
@@ -189,7 +175,7 @@ def run_ionosphere(data_dir) -> SuiteResult:
                and _within_pp(r, 87.5, 1.5))
 
     r = level1["features"]
-    n_active = len(_active(r.model, nfeat))
+    n_active = len(r.model.describe(nfeat)["features"])
     result.add("feature selection channel", "8-12 features, train 92.5% +-1.5pp",
                f"{n_active} features, " + _scores(r),
                8 <= n_active <= 12 and _within_pp(r, 92.5, 1.5))
@@ -199,7 +185,7 @@ def run_ionosphere(data_dir) -> SuiteResult:
                _within_pp(r, 94.0, 1.5))
 
     accepted = trace.accepted_records()
-    final = accepted[-1] if accepted else trace.initial
+    final = trace.final
     weights_ok = bool(np.any(final.model.active_weights(nfeat) != 1.0))
     structure = (trace.levels_accepted() == 2 and len(accepted) == 2
                  and accepted[1].channel == "distance"
@@ -214,26 +200,25 @@ def run_ionosphere(data_dir) -> SuiteResult:
     return result
 
 
-SUITES = {"monks1": run_monks1, "monks2": run_monks2,
-          "monks3": run_monks3, "ionosphere": run_ionosphere}
-
-
-SUITE_FILES = {
-    "monks1": ("monks-1.train", "monks-1.test"),
-    "monks2": ("monks-2.train", "monks-2.test"),
-    "monks3": ("monks-3.train", "monks-3.test"),
-    "ionosphere": ("ionosphere.data",),
+# suite name -> (data files in the data directory, runner taking their paths)
+SUITES = {
+    "monks1": (("monks-1.train", "monks-1.test"), run_monks1),
+    "monks2": (("monks-2.train", "monks-2.test"), run_monks2),
+    "monks3": (("monks-3.train", "monks-3.test"), run_monks3),
+    "ionosphere": (("ionosphere.data",), run_ionosphere),
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, data_dir) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     data_dir = Path(data_dir)
-    missing = [f for f in SUITE_FILES[name] if not (data_dir / f).is_file()]
+    files, runner = SUITES[name]
+    missing = [f for f in files if not (data_dir / f).is_file()]
     if missing:
         raise DataError(
             f"missing data files in {data_dir}: {', '.join(missing)} "
             "(bundled under data/ in the source tree; originals available "
             "from the UCI Machine Learning Repository)")
-    return SUITES[name](data_dir)
+    return runner(*(data_dir / f for f in files))

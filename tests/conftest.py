@@ -6,6 +6,7 @@ import pytest
 from metaknn import (CONTINUOUS, Dataset, DistanceSpec, FeatureSpec,
                      ModelSpec, load_csv, load_partition, split_rows)
 from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
+from metaknn.reproduce import run_suite
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -69,3 +70,25 @@ def monks3():
 def ionosphere():
     data = load_csv(DATA_DIR / "ionosphere.data", label_column=-1)
     return split_rows(data, 200, 150)
+
+
+# each reproduction suite runs once per session; the acceptance gates and the
+# golden guard read the same results
+@pytest.fixture(scope="session")
+def suite_monks1():
+    return run_suite("monks1", DATA_DIR)
+
+
+@pytest.fixture(scope="session")
+def suite_monks2():
+    return run_suite("monks2", DATA_DIR)
+
+
+@pytest.fixture(scope="session")
+def suite_monks3():
+    return run_suite("monks3", DATA_DIR)
+
+
+@pytest.fixture(scope="session")
+def suite_ionosphere():
+    return run_suite("ionosphere", DATA_DIR)

@@ -19,7 +19,6 @@ from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember,
 from metaknn.cli import main
 from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
 from metaknn.metasearch import _majority
-from metaknn.reproduce import run_suite
 
 from conftest import ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model
 
@@ -32,26 +31,6 @@ def gate(label: str, expected: str, observed: str, ok: bool):
 def suite_row(result, label):
     row = next(r for r in result.rows if r.label == label)
     gate(f"[{result.suite}] {label}", row.expected, row.observed, row.passed)
-
-
-@pytest.fixture(scope="session")
-def suite_monks1():
-    return run_suite("monks1", DATA_DIR)
-
-
-@pytest.fixture(scope="session")
-def suite_monks2():
-    return run_suite("monks2", DATA_DIR)
-
-
-@pytest.fixture(scope="session")
-def suite_monks3():
-    return run_suite("monks3", DATA_DIR)
-
-
-@pytest.fixture(scope="session")
-def suite_ionosphere():
-    return run_suite("ionosphere", DATA_DIR)
 
 
 class TestCriterion1Monk1:

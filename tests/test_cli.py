@@ -108,6 +108,13 @@ class TestExitCodes:
         assert code == 1
 
 
+    def test_negative_split_is_2(self, capsys):
+        code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
+                                      "--split=-10:5"])
+        assert code == 2
+        assert "negative" in err and "unused" not in out
+
+
 class TestRescale:
     def test_test_set_takes_training_bounds(self, capsys, tmp_path):
         # own bounds would map the test rows onto 0 and 1 (one right);

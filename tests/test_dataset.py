@@ -189,6 +189,12 @@ class TestPartitionHelpers:
         with pytest.raises(DataError, match="exceeds"):
             split_rows(load_csv(path), 2, 1)
 
+    @pytest.mark.parametrize("counts", [(-10, 5), (5, -1)])
+    def test_split_negative_count_rejected(self, counts):
+        data = load_csv(DATA_DIR / "ionosphere.data", label_column=-1)
+        with pytest.raises(DataError, match="negative"):
+            split_rows(data, *counts)
+
     def test_schema_mismatch_rejected(self, monks1, ionosphere):
         with pytest.raises(DataError, match="schemas differ"):
             Partition(monks1.train, ionosphere.test)

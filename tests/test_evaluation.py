@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify,
-                     confusion_of, evaluate, leave_one_out)
+                     confusion_of, evaluate, evaluation, leave_one_out, meta_search)
 from metaknn.distance import MINKOWSKI
 
 from conftest import make_dataset, random_dataset, random_model
@@ -131,3 +131,44 @@ class TestCachedOracle:
         blob = json.dumps(report.to_dict(), sort_keys=True)
         back = json.loads(blob)
         assert back["correct"] == 95 and back["total"] == 124
+
+
+class TestTrainingTerms:
+    def test_built_per_column_on_first_use(self, monks1, monkeypatch):
+        calls = []
+        original = evaluation.feature_terms
+        monkeypatch.setattr(evaluation, "feature_terms",
+                            lambda *args: calls.append(args) or original(*args))
+        ctx = EvalContext(monks1.train)
+        mask = [False, True, False, False, True, False]
+        ctx.loo_count(ModelSpec(feature_mask=mask))
+        assert len(calls) == 2
+        ctx.loo_count(ModelSpec(k=3, distance=DistanceSpec(MINKOWSKI, 2, [0.5, 1.0]),
+                                feature_mask=mask))
+        assert len(calls) == 2
+        ctx.loo_count(ModelSpec(feature_mask=[True, True, False, False, True, False]))
+        assert len(calls) == 3
+
+    def test_column_order_keeps_counts(self, monks1):
+        # filling columns out of order must not change any entry
+        model = ModelSpec(k=3)
+        warm = EvalContext(monks1.train)
+        warm.loo_count(ModelSpec(feature_mask=[False, False, False, True, True, True]))
+        assert (warm.loo_report(model).to_dict()
+                == EvalContext(monks1.train).loo_report(model).to_dict())
+
+
+class TestWidthCheck:
+    TRAIN = make_dataset([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]], [0, 1, 1])
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_context_rejects_other_width(self, width):
+        test = make_dataset(np.ones((2, width)), [0, 1])
+        with pytest.raises(ValueError, match="widths differ"):
+            EvalContext(self.TRAIN, test)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_meta_search_rejects_other_width(self, width):
+        test = make_dataset(np.ones((2, width)), [0, 1])
+        with pytest.raises(ValueError, match="widths differ"):
+            meta_search(self.TRAIN, test)

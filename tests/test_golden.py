@@ -2,14 +2,16 @@
 
 Each command's stdout and --output JSONL are stored under tests/golden/.
 The config line echoes --train verbatim, so commands run from the repository
-root with relative data paths.  After an intended output change, regenerate
-the files with
+root with relative data paths.  Each reproduction suite's SuiteResult is
+stored there too, as reproduce_<suite>.json.  After an intended output
+change, regenerate all of these files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from metaknn.cli import main
+from metaknn.reproduce import SUITE_NAMES, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -55,6 +58,17 @@ def test_golden_output(name, tmp_path, monkeypatch):
     assert jsonl == (GOLDEN / f"{name}.jsonl").read_text()
 
 
+def suite_json(result) -> str:
+    return json.dumps(result.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_golden_reproduce(suite, request):
+    # the session fixtures share each suite run with the acceptance gates
+    result = request.getfixturevalue(f"suite_{suite}")
+    assert suite_json(result) == (GOLDEN / f"reproduce_{suite}.json").read_text()
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
@@ -64,3 +78,6 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.stdout").write_text(stdout)
         print(f"wrote {name}")
+    for suite in SUITE_NAMES:
+        (GOLDEN / f"reproduce_{suite}.json").write_text(suite_json(run_suite(suite, "data")))
+        print(f"wrote reproduce_{suite}")
