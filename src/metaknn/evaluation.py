@@ -8,6 +8,13 @@ Both go through distance.accumulate, per feature in index order, which keeps
 the matrix path bitwise identical to classifying each vector independently
 with knn.classify.  Every row of a scoring is voted by one knn.shell_votes
 call.
+
+loo_count and test_count remember each count they compute, keyed on the
+side, k, the distance kind and the resolved feature mask and weights, so a
+search that asks again for a model it has scored (under any spelling of
+all features or unit weights) gets the stored integer.  Reports are always
+computed.  ctx.evaluations counts the leave-one-out scorings actually
+computed; the channels count the evaluations they request.
 """
 
 from __future__ import annotations
@@ -48,7 +55,10 @@ def confusion_of(truths: np.ndarray, predictions: list[Prediction], n_classes: i
 
 
 class EvalContext:
-    """Scores models on one training set (and optional test set), caching training terms."""
+    """Scores models on one training set (and optional test set).
+
+    Caches training terms, and the correct count of each model scored.
+    """
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
         if test is not None and test.n_features != train.n_features:
@@ -58,7 +68,8 @@ class EvalContext:
         self.n_features = train.n_features
         self.n_classes = train.n_classes
         self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
-        self.evaluations = 0
+        self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
+        self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
 
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
         key = term_key(model.distance.kind, model.distance.alpha)
@@ -97,15 +108,24 @@ class EvalContext:
         return EvalReport(correct / data.n, correct, data.n, predictions, data.labels,
                           confusion_of(data.labels, predictions, self.n_classes))
 
+    def _count(self, model: ModelSpec, side: str) -> int:
+        """Correct count on side, scored once per distinct resolved model."""
+        n = self.n_features
+        key = (side, model.k, model.distance.kind, model.distance.alpha,
+               model.mask_for(n).tobytes(), model.active_weights(n).tobytes())
+        if key not in self._counts:
+            self._counts[key] = self._score(model, side, report=False)
+        return self._counts[key]
+
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""
-        return self._score(model, "train", report=False)
+        return self._count(model, "train")
 
     def loo_report(self, model: ModelSpec) -> EvalReport:
         return self._score(model, "train", report=True)
 
     def test_count(self, model: ModelSpec) -> int:
-        return self._score(model, "test", report=False)
+        return self._count(model, "test")
 
     def test_report(self, model: ModelSpec) -> EvalReport:
         return self._score(model, "test", report=True)

@@ -11,9 +11,11 @@ the neighborhood by one more shell and re-votes; if the shells are
 exhausted while still tied, the class with the smallest summed distance to
 the query wins, then the lowest class index.
 
-shell_votes votes every row of a distance matrix in one pass; shell_vote is
-the per-row form it falls back to for tied rows, and classify/dissimilarity
-stay the scalar reference.
+shell_votes votes every row of a distance matrix in one pass, and widens
+all tied rows together, one shell per round.  shell_vote is the per-row
+form: shell_votes falls back to it only for rows whose shells run out while
+still tied, and it is the oracle shell_votes is tested against, as
+classify/dissimilarity are the scalar reference.
 """
 
 from __future__ import annotations
@@ -121,12 +123,20 @@ def shell_vote(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     return int(tied[int(np.argmin(sums))]), votes, size
 
 
+def _is_tied(votes: np.ndarray) -> np.ndarray:
+    """Per votes row: is the top count shared by more than one class?"""
+    return np.count_nonzero(votes == votes.max(axis=1, keepdims=True), axis=1) > 1
+
+
 def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     """shell_vote for every row of a distance matrix at once.
 
     The k-th shell of a row is every finite entry at or below its k-th
-    smallest distance.  Rows whose top vote is tied there go to shell_vote,
-    which widens the shell; the rest are decided by the matrix counts.
+    smallest distance.  Rows whose top vote is tied there are widened
+    together, one shell per round: each such row's threshold moves to its
+    smallest entry above the current one, and only those rows are voted
+    again, until none is tied.  A row whose shells run out while still
+    tied goes to shell_vote, which applies the summed-distance rule.
     Returns (winners, votes, sizes) with one entry (or votes row) per row.
     """
     available = np.count_nonzero(np.isfinite(dist), axis=1)
@@ -134,15 +144,23 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     if len(short):
         raise ValueError(f"k={k} but only {available[short[0]]} training points available")
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    inside = dist <= kth[:, None]  # +inf entries stay outside: kth is finite
     onehot = np.equal.outer(labels, np.arange(n_classes)).astype(float)
-    votes = (inside @ onehot).astype(np.int64)
-    sizes = votes.sum(axis=1)
+    # +inf entries stay outside every shell: thresholds are finite
+    votes = ((dist <= kth[:, None]) @ onehot).astype(np.int64)
     winners = votes.argmax(axis=1)
-    tied = np.flatnonzero(np.count_nonzero(votes == votes.max(axis=1, keepdims=True), axis=1) > 1)
-    for i in tied:
-        winners[i], votes[i], sizes[i] = shell_vote(dist[i], labels, k, n_classes)
-    return winners, votes, sizes
+    rows = np.flatnonzero(_is_tied(votes))
+    sub, thr = dist[rows], kth[rows]  # tied rows only, never the whole matrix
+    while len(rows):
+        thr = np.where(sub > thr[:, None], sub, np.inf).min(axis=1)
+        exhausted = thr == np.inf
+        for i in rows[exhausted]:
+            winners[i], votes[i], _ = shell_vote(dist[i], labels, k, n_classes)
+        rows, sub, thr = rows[~exhausted], sub[~exhausted], thr[~exhausted]
+        wider = ((sub <= thr[:, None]) @ onehot).astype(np.int64)
+        votes[rows], winners[rows] = wider, wider.argmax(axis=1)
+        tied = _is_tied(wider)
+        rows, sub, thr = rows[tied], sub[tied], thr[tied]
+    return winners, votes, votes.sum(axis=1)
 
 
 def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None) -> np.ndarray:

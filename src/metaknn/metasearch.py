@@ -14,6 +14,7 @@ improves the majority vote the most, until no addition helps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ from .dataset import Dataset
 from .distance import DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec, Prediction, classify
-from .optimize import BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_weight_method
+from .optimize import (BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_step,
+                       check_weight_method)
 
 DEFAULT_CHANNELS = ("k", "distance", "features", "weights")
 
@@ -110,12 +112,13 @@ def meta_search(train: Dataset, test: Dataset | None = None,
     last accepted candidate's (or the initial reference's, when nothing was
     accepted).
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     unknown = [c for c in channels if c not in CHANNELS]
     if unknown:
         raise ValueError(f"unknown channels {unknown}")
     check_weight_method(weight_method)
+    check_step(step)
     opts = {"k_range": k_range, "weight_method": weight_method,
             "step": step, "budget": budget}
     ctx = EvalContext(train, test)
@@ -222,6 +225,8 @@ def select_model_sequence(pool, truths, epsilon: float = 0.0) -> ModelSequence:
     remaining member whose inclusion improves the joint vote the most, and
     stops when the gain falls to epsilon or below.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     pool = [m if isinstance(m, PoolMember) else PoolMember(*m) for m in pool]
     if not pool:
         raise ValueError("empty model pool")

@@ -38,7 +38,7 @@ class ChannelResult:
     train_score: float  # leave-one-out accuracy of model, exact count ratio
     correct_count: int
     total: int
-    evaluations: int  # number of leave-one-out evaluations spent
+    evaluations: int  # leave-one-out evaluations requested, repeats included
     budget_exhausted: bool = False
 
 
@@ -168,10 +168,16 @@ def select_features(ref: ModelSpec, train: Dataset) -> ChannelResult:
 # -------------------------------------------------- quantized weight search
 
 def _grid(step: float) -> np.ndarray:
-    levels = int(round(1.0 / step))
-    if abs(levels * step - 1.0) > 1e-9 or levels < 1:
+    """The weight grid 0, step, ..., 1; ValueError unless step divides 1 evenly."""
+    levels = int(round(1.0 / step)) if step > 0 else 0  # zero, negative and NaN steps
+    if levels < 1 or abs(levels * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} must divide 1 evenly")
     return np.round(np.arange(levels + 1) * step, 10)
+
+
+def check_step(step: float) -> None:
+    """Raise ValueError unless step divides 1 evenly."""
+    _grid(step)
 
 
 def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):

@@ -114,6 +114,17 @@ class TestExitCodes:
         assert code == 2
         assert "negative" in err and "unused" not in out
 
+    @pytest.mark.parametrize("step", ["0", "nan"])
+    def test_bad_step_is_1(self, capsys, step):
+        code, out, err = run(capsys, ["search", *MONKS, "--step", step])
+        assert code == 1
+        assert "must divide 1 evenly" in err and "Traceback" not in err and out == ""
+
+    def test_nan_epsilon_is_1(self, capsys):
+        code, out, err = run(capsys, ["sequence", *MONKS, "--epsilon", "nan"])
+        assert code == 1
+        assert "epsilon must be finite" in err and out == ""
+
 
 class TestRescale:
     def test_test_set_takes_training_bounds(self, capsys, tmp_path):

@@ -172,3 +172,37 @@ class TestWidthCheck:
         test = make_dataset(np.ones((2, width)), [0, 1])
         with pytest.raises(ValueError, match="widths differ"):
             meta_search(self.TRAIN, test)
+
+
+class TestCountMemo:
+    def test_default_and_explicit_spellings_share_one_scoring(self, monks1):
+        ctx = EvalContext(monks1.train)
+        explicit = ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, np.ones(6)),
+                             feature_mask=np.ones(6, dtype=bool))
+        assert ctx.loo_count(ModelSpec()) == ctx.loo_count(explicit) == 95
+        assert ctx.evaluations == 1
+
+    def test_weights_alone_are_rescored(self, monks1):
+        ctx = EvalContext(monks1.train)
+        ctx.loo_count(ModelSpec())
+        weighted = ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, [1, 1, 1, 1, 0.5, 1]))
+        assert ctx.loo_count(weighted) == EvalContext(monks1.train).loo_count(weighted)
+        assert ctx.evaluations == 2
+
+    def test_evaluations_count_computed_scorings(self, monks1):
+        ctx = EvalContext(monks1.train, monks1.test)
+        model = ModelSpec(k=3)
+        for _ in range(3):
+            ctx.loo_count(model)
+            ctx.test_count(model)
+        assert ctx.evaluations == 1
+        ctx.loo_report(model)  # reports are always computed
+        assert ctx.evaluations == 2
+
+    def test_counts_match_reports(self, monks1):
+        ctx = EvalContext(monks1.train, monks1.test)
+        rng = np.random.default_rng(44)
+        models = [random_model(rng, 6) for _ in range(8)]
+        for model in models + models:
+            assert ctx.loo_count(model) == ctx.loo_report(model).correct_count
+            assert ctx.test_count(model) == ctx.test_report(model).correct_count

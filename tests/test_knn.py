@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metaknn import DistanceSpec, EvalContext, ModelSpec, classify, neighbors, shell_vote
+from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, knn, neighbors,
+                     shell_vote)
 from metaknn.distance import MINKOWSKI
 from metaknn.knn import shell_votes
 
@@ -189,6 +190,27 @@ class TestShellVotes:
         labels = np.array([0, 1, 1])
         with pytest.raises(ValueError, match="k=2 but only 1"):
             shell_votes(dist, labels, 2, 2)
+
+    def test_widens_every_tied_row_together(self, monkeypatch):
+        # k=2 over labels 0,1,0,1,0,1: row 0 is decided at its first shell,
+        # row 1 at its second, row 2 at its third; row 3 runs out of shells
+        # while tied, and the summed-distance rule gives it class 1
+        dist = np.array([[1.0, 2.0, 1.0, 3.0, 4.0, 5.0],
+                         [1.0, 2.0, 3.0, 9.0, 9.0, 9.0],
+                         [1.0, 2.0, 3.0, 3.0, 4.0, 9.0],
+                         [2.0, 1.0, np.inf, np.inf, np.inf, np.inf]])
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        expected = [shell_vote(row, labels, 2, 2) for row in dist]
+        assert [(w, s) for w, _, s in expected] == [(0, 2), (0, 3), (0, 5), (1, 2)]
+        scalar_rows = []
+        monkeypatch.setattr(knn, "shell_vote",
+                            lambda row, *args: scalar_rows.append(row) or shell_vote(row, *args))
+        winners, votes, sizes = shell_votes(dist, labels, 2, 2)
+        assert len(scalar_rows) == 1 and np.array_equal(scalar_rows[0], dist[3])
+        for i, (winner, row_votes, size) in enumerate(expected):
+            assert winners[i] == winner
+            assert np.array_equal(votes[i], row_votes)
+            assert sizes[i] == size
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_monk2_loo_report_matches_classify(self, monks2, k):

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from metaknn import (DistanceSpec, ModelSpec, PoolMember, build_pool, classify,
-                     ensemble_predict, evaluate_sequence, meta_search,
+from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember, build_pool,
+                     classify, ensemble_predict, evaluate_sequence, meta_search,
                      select_model_sequence)
 from metaknn.distance import CAMBERRA, MINKOWSKI
 from metaknn.metasearch import _majority
@@ -59,6 +59,19 @@ class TestMetaSearch:
     def test_unknown_weight_method_rejected(self, monks1):
         with pytest.raises(ValueError, match="unknown weight method"):
             meta_search(monks1.train, channels=("weights",), weight_method="bogus", budget=3)
+
+    @pytest.mark.parametrize("step", [0.0, float("nan")])
+    def test_bad_step_rejected_before_any_scoring(self, monks1, monkeypatch, step):
+        def scored(*args, **kwargs):
+            raise AssertionError("a model was scored")
+        monkeypatch.setattr(EvalContext, "_score", scored)
+        with pytest.raises(ValueError, match="must divide 1 evenly"):
+            meta_search(monks1.train, channels=("weights",), step=step)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, monks1, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            meta_search(monks1.train, epsilon=epsilon)
 
     def test_budget_exhaustion_reaches_the_trace(self, monks1):
         _, trace = meta_search(monks1.train, channels=("weights", "k"),
@@ -130,6 +143,14 @@ class TestSequenceSelection:
         seq = select_model_sequence(pool, truths, epsilon=-0.1)
         assert len(seq.members) == 3
         assert seq.combined_correct == 6
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # a NaN epsilon never stops the greedy loop: it would take every member
+        truths = np.array([0, 0, 0, 1, 1, 1])
+        pool = [member(1, [0, 0, 0, 1, 1, 0]), member(2, [0, 0, 0, 1, 0, 1])]
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            select_model_sequence(pool, truths, epsilon=epsilon)
 
     def test_matches_exhaustive_on_hand_pools(self):
         # binary 3-model pools: two-member subsets collapse to their first

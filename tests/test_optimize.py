@@ -170,6 +170,11 @@ class TestQuantizedWeights:
         with pytest.raises(ValueError, match="step"):
             weight_search_quantized(ModelSpec(), monks1.train, step=0.3)
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
+    def test_step_not_positive_and_finite(self, monks1, step):
+        with pytest.raises(ValueError, match="must divide 1 evenly"):
+            weight_search_quantized(ModelSpec(), monks1.train, step=step)
+
     def test_never_below_reference(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
