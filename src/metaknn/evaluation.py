@@ -7,14 +7,15 @@ channels can score thousands of leave-one-out candidates without recomputing
 Both go through distance.accumulate, per feature in index order, which keeps
 the matrix path bitwise identical to classifying each vector independently
 with knn.classify.  Every row of a scoring is voted by one knn.shell_votes
-call.
+call, and a report keeps its arrays: the winner of each row, and each row's
+vote fractions over its deciding neighborhood.
 
 loo_count and test_count remember each count they compute, keyed on the
-side, k, the distance kind and the resolved feature mask and weights, so a
-search that asks again for a model it has scored (under any spelling of
-all features or unit weights) gets the stored integer.  Reports are always
-computed.  ctx.evaluations counts the leave-one-out scorings actually
-computed; the channels count the evaluations they request.
+side and model_key (k, the distance kind and the resolved feature mask and
+weights), so a search that asks again for a model it has scored (under any
+spelling of all features or unit weights) gets the stored integer.  Reports
+are always computed.  ctx.evaluations counts the leave-one-out scorings
+actually computed; the channels count the evaluations they request.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distance import accumulate, feature_terms, term_key
-from .knn import ModelSpec, Prediction, shell_votes
+from .knn import ModelSpec, shell_votes
 
 
 @dataclass
@@ -33,7 +34,8 @@ class EvalReport:
     accuracy: float  # correct_count / total, exact rational in floating point
     correct_count: int
     total: int
-    predictions: list[Prediction]
+    winners: np.ndarray  # predicted class per row
+    class_probs: np.ndarray  # rows x classes: vote fractions over each deciding neighborhood
     truths: np.ndarray
     confusion: np.ndarray  # rows = true class, columns = predicted class
 
@@ -42,16 +44,15 @@ class EvalReport:
             "accuracy": self.accuracy,
             "correct": self.correct_count,
             "total": self.total,
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-            "predicted": [p.winner for p in self.predictions],
+            "confusion": self.confusion.tolist(),
+            "predicted": self.winners.tolist(),
         }
 
 
-def confusion_of(truths: np.ndarray, predictions: list[Prediction], n_classes: int) -> np.ndarray:
-    out = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(truths, predictions):
-        out[int(t), p.winner] += 1
-    return out
+def confusion_of(truths: np.ndarray, winners: np.ndarray, n_classes: int) -> np.ndarray:
+    """Counts of (true class, predicted class) pairs; rows = true class."""
+    pairs = np.asarray(truths) * n_classes + np.asarray(winners)
+    return np.bincount(pairs, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 class EvalContext:
@@ -104,15 +105,18 @@ class EvalContext:
         correct = int(np.count_nonzero(winners == data.labels))
         if not report:
             return correct
-        predictions = [Prediction(int(w), v / s) for w, v, s in zip(winners, votes, sizes)]
-        return EvalReport(correct / data.n, correct, data.n, predictions, data.labels,
-                          confusion_of(data.labels, predictions, self.n_classes))
+        return EvalReport(correct / data.n, correct, data.n, winners, votes / sizes[:, None],
+                          data.labels, confusion_of(data.labels, winners, self.n_classes))
+
+    def model_key(self, model: ModelSpec) -> tuple:
+        """k, distance, resolved mask and weights: models with equal keys score alike."""
+        n = self.n_features
+        return (model.k, model.distance.kind, model.distance.alpha,
+                model.mask_for(n).tobytes(), model.active_weights(n).tobytes())
 
     def _count(self, model: ModelSpec, side: str) -> int:
         """Correct count on side, scored once per distinct resolved model."""
-        n = self.n_features
-        key = (side, model.k, model.distance.kind, model.distance.alpha,
-               model.mask_for(n).tobytes(), model.active_weights(n).tobytes())
+        key = (side, *self.model_key(model))
         if key not in self._counts:
             self._counts[key] = self._score(model, side, report=False)
         return self._counts[key]

@@ -61,13 +61,12 @@ class ModelSpec:
         full[mask] = self.active_weights(n_features)
         return full
 
-    def complexity_rank(self, n_features: int) -> int:
+    def complexity_rank(self) -> int:
         """Deviation count from the plain model: k=1, Euclidean, all features, unit weights."""
-        mask = self.mask_for(n_features)
-        w = self.active_weights(n_features)
+        w, mask = self.distance.weights, self.feature_mask
         return (int(self.k != 1)
-                + int(np.sum(w != 1.0))
-                + int(np.sum(~mask))
+                + (0 if w is None else int(np.sum(w != 1.0)))
+                + (0 if mask is None else int(np.sum(~mask)))
                 + int(not (self.distance.kind == MINKOWSKI and self.distance.alpha == 2)))
 
     def describe(self, n_features: int | None = None) -> dict:

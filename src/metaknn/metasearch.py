@@ -9,7 +9,9 @@ never consulted by any decision.
 
 select_model_sequence builds a committee greedily from a pool of scored
 models: starting from the best one, it keeps adding whichever member
-improves the majority vote the most, until no addition helps.
+improves the majority vote the most, until no addition helps.  Every
+committee vote goes through _majority, which votes all columns of a
+(members x rows) prediction matrix at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .distance import DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec, Prediction, classify
 from .optimize import (BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_step,
@@ -101,16 +102,15 @@ class SearchTrace:
 
 
 def meta_search(train: Dataset, test: Dataset | None = None,
-                channels=DEFAULT_CHANNELS, epsilon: float = 0.0,
-                initial: ModelSpec | None = None, k_range=K_RANGE,
+                channels=DEFAULT_CHANNELS, epsilon: float = 0.0, k_range=K_RANGE,
                 weight_method: str = WEIGHT_METHOD, step: float = STEP,
                 budget: int = BUDGET, max_levels: int | None = None):
     """Level-wise search through the model space.
 
     Returns (final model, SearchTrace).  The final model is the reference
     left standing when the search stops; its leave-one-out score equals the
-    last accepted candidate's (or the initial reference's, when nothing was
-    accepted).
+    last accepted candidate's (or the plain k=1 Euclidean reference's, when
+    nothing was accepted).
     """
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
@@ -122,7 +122,7 @@ def meta_search(train: Dataset, test: Dataset | None = None,
     opts = {"k_range": k_range, "weight_method": weight_method,
             "step": step, "budget": budget}
     ctx = EvalContext(train, test)
-    ref = initial if initial is not None else ModelSpec(k=1, distance=DistanceSpec())
+    ref = ModelSpec()
     ref_count = ctx.loo_count(ref)
 
     def observed(record: CandidateRecord) -> CandidateRecord:
@@ -151,8 +151,7 @@ def meta_search(train: Dataset, test: Dataset | None = None,
         for cand in candidates[1:]:
             if cand.train_correct > best.train_correct or (
                     cand.train_correct == best.train_correct
-                    and cand.model.complexity_rank(train.n_features)
-                    < best.model.complexity_rank(train.n_features)):
+                    and cand.model.complexity_rank() < best.model.complexity_rank()):
                 best = cand
         if best.train_correct - ref_count > epsilon * train.n:
             trace.levels.append(LevelRecord(level, candidates, best.channel))
@@ -188,33 +187,18 @@ class ModelSequence:
         return self.combined_correct / self.total
 
 
-def _majority(votes, n_classes: int) -> int:
-    """Majority vote; ties go to the earliest member voting for a tied class."""
-    counts = np.bincount(votes, minlength=n_classes)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if len(tied) == 1:
-        return int(tied[0])
-    tied = set(int(c) for c in tied)
-    for v in votes:
-        if int(v) in tied:
-            return int(v)
-    raise AssertionError("unreachable")
+def _majority(stacked: np.ndarray, n_classes: int) -> np.ndarray:
+    """Majority vote of every column of a (members x rows) prediction matrix.
 
-
-def _joint_predictions(members: list[PoolMember], n_classes: int) -> np.ndarray:
-    stacked = np.stack([m.predictions for m in members])
-    return np.array([_majority(stacked[:, p], n_classes) for p in range(stacked.shape[1])])
-
-
-def _infer_n_features(pool) -> int:
-    for member in pool:
-        if member.model.feature_mask is not None:
-            return len(member.model.feature_mask)
-    for member in pool:
-        if member.model.distance.weights is not None:
-            return len(member.model.distance.weights)
-    return 1
+    A tied column goes to the earliest member whose vote is among the tied
+    classes.
+    """
+    rows = np.arange(stacked.shape[1])
+    counts = np.bincount((rows * n_classes + stacked).ravel(),
+                         minlength=len(rows) * n_classes).reshape(len(rows), n_classes)
+    leading = counts == counts.max(axis=1, keepdims=True)
+    first = np.take_along_axis(leading, stacked.T, axis=1).argmax(axis=1)
+    return stacked[first, rows]
 
 
 def select_model_sequence(pool, truths, epsilon: float = 0.0) -> ModelSequence:
@@ -234,52 +218,50 @@ def select_model_sequence(pool, truths, epsilon: float = 0.0) -> ModelSequence:
     total = len(truths)
     if any(len(m.predictions) != total for m in pool):
         raise ValueError("pool predictions and truths must have equal length")
-    n_classes = int(max(truths.max(), max(m.predictions.max() for m in pool))) + 1
-    n_features = _infer_n_features(pool)
-
-    def correct_of(preds) -> int:
-        return int(np.sum(preds == truths))
-
-    order = sorted(range(len(pool)),
-                   key=lambda i: (-correct_of(pool[i].predictions),
-                                  pool[i].model.complexity_rank(n_features), i))
-    remaining = [pool[i] for i in order]
-    sequence = [remaining.pop(0)]
-    current = correct_of(sequence[0].predictions)
+    stacked = np.stack([m.predictions for m in pool])
+    n_classes = int(max(truths.max(), stacked.max())) + 1
+    correct = np.count_nonzero(stacked == truths, axis=1)
+    ranks = [m.model.complexity_rank() for m in pool]
+    remaining = sorted(range(len(pool)), key=lambda i: (-correct[i], ranks[i], i))
+    chosen = [remaining.pop(0)]
+    current = int(correct[chosen[0]])
     while remaining:
         best_i, best_correct, best_rank = -1, -1, None
         for i, cand in enumerate(remaining):
-            joint = correct_of(_joint_predictions(sequence + [cand], n_classes))
-            rank = cand.model.complexity_rank(n_features)
-            if joint > best_correct or (joint == best_correct and rank < best_rank):
-                best_i, best_correct, best_rank = i, joint, rank
+            joint = int(np.count_nonzero(_majority(stacked[chosen + [cand]], n_classes) == truths))
+            if joint > best_correct or (joint == best_correct and ranks[cand] < best_rank):
+                best_i, best_correct, best_rank = i, joint, ranks[cand]
         if best_correct - current <= epsilon * total:
             break
-        sequence.append(remaining.pop(best_i))
+        chosen.append(remaining.pop(best_i))
         current = best_correct
-    return ModelSequence(sequence, current, total)
+    return ModelSequence([pool[i] for i in chosen], current, total)
 
 
 def build_pool(train: Dataset, trace: SearchTrace) -> tuple[list[PoolMember], np.ndarray]:
-    """Pool every model the search trace visited, with leave-one-out predictions."""
+    """Pool every model the search trace visited, with leave-one-out predictions.
+
+    A model visited more than once keeps each place, all sharing one scoring.
+    """
     ctx = EvalContext(train)
     models = [trace.initial.model]
     for level in trace.levels:
         models.extend(c.model for c in level.candidates)
-    pool = []
+    pool, scored = [], {}
     for model in models:
-        report = ctx.loo_report(model)
-        pool.append(PoolMember(model, np.array([p.winner for p in report.predictions])))
+        key = ctx.model_key(model)
+        if key not in scored:
+            scored[key] = ctx.loo_report(model).winners
+        pool.append(PoolMember(model, scored[key]))
     return pool, train.labels.copy()
 
 
 def evaluate_sequence(sequence: ModelSequence, train: Dataset, test: Dataset) -> tuple[int, int]:
     """Majority-vote correct count of the sequence on a test set."""
     ctx = EvalContext(train, test)
-    members = [PoolMember(m.model, [p.winner for p in ctx.test_report(m.model).predictions])
-               for m in sequence.members]
-    joint = _joint_predictions(members, train.n_classes)
-    return int(np.sum(joint == test.labels)), test.n
+    stacked = np.stack([ctx.test_report(m.model).winners for m in sequence.members])
+    joint = _majority(stacked, train.n_classes)
+    return int(np.count_nonzero(joint == test.labels)), test.n
 
 
 def ensemble_predict(sequence: ModelSequence, train: Dataset, query) -> Prediction:
@@ -290,7 +272,7 @@ def ensemble_predict(sequence: ModelSequence, train: Dataset, query) -> Predicti
     """
     if not sequence.members:
         raise ValueError("empty sequence")
-    votes = [classify(m.model, train, query).winner for m in sequence.members]
-    winner = _majority(votes, train.n_classes)
+    votes = np.array([classify(m.model, train, query).winner for m in sequence.members])
+    winner = int(_majority(votes[:, None], train.n_classes)[0])
     probs = np.bincount(votes, minlength=train.n_classes) / len(votes)
     return Prediction(winner, probs)

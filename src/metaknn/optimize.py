@@ -27,6 +27,7 @@ DISTANCE_CANDIDATES = ((MINKOWSKI, 1), (MINKOWSKI, 2), (CHEBYSHEV, None), (CAMBE
 # search defaults, shared by meta_search and the command line
 K_RANGE = (1, 10)  # neighborhood sizes scanned by the k channel
 STEP = 0.1  # quantized weight grid step
+MAX_GRID_INTERVALS = 1000  # finest step 0.001: each grid value is a scoring per weight per sweep
 BUDGET = 2000  # simplex leave-one-out evaluation budget
 WEIGHT_METHODS = ("quantized", "simplex")
 WEIGHT_METHOD = WEIGHT_METHODS[0]
@@ -168,15 +169,19 @@ def select_features(ref: ModelSpec, train: Dataset) -> ChannelResult:
 # -------------------------------------------------- quantized weight search
 
 def _grid(step: float) -> np.ndarray:
-    """The weight grid 0, step, ..., 1; ValueError unless step divides 1 evenly."""
-    levels = int(round(1.0 / step)) if step > 0 else 0  # zero, negative and NaN steps
+    """The weight grid 0, step, ..., 1; ValueError unless step divides 1 evenly
+    into at most MAX_GRID_INTERVALS intervals."""
+    intervals = 1.0 / step if step > 0 else 0.0  # zero, negative and NaN steps
+    if intervals > MAX_GRID_INTERVALS + 0.5:  # the margin lets float noise round to the cap
+        raise ValueError(f"step {step} makes more than {MAX_GRID_INTERVALS} grid intervals")
+    levels = int(round(intervals))
     if levels < 1 or abs(levels * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} must divide 1 evenly")
     return np.round(np.arange(levels + 1) * step, 10)
 
 
 def check_step(step: float) -> None:
-    """Raise ValueError unless step divides 1 evenly."""
+    """Raise ValueError unless _grid accepts step."""
     _grid(step)
 
 

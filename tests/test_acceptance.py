@@ -96,7 +96,7 @@ class TestCriterion5Properties:
             cached = EvalContext(ds).loo_report(model)
             for p in range(ds.n):
                 direct = classify(model, ds, ds.vectors[p], exclude=p)
-                if cached.predictions[p].winner != direct.winner:
+                if cached.winners[p] != direct.winner:
                     mismatches += 1
         gate("[properties] cached LOO == naive recomputation",
              "0 mismatches on 50 random datasets", f"{mismatches} mismatches",
@@ -136,8 +136,7 @@ class TestCriterion5Properties:
                 for c in (0.01, 3.0, 1000.0):
                     scaled = EvalContext(ds).loo_report(
                         ModelSpec(k=2, distance=DistanceSpec(kind, alpha, c * w)))
-                    changed += sum(a.winner != b.winner for a, b in
-                                   zip(base.predictions, scaled.predictions))
+                    changed += sum(a != b for a, b in zip(base.winners, scaled.winners))
         gate("[properties] weight rescaling c in {0.01,3,1000}",
              "no prediction changes", f"{changed} changed predictions", changed == 0)
 
@@ -156,8 +155,7 @@ class TestCriterion5Properties:
                 ModelSpec(k=1, distance=DistanceSpec(kind, alpha), feature_mask=mask))
             zeroed = EvalContext(ds).loo_report(
                 ModelSpec(k=1, distance=DistanceSpec(kind, alpha, mask.astype(float))))
-            diff += sum(a.winner != b.winner
-                        for a, b in zip(masked.predictions, zeroed.predictions))
+            diff += sum(a != b for a, b in zip(masked.winners, zeroed.winners))
         gate("[properties] zero weight == masked feature",
              "identical predictions", f"{diff} differing predictions", diff == 0)
 
@@ -167,8 +165,7 @@ class TestCriterion5Properties:
 
         def vote_correct(members):
             stacked = np.stack([m.predictions for m in members])
-            joint = [_majority(stacked[:, p], 2) for p in range(len(truths))]
-            return int(np.sum(np.array(joint) == truths))
+            return int(np.sum(_majority(stacked, 2) == truths))
 
         bad = 0
         for _ in range(40):
@@ -187,8 +184,7 @@ class TestCriterion5Properties:
                     for i in range(4)]
             seq = select_model_sequence(pool, t, epsilon=-1e-9)
             stacked = [int(np.sum(
-                np.array([_majority(np.stack([m.predictions for m in seq.members[:i]])[:, p], 2)
-                          for p in range(n)]) == t))
+                _majority(np.stack([m.predictions for m in seq.members[:i]]), 2) == t))
                 for i in range(1, len(seq.members) + 1)]
             if any(b < a for a, b in zip(stacked, stacked[1:])):
                 nondec_bad += 1

@@ -120,6 +120,11 @@ class TestExitCodes:
         assert code == 1
         assert "must divide 1 evenly" in err and "Traceback" not in err and out == ""
 
+    def test_too_fine_step_is_1(self, capsys):
+        code, out, err = run(capsys, ["search", *MONKS, "--step", "1e-6"])
+        assert code == 1
+        assert "more than 1000 grid intervals" in err and "Traceback" not in err and out == ""
+
     def test_nan_epsilon_is_1(self, capsys):
         code, out, err = run(capsys, ["sequence", *MONKS, "--epsilon", "nan"])
         assert code == 1

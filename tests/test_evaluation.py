@@ -30,7 +30,7 @@ class TestLeaveOneOut:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng)
         report = leave_one_out(ModelSpec(k=2), ds)
-        recount = sum(p.winner == int(t) for p, t in zip(report.predictions, report.truths))
+        recount = sum(int(w) == int(t) for w, t in zip(report.winners, report.truths))
         assert recount == report.correct_count
         assert report.accuracy == report.correct_count / report.total
         assert report.confusion.sum() == report.total
@@ -80,13 +80,8 @@ class TestConfusion:
 
     def test_three_class_hand_count(self):
         truths = np.array([0, 0, 1, 1, 2, 2, 2])
-        predicted = [0, 1, 1, 1, 0, 2, 2]
-
-        class P:
-            def __init__(self, w):
-                self.winner = w
-
-        got = confusion_of(truths, [P(w) for w in predicted], 3)
+        predicted = np.array([0, 1, 1, 1, 0, 2, 2])
+        got = confusion_of(truths, predicted, 3)
         assert np.array_equal(got, [[1, 1, 0], [0, 2, 0], [1, 0, 2]])
 
 
@@ -103,9 +98,8 @@ class TestCachedOracle:
             cached = EvalContext(ds).loo_report(model)
             for p in range(ds.n):
                 direct = classify(model, ds, ds.vectors[p], exclude=p)
-                assert cached.predictions[p].winner == direct.winner
-                assert np.array_equal(cached.predictions[p].class_probs,
-                                      direct.class_probs)
+                assert cached.winners[p] == direct.winner
+                assert np.array_equal(cached.class_probs[p], direct.class_probs)
 
     def test_test_report_matches_per_row_classification(self):
         rng = np.random.default_rng(43)
@@ -117,7 +111,8 @@ class TestCachedOracle:
         report = EvalContext(ds, test).test_report(model)
         for p in range(test.n):
             direct = classify(model, ds, test.vectors[p])
-            assert report.predictions[p].winner == direct.winner
+            assert report.winners[p] == direct.winner
+            assert np.array_equal(report.class_probs[p], direct.class_probs)
 
     def test_context_counts_evaluations(self, monks1):
         ctx = EvalContext(monks1.train)

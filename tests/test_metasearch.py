@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember, build_pool,
                      classify, ensemble_predict, evaluate_sequence, meta_search,
@@ -68,6 +71,13 @@ class TestMetaSearch:
         with pytest.raises(ValueError, match="must divide 1 evenly"):
             meta_search(monks1.train, channels=("weights",), step=step)
 
+    def test_too_fine_step_rejected_before_any_scoring(self, monks1, monkeypatch):
+        def scored(*args, **kwargs):
+            raise AssertionError("a model was scored")
+        monkeypatch.setattr(EvalContext, "_score", scored)
+        with pytest.raises(ValueError, match="more than 1000 grid intervals"):
+            meta_search(monks1.train, step=1e-6)
+
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_epsilon_rejected(self, monks1, epsilon):
         with pytest.raises(ValueError, match="epsilon must be finite"):
@@ -98,11 +108,22 @@ def member(k, preds, kind=MINKOWSKI, alpha=2):
                       np.array(preds))
 
 
+def column(votes):
+    """One committee vote on a single row: a (members x 1) prediction matrix."""
+    return np.asarray(votes)[:, None]
+
+
+def earliest_member_majority(votes, n_classes):
+    """Reference vote of one column: the first member voting for a leading class."""
+    counts = np.bincount(votes, minlength=n_classes)
+    leaders = set(np.flatnonzero(counts == counts.max()).tolist())
+    return next(int(v) for v in votes if int(v) in leaders)
+
+
 def vote_correct(members, truths):
     stacked = np.stack([m.predictions for m in members])
     n_classes = int(max(truths.max(), stacked.max())) + 1
-    joint = [_majority(stacked[:, p], n_classes) for p in range(len(truths))]
-    return int(np.sum(np.array(joint) == truths))
+    return int(np.sum(_majority(stacked, n_classes) == truths))
 
 
 class TestSequenceSelection:
@@ -210,11 +231,21 @@ class TestEnsemblePredict:
         assert pred.class_probs[pred.winner] == pred.class_probs.max()
 
     def test_tie_goes_to_earliest_member(self):
-        assert _majority([0, 1], 2) == 0
-        assert _majority([1, 0], 2) == 1
+        assert _majority(column([0, 1]), 2).tolist() == [0]
+        assert _majority(column([1, 0]), 2).tolist() == [1]
         # a three-way count where the earliest member's class is not among
         # the leaders: the first member voting for a tied class decides
-        assert _majority([2, 0, 0, 1, 1], 3) == 0
+        assert _majority(column([2, 0, 0, 1, 1]), 3).tolist() == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matrix_vote_matches_per_column_reference(self, data):
+        n_classes = data.draw(st.integers(2, 4))
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 20)))
+        stacked = data.draw(arrays(np.int64, shape, elements=st.integers(0, n_classes - 1)))
+        expected = [earliest_member_majority(stacked[:, p], n_classes)
+                    for p in range(shape[1])]
+        assert _majority(stacked, n_classes).tolist() == expected
 
     def test_odd_binary_committee_never_ties(self):
         rng = np.random.default_rng(73)
@@ -222,7 +253,7 @@ class TestEnsemblePredict:
             votes = rng.integers(0, 2, size=5)
             counts = np.bincount(votes, minlength=2)
             assert counts[0] != counts[1]
-            assert _majority(votes, 2) == int(counts.argmax())
+            assert _majority(column(votes), 2).tolist() == [int(counts.argmax())]
 
     def test_build_pool_and_evaluate_sequence(self, monks1):
         _, trace = meta_search(monks1.train, channels=("k", "distance"))
@@ -232,3 +263,16 @@ class TestEnsemblePredict:
         correct, total = evaluate_sequence(seq, monks1.train, monks1.test)
         assert total == 432
         assert 0 <= correct <= total
+
+    def test_build_pool_scores_each_distinct_model_once(self, monks1, monkeypatch):
+        _, trace = meta_search(monks1.train)
+        scorings = []
+        original = EvalContext._score
+        monkeypatch.setattr(EvalContext, "_score",
+                            lambda *args, **kwargs: scorings.append(args)
+                            or original(*args, **kwargs))
+        pool, _ = build_pool(monks1.train, trace)
+        assert len(pool) == 13 and len(scorings) == 9
+        for m in pool:  # a shared scoring is the member's own leave-one-out vote
+            expected = EvalContext(monks1.train).loo_report(m.model).winners
+            assert np.array_equal(m.predictions, expected)

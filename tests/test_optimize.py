@@ -7,7 +7,7 @@ from metaknn import (DistanceSpec, EvalContext, ModelSpec, optimize_distance,
                      optimize_k, select_features, weight_search_quantized,
                      weight_search_simplex)
 from metaknn.distance import CAMBERRA, MINKOWSKI
-from metaknn.optimize import DISTANCE_CANDIDATES
+from metaknn.optimize import DISTANCE_CANDIDATES, check_step
 
 from conftest import make_dataset, random_dataset, random_model
 
@@ -174,6 +174,15 @@ class TestQuantizedWeights:
     def test_step_not_positive_and_finite(self, monks1, step):
         with pytest.raises(ValueError, match="must divide 1 evenly"):
             weight_search_quantized(ModelSpec(), monks1.train, step=step)
+
+    @pytest.mark.parametrize("step", [0.001, 0.1, 0.25, 1.0])
+    def test_steps_up_to_1000_intervals_pass(self, step):
+        check_step(step)
+
+    @pytest.mark.parametrize("step", [0.0005, 1e-6, 1e-300])
+    def test_grid_capped_at_1000_intervals(self, step):
+        with pytest.raises(ValueError, match="more than 1000 grid intervals"):
+            check_step(step)
 
     def test_never_below_reference(self):
         rng = np.random.default_rng(41)
