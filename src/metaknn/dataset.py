@@ -189,6 +189,9 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
         label_idx = label_column % width
 
     feat_cols = [j for j in range(width) if j != label_idx]
+    if reference is not None and len(feat_cols) != reference.n_features:
+        raise DataError(f"{path}: {len(feat_cols)} feature columns, "
+                        f"expected {reference.n_features} as in the training data")
     schema = schema or {}
 
     def declared_kind(j: int) -> str | None:

@@ -54,13 +54,6 @@ class ModelSpec:
         """Weights aligned with the active columns, in ascending column order."""
         return self.distance.resolved_weights(int(self.mask_for(n_features).sum()))
 
-    def full_weights(self, n_features: int) -> np.ndarray:
-        """Weight vector over all features, zeros in masked-out positions."""
-        mask = self.mask_for(n_features)
-        full = np.zeros(n_features)
-        full[mask] = self.active_weights(n_features)
-        return full
-
     def complexity_rank(self) -> int:
         """Deviation count from the plain model: k=1, Euclidean, all features, unit weights."""
         w, mask = self.distance.weights, self.feature_mask

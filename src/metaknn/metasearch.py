@@ -24,8 +24,8 @@ import numpy as np
 from .dataset import Dataset
 from .evaluation import EvalContext
 from .knn import ModelSpec, Prediction, classify
-from .optimize import (BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_step,
-                       check_weight_method)
+from .optimize import (BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_budget,
+                       check_k_range, check_step, check_weight_method)
 
 DEFAULT_CHANNELS = ("k", "distance", "features", "weights")
 
@@ -119,6 +119,8 @@ def meta_search(train: Dataset, test: Dataset | None = None,
         raise ValueError(f"unknown channels {unknown}")
     check_weight_method(weight_method)
     check_step(step)
+    check_budget(budget)
+    check_k_range(k_range, train.n)
     opts = {"k_range": k_range, "weight_method": weight_method,
             "step": step, "budget": budget}
     ctx = EvalContext(train, test)
@@ -201,7 +203,7 @@ def _majority(stacked: np.ndarray, n_classes: int) -> np.ndarray:
     return stacked[first, rows]
 
 
-def select_model_sequence(pool, truths, epsilon: float = 0.0) -> ModelSequence:
+def select_model_sequence(pool: list[PoolMember], truths, epsilon: float = 0.0) -> ModelSequence:
     """Greedy forward selection of a majority-vote committee.
 
     The pool is ordered by decreasing validation accuracy (ties prefer the
@@ -211,7 +213,6 @@ def select_model_sequence(pool, truths, epsilon: float = 0.0) -> ModelSequence:
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    pool = [m if isinstance(m, PoolMember) else PoolMember(*m) for m in pool]
     if not pool:
         raise ValueError("empty model pool")
     truths = np.asarray(truths, dtype=int)

@@ -2,9 +2,12 @@
 
 Each channel improves one aspect of a reference model while leaving the
 rest alone: the neighborhood size k, the distance kind, the active feature
-subset, or the feature weights.  Every channel scores candidates by
-leave-one-out accuracy on the training data only and never returns a model
-scoring below the reference.
+subset, or the feature weights.  Each is one public function,
+channel(ctx, ref, **options) -> ChannelResult, scoring in the EvalContext
+it is given, so a search shares one context (and its count memo) across
+all of its channels.  Every channel scores candidates by leave-one-out
+accuracy on the training data only and never returns a model scoring below
+the reference.
 
 All search loops are fully deterministic: candidate orders are fixed, and
 every tie rule is explicit.
@@ -16,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
 from .distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
 from .evaluation import EvalContext
 from .knn import ModelSpec
@@ -36,17 +38,9 @@ WEIGHT_METHOD = WEIGHT_METHODS[0]
 @dataclass
 class ChannelResult:
     model: ModelSpec
-    train_score: float  # leave-one-out accuracy of model, exact count ratio
-    correct_count: int
-    total: int
+    correct_count: int  # leave-one-out correct count of model, out of ctx.train.n
     evaluations: int  # leave-one-out evaluations requested, repeats included
     budget_exhausted: bool = False
-
-
-def _result(ctx: EvalContext, model: ModelSpec, count: int, evals: int,
-            budget_exhausted: bool = False) -> ChannelResult:
-    return ChannelResult(model, count / ctx.train.n, count, ctx.train.n,
-                         evals, budget_exhausted)
 
 
 def _with_weights(model: ModelSpec, weights) -> ModelSpec:
@@ -59,11 +53,19 @@ def _with_kind(model: ModelSpec, kind: str, alpha) -> ModelSpec:
 
 # ---------------------------------------------------------------- k channel
 
-def _k_channel(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> ChannelResult:
+def check_k_range(k_range, n: int) -> tuple[int, int]:
+    """The k values (lo, hi) scanned on n training rows, hi capped at n - 1;
+    ValueError when that leaves no k or lo < 1."""
     lo, hi = k_range
-    hi = min(hi, ctx.train.n - 1)
+    hi = min(hi, n - 1)
     if lo < 1 or lo > hi:
         raise ValueError(f"bad k range ({lo}, {hi})")
+    return lo, hi
+
+
+def optimize_k(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> ChannelResult:
+    """Exhaustive scan of the neighborhood size; ties keep the smallest k."""
+    lo, hi = check_k_range(k_range, ctx.train.n)
     best_model, best_count, evals = None, -1, 0
     for k in range(lo, hi + 1):
         cand = ref if k == ref.k else replace(ref, k=k)
@@ -76,30 +78,30 @@ def _k_channel(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> Channe
         evals += 1
         if ref_count >= best_count:
             best_model, best_count = ref, ref_count
-    return _result(ctx, best_model, best_count, evals)
-
-
-def optimize_k(ref: ModelSpec, train: Dataset, k_range=K_RANGE) -> ChannelResult:
-    """Exhaustive scan of the neighborhood size; ties keep the smallest k."""
-    return _k_channel(EvalContext(train), ref, k_range=k_range)
+    return ChannelResult(best_model, best_count, evals)
 
 
 # --------------------------------------------------------- distance channel
 
-def _distance_channel(ctx: EvalContext, ref: ModelSpec, step=STEP,
-                      kinds=DISTANCE_CANDIDATES, **_) -> ChannelResult:
+def optimize_distance(ctx: EvalContext, ref: ModelSpec, step=STEP, **_) -> ChannelResult:
+    """Try each candidate distance kind in order; keep the reference on ties.
+
+    When the reference carries non-unit weights, Minkowski candidates get a
+    quantized weight re-fit before comparison; Chebyshev and Camberra are
+    scored with the weights as they are.
+    """
     ref_count = ctx.loo_count(ref)
     evals = 1
     best_model, best_count = ref, ref_count
     weighted = np.any(ref.active_weights(ctx.n_features) != 1.0)
-    for kind, alpha in kinds:
+    for kind, alpha in DISTANCE_CANDIDATES:
         if kind == ref.distance.kind and alpha == ref.distance.alpha:
             continue
         cand = _with_kind(ref, kind, alpha)
         if weighted and kind == MINKOWSKI:
             # weights tuned under one exponent rarely transfer to another;
             # re-run the quantized weight search under the candidate exponent
-            refit = _quantized_channel(ctx, cand, step)
+            refit = weight_search_quantized(ctx, cand, step)
             cand, count = refit.model, refit.correct_count
             evals += refit.evaluations
         else:
@@ -107,18 +109,7 @@ def _distance_channel(ctx: EvalContext, ref: ModelSpec, step=STEP,
             evals += 1
         if count > best_count:  # strict: ties keep the reference / earlier kind
             best_model, best_count = cand, count
-    return _result(ctx, best_model, best_count, evals)
-
-
-def optimize_distance(ref: ModelSpec, train: Dataset,
-                      kinds=DISTANCE_CANDIDATES, step=STEP) -> ChannelResult:
-    """Try each candidate distance kind in order; keep the reference on ties.
-
-    When the reference carries non-unit weights, Minkowski candidates get a
-    quantized weight re-fit before comparison; Chebyshev and Camberra are
-    scored with the weights as they are.
-    """
-    return _distance_channel(EvalContext(train), ref, step=step, kinds=tuple(kinds))
+    return ChannelResult(best_model, best_count, evals)
 
 
 # --------------------------------------------------------- feature channel
@@ -133,7 +124,14 @@ def _drop_feature(model: ModelSpec, mask: np.ndarray, j: int) -> ModelSpec:
     return out
 
 
-def _feature_channel(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
+def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
+    """Backward elimination over the active features.
+
+    Each round drops the feature whose removal scores best (ties drop the
+    higher index), even when that round loses ground; the best subset seen
+    anywhere along the march is returned, preferring fewer features on equal
+    score.
+    """
     best_model = ref
     best_count = ctx.loo_count(ref)
     best_size = int(ref.mask_for(ctx.n_features).sum())
@@ -152,18 +150,7 @@ def _feature_channel(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
         size = int(current_mask.sum())
         if count > best_count or (count == best_count and size < best_size):
             best_model, best_count, best_size = current, count, size
-    return _result(ctx, best_model, best_count, evals)
-
-
-def select_features(ref: ModelSpec, train: Dataset) -> ChannelResult:
-    """Backward elimination over the active features.
-
-    Each round drops the feature whose removal scores best (ties drop the
-    higher index), even when that round loses ground; the best subset seen
-    anywhere along the march is returned, preferring fewer features on equal
-    score.
-    """
-    return _feature_channel(EvalContext(train), ref)
+    return ChannelResult(best_model, best_count, evals)
 
 
 # -------------------------------------------------- quantized weight search
@@ -225,32 +212,43 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     return _with_weights(model, w), count, evals
 
 
-def _quantized_channel(ctx: EvalContext, ref: ModelSpec, step=STEP, **_) -> ChannelResult:
-    grid = _grid(step)
-    m1, c1, e1 = _cd_pass(ctx, ref, grid, "near")
-    m2, c2, e2 = _cd_pass(ctx, ref, grid, "low")
-    nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))
-    nnz2 = int(np.count_nonzero(m2.active_weights(ctx.n_features)))
-    if c2 > c1 or (c2 == c1 and nnz2 < nnz1):
-        return _result(ctx, m2, c2, e1 + e2)
-    return _result(ctx, m1, c1, e1 + e2)
-
-
-def weight_search_quantized(ref: ModelSpec, train: Dataset, step=STEP) -> ChannelResult:
+def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,
+                            **_) -> ChannelResult:
     """Coordinate descent over quantized weights in [0, 1].
 
     Two passes with different plateau policies are run (conservative
     nearest-value moves, and sideways moves toward zero); the better final
     score wins, and equal scores prefer the sparser weight vector.
     """
-    return _quantized_channel(EvalContext(train), ref, step=step)
+    grid = _grid(step)
+    m1, c1, e1 = _cd_pass(ctx, ref, grid, "near")
+    m2, c2, e2 = _cd_pass(ctx, ref, grid, "low")
+    nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))
+    nnz2 = int(np.count_nonzero(m2.active_weights(ctx.n_features)))
+    if c2 > c1 or (c2 == c1 and nnz2 < nnz1):
+        return ChannelResult(m2, c2, e1 + e2)
+    return ChannelResult(m1, c1, e1 + e2)
 
 
 # ---------------------------------------------------- simplex weight search
 
-def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=BUDGET, **_) -> ChannelResult:
+def check_budget(budget: int) -> None:
+    """Raise ValueError unless budget allows at least one evaluation."""
     if budget < 1:
         raise ValueError("budget must be a positive integer")
+
+
+def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
+                          **_) -> ChannelResult:
+    """Nelder-Mead search over continuous non-negative weights.
+
+    The objective maximizes leave-one-out correct count, breaking ties
+    toward smaller total weight.  Vertices are clamped at zero after every
+    move.  Stops when the simplex diameter falls below 1e-3 or the
+    evaluation budget runs out; the best vertex ever evaluated is returned
+    either way, with a flag recording budget exhaustion.
+    """
+    check_budget(budget)
     dim = int(ref.mask_for(ctx.n_features).sum())
 
     def objective(w):
@@ -315,19 +313,7 @@ def _simplex_channel(ctx: EvalContext, ref: ModelSpec, budget=BUDGET, **_) -> Ch
                     evals += 1
                     track(vertices[i], scores[i])
 
-    return _result(ctx, _with_weights(ref, best_w), best_score[0], evals, evals >= budget)
-
-
-def weight_search_simplex(ref: ModelSpec, train: Dataset, budget=BUDGET) -> ChannelResult:
-    """Nelder-Mead search over continuous non-negative weights.
-
-    The objective maximizes leave-one-out correct count, breaking ties
-    toward smaller total weight.  Vertices are clamped at zero after every
-    move.  Stops when the simplex diameter falls below 1e-3 or the
-    evaluation budget runs out; the best vertex ever evaluated is returned
-    either way, with a flag recording budget exhaustion.
-    """
-    return _simplex_channel(EvalContext(train), ref, budget=budget)
+    return ChannelResult(_with_weights(ref, best_w), best_score[0], evals, evals >= budget)
 
 
 def check_weight_method(weight_method: str) -> None:
@@ -341,10 +327,10 @@ def _weight_channel(ctx: EvalContext, ref: ModelSpec, weight_method=WEIGHT_METHO
                     **options) -> ChannelResult:
     """The quantized grid search or the simplex search, by weight_method."""
     check_weight_method(weight_method)
-    search = _quantized_channel if weight_method == "quantized" else _simplex_channel
+    search = weight_search_quantized if weight_method == "quantized" else weight_search_simplex
     return search(ctx, ref, **options)
 
 
 # channel name -> channel(ctx, ref, **search options) -> ChannelResult
-CHANNELS = {"k": _k_channel, "distance": _distance_channel,
-            "features": _feature_channel, "weights": _weight_channel}
+CHANNELS = {"k": optimize_k, "distance": optimize_distance,
+            "features": select_features, "weights": _weight_channel}

@@ -140,8 +140,7 @@ def run_monks3(train_file: Path, test_file: Path) -> SuiteResult:
 
     model, trace = meta_search(part.train, part.test)
     final = trace.final
-    support = model.full_weights(part.train.n_features)
-    nnz = int(np.count_nonzero(support))
+    nnz = int(np.count_nonzero(model.active_weights(part.train.n_features)))
     if nnz == 2:
         ok = (final.train_correct >= train_c
               and abs(_pct(final.test_correct, part.test.n) - 97.2) <= 0.5 + 1e-9)

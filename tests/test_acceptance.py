@@ -203,7 +203,7 @@ class TestCriterion5Properties:
             informative = labels * 4.0 + rng.normal(scale=0.4, size=26)
             noise = rng.normal(scale=6.0, size=26)
             ds = make_dataset(np.column_stack([informative, noise]), labels)
-            res = weight_search_quantized(ModelSpec(), ds)
+            res = weight_search_quantized(EvalContext(ds), ModelSpec())
             best = max(
                 EvalContext(ds).loo_count(
                     ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, [a, b])))

@@ -130,6 +130,22 @@ class TestExitCodes:
         assert code == 1
         assert "epsilon must be finite" in err and out == ""
 
+    def test_zero_budget_is_1(self, capsys):
+        code, out, err = run(capsys, ["search", *MONKS, "--weight-method", "simplex",
+                                      "--budget", "0"])
+        assert code == 1
+        assert "budget must be a positive integer" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_test_file_wider_than_training_is_2(self, capsys, tmp_path):
+        train, test = tmp_path / "t.csv", tmp_path / "wide.csv"
+        train.write_text("0.0,A\n1.0,B\n")
+        test.write_text("0.0,5.0,A\n1.0,5.0,B\n")
+        code, out, err = run(capsys, ["eval", "--train", str(train), "--test", str(test)])
+        assert code == 2
+        assert "2 feature columns, expected 1" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestRescale:
     def test_test_set_takes_training_bounds(self, capsys, tmp_path):

@@ -153,6 +153,14 @@ class TestEncodeSymbolic:
         with pytest.raises(DataError, match="unknown class label"):
             load_partition(train, test)
 
+    @pytest.mark.parametrize("test_rows", ["1,2,3,A\n", "1,A\n"], ids=["wider", "narrower"])
+    def test_feature_count_must_match_training(self, tmp_path, test_rows):
+        train = write(tmp_path, "tr.csv", "1,2,A\n3,4,B\n")
+        test = write(tmp_path, "te.csv", test_rows)
+        width = test_rows.count(",")
+        with pytest.raises(DataError, match=f"te.csv: {width} feature columns, expected 2"):
+            load_partition(train, test)
+
 
 class TestRoundTrip:
     def test_mixed_dataset_round_trips(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember, build_pool,
                      classify, ensemble_predict, evaluate_sequence, meta_search,
+                     optimize_distance, optimize_k, select_features,
                      select_model_sequence)
 from metaknn.distance import CAMBERRA, MINKOWSKI
 from metaknn.metasearch import _majority
@@ -77,6 +78,35 @@ class TestMetaSearch:
         monkeypatch.setattr(EvalContext, "_score", scored)
         with pytest.raises(ValueError, match="more than 1000 grid intervals"):
             meta_search(monks1.train, step=1e-6)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"weight_method": "simplex", "budget": 0}, "budget must be a positive integer"),
+        ({"budget": -7}, "budget must be a positive integer"),
+        ({"channels": ("features",), "budget": 0}, "budget must be a positive integer"),
+        ({"k_range": (5, 3)}, r"bad k range \(5, 3\)"),
+        ({"k_range": (0, 3)}, r"bad k range \(0, 3\)"),
+        ({"channels": ("weights",), "k_range": (200, 300)}, r"bad k range \(200, 123\)"),
+    ], ids=["simplex-budget-0", "quantized-budget-negative", "no-weights-budget-0",
+            "k-lo-above-hi", "k-lo-0", "k-lo-above-rows"])
+    def test_bad_option_rejected_before_any_scoring(self, monks1, monkeypatch, options,
+                                                    message):
+        def scored(*args, **kwargs):
+            raise AssertionError("a model was scored")
+        monkeypatch.setattr(EvalContext, "_score", scored)
+        with pytest.raises(ValueError, match=message):
+            meta_search(monks1.train, step=1.0, **options)
+
+    def test_level_one_candidates_match_the_public_channels(self, monks1):
+        _, trace = meta_search(monks1.train, max_levels=1)
+        ref = trace.initial.model
+        recorded = {c.channel: c for c in trace.levels[0].candidates}
+        for name, channel in [("k", optimize_k), ("distance", optimize_distance),
+                              ("features", select_features)]:
+            res = channel(EvalContext(monks1.train), ref)
+            record = recorded[name]
+            assert record.model.describe(6) == res.model.describe(6), name
+            assert record.train_correct == res.correct_count, name
+            assert record.evaluations == res.evaluations, name
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_epsilon_rejected(self, monks1, epsilon):

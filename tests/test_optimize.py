@@ -31,7 +31,7 @@ class TestOptimizeK:
         for _ in range(10):
             ds = random_dataset(rng, max_n=25)
             hi = min(6, ds.n - 1)
-            res = optimize_k(ModelSpec(), ds, k_range=(1, hi))
+            res = optimize_k(EvalContext(ds), ModelSpec(), k_range=(1, hi))
             sweep = {k: loo_count(ds, ModelSpec(k=k)) for k in range(1, hi + 1)}
             best = max(sweep.values())
             assert res.correct_count == best
@@ -39,12 +39,12 @@ class TestOptimizeK:
 
     def test_perfect_k1_keeps_k1(self):
         ds = make_dataset([[0.0], [0.1], [5.0], [5.1]], [0, 0, 1, 1])
-        res = optimize_k(ModelSpec(), ds, k_range=(1, 3))
+        res = optimize_k(EvalContext(ds), ModelSpec(), k_range=(1, 3))
         assert res.model.k == 1
-        assert res.train_score == 1.0
+        assert res.correct_count == ds.n
 
     def test_monk1_matches_exhaustive(self, monks1):
-        res = optimize_k(ModelSpec(), monks1.train, k_range=(1, 10))
+        res = optimize_k(EvalContext(monks1.train), ModelSpec(), k_range=(1, 10))
         sweep = {k: loo_count(monks1.train, ModelSpec(k=k)) for k in range(1, 11)}
         assert res.correct_count == max(sweep.values())
         assert res.model.k == 3 and res.correct_count == 102
@@ -54,17 +54,17 @@ class TestOptimizeK:
         for _ in range(5):
             ds = random_dataset(rng, max_n=20)
             ref = random_model(rng, ds.n_features)
-            res = optimize_k(ref, ds, k_range=(1, min(4, ds.n - 1)))
+            res = optimize_k(EvalContext(ds), ref, k_range=(1, min(4, ds.n - 1)))
             assert res.correct_count >= loo_count(ds, ref)
 
     def test_counts_evaluations(self, monks1):
-        res = optimize_k(ModelSpec(), monks1.train, k_range=(1, 10))
+        res = optimize_k(EvalContext(monks1.train), ModelSpec(), k_range=(1, 10))
         assert res.evaluations == 10
 
 
 class TestOptimizeDistance:
     def test_monk1_picks_camberra(self, monks1):
-        res = optimize_distance(ModelSpec(), monks1.train)
+        res = optimize_distance(EvalContext(monks1.train), ModelSpec())
         assert res.model.distance.kind == CAMBERRA
         assert res.correct_count == 99
 
@@ -73,15 +73,10 @@ class TestOptimizeDistance:
         for _ in range(8):
             ds = random_dataset(rng, max_n=20)
             ref = ModelSpec()
-            res = optimize_distance(ref, ds)
+            res = optimize_distance(EvalContext(ds), ref)
             scores = {pair: loo_count(ds, ModelSpec(distance=DistanceSpec(*pair)))
                       for pair in DISTANCE_CANDIDATES}
             assert res.correct_count == max(scores.values())
-
-    def test_single_kind_candidate_set_returns_reference(self, monks1):
-        ref = ModelSpec()
-        res = optimize_distance(ref, monks1.train, kinds=((MINKOWSKI, 2),))
-        assert res.model is ref
 
     def test_tie_keeps_reference(self):
         # one redundant duplicated feature: every kind ranks neighbors the
@@ -89,14 +84,15 @@ class TestOptimizeDistance:
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
                           [0, 0, 1, 1])
         ref = ModelSpec()
-        res = optimize_distance(ref, ds)
+        res = optimize_distance(EvalContext(ds), ref)
+        assert res.model is ref
         assert res.model.distance.kind == MINKOWSKI
         assert res.model.distance.alpha == 2
 
 
 class TestSelectFeatures:
     def test_monk1_mask(self, monks1):
-        res = select_features(ModelSpec(), monks1.train)
+        res = select_features(EvalContext(monks1.train), ModelSpec())
         assert np.array_equal(np.flatnonzero(res.model.feature_mask), [0, 1, 4])
         assert res.correct_count == 120
 
@@ -108,7 +104,7 @@ class TestSelectFeatures:
         x1 = (1 - labels) * 3.0 + rng.normal(scale=0.2, size=30)
         noise = rng.normal(scale=8.0, size=(30, 2))
         ds = make_dataset(np.column_stack([x0, x1, noise]), labels)
-        res = select_features(ModelSpec(), ds)
+        res = select_features(EvalContext(ds), ModelSpec())
         best_count, best_masks = -1, []
         for bits in itertools.product([False, True], repeat=4):
             if not any(bits):
@@ -128,7 +124,7 @@ class TestSelectFeatures:
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
                           [0, 0, 1, 1])
         ref_count = loo_count(ds, ModelSpec())
-        res = select_features(ModelSpec(), ds)
+        res = select_features(EvalContext(ds), ModelSpec())
         assert res.correct_count == ref_count
         assert int(res.model.mask_for(2).sum()) == 1
 
@@ -137,14 +133,14 @@ class TestSelectFeatures:
         for _ in range(5):
             ds = random_dataset(rng, max_n=20, max_features=5)
             ref = ModelSpec(k=1)
-            res = select_features(ref, ds)
+            res = select_features(EvalContext(ds), ref)
             assert res.correct_count >= loo_count(ds, ref)
 
 
 class TestQuantizedWeights:
     def test_single_feature_unchanged(self):
         ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
-        res = weight_search_quantized(ModelSpec(), ds)
+        res = weight_search_quantized(EvalContext(ds), ModelSpec())
         assert np.array_equal(res.model.active_weights(1), [1.0])
 
     def test_matches_full_grid_on_two_features(self):
@@ -152,28 +148,28 @@ class TestQuantizedWeights:
         grid = np.round(np.arange(11) * 0.1, 10)
         for _ in range(6):
             ds = separable(rng)
-            res = weight_search_quantized(ModelSpec(), ds)
+            res = weight_search_quantized(EvalContext(ds), ModelSpec())
             best = max(loo_count(ds, ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, [a, b])))
                        for a in grid for b in grid)
             assert res.correct_count == best
 
     def test_weights_stay_on_grid(self, monks1):
-        res = weight_search_quantized(ModelSpec(), monks1.train)
+        res = weight_search_quantized(EvalContext(monks1.train), ModelSpec())
         grid = set(np.round(np.arange(11) * 0.1, 10))
         assert all(w in grid for w in res.model.active_weights(6))
 
     def test_monk1_reaches_123(self, monks1):
-        res = weight_search_quantized(ModelSpec(), monks1.train)
+        res = weight_search_quantized(EvalContext(monks1.train), ModelSpec())
         assert res.correct_count >= 123
 
     def test_step_validation(self, monks1):
         with pytest.raises(ValueError, match="step"):
-            weight_search_quantized(ModelSpec(), monks1.train, step=0.3)
+            weight_search_quantized(EvalContext(monks1.train), ModelSpec(), step=0.3)
 
     @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
     def test_step_not_positive_and_finite(self, monks1, step):
         with pytest.raises(ValueError, match="must divide 1 evenly"):
-            weight_search_quantized(ModelSpec(), monks1.train, step=step)
+            weight_search_quantized(EvalContext(monks1.train), ModelSpec(), step=step)
 
     @pytest.mark.parametrize("step", [0.001, 0.1, 0.25, 1.0])
     def test_steps_up_to_1000_intervals_pass(self, step):
@@ -189,7 +185,7 @@ class TestQuantizedWeights:
         for _ in range(5):
             ds = random_dataset(rng, max_n=18, max_features=4)
             ref = random_model(rng, ds.n_features)
-            res = weight_search_quantized(ref, ds)
+            res = weight_search_quantized(EvalContext(ds), ref)
             assert res.correct_count >= loo_count(ds, ref)
 
 
@@ -197,7 +193,7 @@ class TestSimplexWeights:
     def test_budget_initial_simplex_only(self):
         rng = np.random.default_rng(47)
         ds = separable(rng)
-        res = weight_search_simplex(ModelSpec(), ds, budget=3)
+        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=3)
         assert res.budget_exhausted
         assert res.evaluations == 3
         # best initial vertex: the reference itself or one +0.5 bump
@@ -209,7 +205,7 @@ class TestSimplexWeights:
         # shrinks to the diameter criterion long before the budget
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]],
                           [0, 0, 1, 1])
-        res = weight_search_simplex(ModelSpec(), ds, budget=5000)
+        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=5000)
         assert not res.budget_exhausted
         assert res.evaluations < 5000
 
@@ -217,7 +213,7 @@ class TestSimplexWeights:
         rng = np.random.default_rng(53)
         grid = np.round(np.arange(11) * 0.1, 10)
         ds = separable(rng)
-        res = weight_search_simplex(ModelSpec(), ds, budget=2000)
+        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=2000)
         grid_best = max(loo_count(ds, ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, [a, b])))
                         for a in grid for b in grid)
         assert res.correct_count >= grid_best
@@ -225,12 +221,12 @@ class TestSimplexWeights:
     def test_weights_stay_nonnegative(self):
         rng = np.random.default_rng(59)
         ds = random_dataset(rng, max_n=15, max_features=3)
-        res = weight_search_simplex(ModelSpec(), ds, budget=200)
+        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=200)
         assert np.all(res.model.active_weights(ds.n_features) >= 0.0)
 
     def test_never_below_reference(self):
         rng = np.random.default_rng(61)
         ds = random_dataset(rng, max_n=15, max_features=3)
         ref = ModelSpec(k=2)
-        res = weight_search_simplex(ref, ds, budget=100)
+        res = weight_search_simplex(EvalContext(ds), ref, budget=100)
         assert res.correct_count >= loo_count(ds, ref)
