@@ -33,7 +33,7 @@ from .reproduce import SUITE_NAMES, run_suite
 DISTANCE_NAMES = {
     "euclidean": (MINKOWSKI, 2),
     "manhattan": (MINKOWSKI, 1),
-    "minkowski": (MINKOWSKI, None),  # alpha taken from --alpha
+    "minkowski": (MINKOWSKI, 2),  # --alpha sets the exponent
     "chebyshev": (CHEBYSHEV, None),
     "camberra": (CAMBERRA, None),
 }
@@ -139,10 +139,10 @@ def _load(args) -> tuple[Dataset, Dataset | None]:
 
 def _model_from_args(args, train: Dataset) -> ModelSpec:
     kind, alpha = DISTANCE_NAMES[args.distance]
-    if kind == MINKOWSKI:
-        alpha = args.alpha if args.alpha is not None else (alpha or 2)
-    elif args.alpha is not None:
-        raise ValueError("--alpha only applies to minkowski distances")
+    if args.alpha is not None:
+        if args.distance != "minkowski":
+            raise ValueError("--alpha only applies to --distance minkowski")
+        alpha = args.alpha
     weights = None
     if args.weights:
         weights = np.array([float(t) for t in args.weights.split(",")])

@@ -6,8 +6,10 @@ class, six attributes, trailing case identifier).
 
 Symbolic features are encoded as ordinal integers and treated as continuous
 by the distance functions.  Native integer attribute values are kept as-is;
-free-text symbols are coded by first occurrence in the training data and the
-same codes are applied verbatim to test rows.
+free-text symbols are coded by first occurrence in the training data.  Both
+formats share one encoder: a test file takes every code table and its class
+names from the training file, so a test symbol or label that the training
+file lacks is a DataError.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ class Partition:
 def encode_symbolic(raw: list[str], codes: dict[str, int] | None = None) -> tuple[list[int], dict[str, int]]:
     """Encode one symbolic column.
 
-    Tokens that all parse as integers keep their native values (Monk style).
-    Otherwise codes are assigned by first occurrence.  When an existing code
-    table is supplied it is reused verbatim and unseen tokens are an error.
+    Tokens that all parse as integers keep their native values (Monk style),
+    and the table is keyed by the tokens as written.  Otherwise codes are
+    assigned by first occurrence.  When an existing code table is supplied it
+    is reused verbatim and unseen tokens are an error.
     """
     if codes is not None:
         try:
@@ -103,7 +106,7 @@ def encode_symbolic(raw: list[str], codes: dict[str, int] | None = None) -> tupl
             raise DataError(f"unknown symbol {exc.args[0]!r} not present in training data") from None
     try:
         values = [int(t) for t in raw]
-        return values, {str(v): v for v in sorted(set(values))}
+        return values, {t: v for v, t in sorted(set(zip(values, raw)))}
     except ValueError:
         pass
     codes = {}
@@ -136,12 +139,44 @@ def _looks_numeric(token: str) -> bool:
         return False
 
 
-def _symbol_floats(path, name: str, values: list[int]) -> list[float]:
-    """Symbol codes as floats; a native integer too large for a float is a DataError."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise DataError(f"{path}: column {name!r}: symbol value too large") from None
+def _encode(path, names: list[str], kinds: list[str | None], columns: list[list[str]],
+            raw_labels: list[str], reference: Dataset | None, first_row: int = 1) -> Dataset:
+    """Encode token columns and label tokens into a Dataset.
+
+    A kind of None is detected: CONTINUOUS when every token parses as a
+    number, else SYMBOLIC.  With a reference dataset, the column count must
+    match it, and its symbol codes and class names are reused, so test rows
+    are encoded as the training rows were.  first_row is the file's row
+    number of the first token.
+    """
+    if reference is not None and len(columns) != reference.n_features:
+        raise DataError(f"{path}: {len(columns)} feature columns, "
+                        f"expected {reference.n_features} as in the training data")
+    features: list[FeatureSpec] = []
+    vectors: list[list[float]] = []
+    for j, (name, kind, raw) in enumerate(zip(names, kinds, columns)):
+        if kind in (None, CONTINUOUS):
+            try:
+                vectors.append([float(t) for t in raw])
+                features.append(FeatureSpec(name, CONTINUOUS, j))
+                continue
+            except ValueError:
+                if kind == CONTINUOUS:
+                    bad = next(i for i, t in enumerate(raw) if not _looks_numeric(t))
+                    raise DataError(f"{path}: row {bad + first_row}, column {name!r}: "
+                                    f"cannot parse {raw[bad]!r} as a number") from None
+        try:
+            values, codes = encode_symbolic(
+                raw, None if reference is None else reference.features[j].codes)
+            vectors.append([float(v) for v in values])
+        except DataError as exc:
+            raise DataError(f"{path}: column {name!r}: {exc}") from None
+        except OverflowError:
+            raise DataError(f"{path}: column {name!r}: symbol value too large") from None
+        features.append(FeatureSpec(name, SYMBOLIC, j, codes))
+    labels, class_names = _encode_labels(
+        raw_labels, None if reference is None else reference.class_names)
+    return Dataset(features, np.array(vectors, dtype=float).T, np.array(labels), class_names)
 
 
 def load_csv(path, label_column=-1, schema: dict | None = None,
@@ -189,91 +224,41 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
         label_idx = label_column % width
 
     feat_cols = [j for j in range(width) if j != label_idx]
-    if reference is not None and len(feat_cols) != reference.n_features:
-        raise DataError(f"{path}: {len(feat_cols)} feature columns, "
-                        f"expected {reference.n_features} as in the training data")
-    schema = schema or {}
-
-    def declared_kind(j: int) -> str | None:
-        name = names[j]
-        if name in schema:
-            return schema[name]
-        if j in schema:
-            return schema[j]
-        return None
-
-    features: list[FeatureSpec] = []
-    columns: list[list[float]] = []
-    for out_idx, j in enumerate(feat_cols):
-        raw = [row[j] for row in body]
-        if reference is not None:
-            ref = reference.features[out_idx]
-            kind = ref.kind
-            if kind == SYMBOLIC and ref.codes is not None and not all(t in ref.codes for t in raw):
-                missing = next(t for t in raw if t not in ref.codes)
-                raise DataError(f"{path}: unknown symbol {missing!r} in column {names[j]!r}")
-            if kind == SYMBOLIC:
-                values, codes = encode_symbolic(raw, ref.codes)
-                features.append(FeatureSpec(ref.name, SYMBOLIC, out_idx, codes))
-                columns.append(_symbol_floats(path, names[j], values))
-                continue
-        else:
-            kind = declared_kind(j)
-        if kind is None:
-            kind = CONTINUOUS if all(_looks_numeric(t) for t in raw) else SYMBOLIC
-        if kind == CONTINUOUS:
-            try:
-                columns.append([float(t) for t in raw])
-            except ValueError:
-                bad = next(i for i, t in enumerate(raw) if not _looks_numeric(t))
-                raise DataError(
-                    f"{path}: row {bad + 1 + int(header)}, column {names[j]!r}: "
-                    f"cannot parse {raw[bad]!r} as a number") from None
-            features.append(FeatureSpec(names[j], CONTINUOUS, out_idx))
-        else:
-            values, codes = encode_symbolic(raw)
-            features.append(FeatureSpec(names[j], SYMBOLIC, out_idx, codes))
-            columns.append(_symbol_floats(path, names[j], values))
-
-    raw_labels = [row[label_idx] for row in body]
-    labels, class_names = _encode_labels(
-        raw_labels, reference.class_names if reference is not None else None)
-    vectors = np.array(columns, dtype=float).T if columns else np.empty((len(body), 0))
-    return Dataset(features, vectors, np.array(labels), class_names)
+    if reference is not None:
+        kinds = [f.kind for f in reference.features]
+    else:
+        schema = schema or {}
+        kinds = [schema.get(names[j], schema.get(j)) for j in feat_cols]
+    return _encode(path, [names[j] for j in feat_cols], kinds,
+                   [[row[j] for row in body] for j in feat_cols],
+                   [row[label_idx] for row in body], reference, first_row=2 if header else 1)
 
 
 def load_monks(path, reference: Dataset | None = None) -> Dataset:
     """Load a UCI Monk file: "class a1 a2 a3 a4 a5 a6 case-id" per line."""
-    vectors, raw_labels = [], []
+    rows = []
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     for i, line in enumerate(lines):
-        if not line.strip():
-            continue
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != 8:
             raise DataError(f"{path}: line {i + 1} has {len(tokens)} tokens, expected 8")
         try:
-            attrs = [int(t) for t in tokens[1:7]]
+            for t in tokens[1:7]:
+                int(t)
         except ValueError:
             raise DataError(f"{path}: line {i + 1}: non-integer attribute") from None
-        raw_labels.append(tokens[0])
-        vectors.append(attrs)
-    if not vectors:
+        rows.append(tokens)
+    if not rows:
         raise DataError(f"{path}: no rows")
-    labels, class_names = _encode_labels(
-        raw_labels, reference.class_names if reference is not None else None)
-    features = [FeatureSpec(f"a{j + 1}", SYMBOLIC, j,
-                            {str(v): v for v in sorted({row[j] for row in vectors})})
-                for j in range(6)]
-    try:
-        matrix = np.array(vectors, dtype=float)
-    except OverflowError:
-        raise DataError(f"{path}: attribute value too large") from None
-    return Dataset(features, matrix, np.array(labels), class_names)
+    return _encode(path, [f"a{j}" for j in range(1, 7)], [SYMBOLIC] * 6,
+                   [[row[j] for row in rows] for j in range(1, 7)],
+                   [row[0] for row in rows], reference)
 
 
 def load_partition(train_path, test_path, fmt="csv", **kwargs) -> Partition:

@@ -72,7 +72,9 @@ class SearchTrace:
     n_features: int
     initial: CandidateRecord  # the starting reference, channel name "reference"
     levels: list[LevelRecord] = field(default_factory=list)
-    stop_reason: str = ""  # "no-improvement" or "channel-exhaustion"
+    # "no-improvement", "level-cap" (max_levels levels run) or
+    # "channel-exhaustion" (no channels to run)
+    stop_reason: str = ""
 
     def accepted_records(self) -> list[CandidateRecord]:
         out = []
@@ -120,6 +122,8 @@ def meta_search(train: Dataset, test: Dataset | None = None,
     check_weight_method(weight_method)
     check_step(step)
     check_budget(budget)
+    if max_levels is not None and max_levels < 0:
+        raise ValueError(f"max_levels must be non-negative, got {max_levels}")
     check_k_range(k_range, train.n)
     opts = {"k_range": k_range, "weight_method": weight_method,
             "step": step, "budget": budget}
@@ -163,7 +167,7 @@ def meta_search(train: Dataset, test: Dataset | None = None,
             trace.stop_reason = "no-improvement"
             break
     else:
-        trace.stop_reason = "channel-exhaustion"
+        trace.stop_reason = "level-cap"
     return ref, trace
 
 

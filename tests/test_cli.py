@@ -71,6 +71,22 @@ class TestEval:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("distance, alpha", [("euclidean", "1"), ("euclidean", "2"),
+                                                 ("manhattan", "1"), ("manhattan", "2")])
+    def test_alpha_with_named_minkowski_is_1(self, capsys, distance, alpha):
+        # a named distance fixes its exponent; --alpha must not override it
+        code, out, err = run(capsys, ["eval", *MONKS, "--distance", distance,
+                                      "--alpha", alpha])
+        assert code == 1
+        assert "--alpha only applies to --distance minkowski" in err and out == ""
+
+    @pytest.mark.parametrize("alpha, shown", [([], "2"), (["--alpha", "1"], "1"),
+                                              (["--alpha", "2"], "2")])
+    def test_minkowski_takes_alpha(self, capsys, alpha, shown):
+        code, out, _ = run(capsys, ["eval", *MONKS, "--distance", "minkowski", *alpha])
+        assert code == 0
+        assert f"distance=minkowski(alpha={shown})" in out
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):

@@ -125,6 +125,21 @@ class TestLoadMonks:
         # both files must agree on which symbol means which class index
         assert monks1.train.class_names == monks1.test.class_names
 
+    def test_test_value_missing_from_training_is_data_error(self, tmp_path):
+        train = write(tmp_path, "m.train", "1 1 1 1 1 1 1 d1\n0 2 1 1 1 1 1 d2\n")
+        test = write(tmp_path, "m.test", "1 1 1 1 1 1 1 d1\n0 1 1 3 1 1 1 d2\n")
+        with pytest.raises(DataError, match=r"m\.test: column 'a3': unknown symbol '3'"):
+            load_partition(train, test, fmt="monks")
+
+    def test_test_codes_are_the_training_codes(self, tmp_path):
+        # the test file lacks a1 = 3 and a2 = 1; its tables still hold them
+        train = write(tmp_path, "m.train", "1 1 1 1 1 1 1 d1\n0 3 2 1 1 1 1 d2\n")
+        test = write(tmp_path, "m.test", "1 1 2 1 1 1 1 d1\n")
+        part = load_partition(train, test, fmt="monks")
+        assert [f.codes for f in part.test.features] == [f.codes for f in part.train.features]
+        assert part.test.features[0].codes == {"1": 1, "3": 3}
+        assert np.array_equal(part.test.vectors, [[1, 2, 1, 1, 1, 1]])
+
 
 class TestEncodeSymbolic:
     def test_native_integers_preserved(self):
@@ -151,6 +166,30 @@ class TestEncodeSymbolic:
         train = write(tmp_path, "tr.csv", "1,A\n2,B\n")
         test = write(tmp_path, "te.csv", "1,C\n")
         with pytest.raises(DataError, match="unknown class label"):
+            load_partition(train, test)
+
+    def test_integer_symbols_keyed_by_their_tokens(self, tmp_path):
+        train = write(tmp_path, "tr.csv", "01,A\n2,B\n")
+        test = write(tmp_path, "te.csv", "01,A\n")
+        part = load_partition(train, test, schema={0: SYMBOLIC})
+        assert part.train.features[0].codes == {"01": 1, "2": 2}
+        assert np.array_equal(part.test.vectors, [[1]])
+
+    def test_renamed_symbolic_column_rejected(self, tmp_path):
+        train = write(tmp_path, "tr.csv", "color,x,label\nred,1,A\ngreen,2,B\n")
+        test = write(tmp_path, "te.csv", "colour,x,label\nred,1,A\n")
+        with pytest.raises(DataError, match="schemas differ"):
+            load_partition(train, test, label_column="label")
+
+    @pytest.mark.parametrize("train_rows, test_rows, where", [
+        ("1,2,A\n3,4,B\n", "1,2,A\n1,oops,B\n", "row 2, column 'a2'"),
+        ("x,y,label\n1,2,A\n3,4,B\n", "x,y,label\n1,2,A\n1,oops,B\n", "row 3, column 'y'"),
+    ], ids=["no-header", "header"])
+    def test_test_parse_error_reports_row_and_column(self, tmp_path, train_rows, test_rows,
+                                                     where):
+        train = write(tmp_path, "tr.csv", train_rows)
+        test = write(tmp_path, "te.csv", test_rows)
+        with pytest.raises(DataError, match=f"te.csv: {where}: cannot parse 'oops'"):
             load_partition(train, test)
 
     @pytest.mark.parametrize("test_rows", ["1,2,3,A\n", "1,A\n"], ids=["wider", "narrower"])

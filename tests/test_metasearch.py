@@ -86,8 +86,9 @@ class TestMetaSearch:
         ({"k_range": (5, 3)}, r"bad k range \(5, 3\)"),
         ({"k_range": (0, 3)}, r"bad k range \(0, 3\)"),
         ({"channels": ("weights",), "k_range": (200, 300)}, r"bad k range \(200, 123\)"),
+        ({"max_levels": -1}, "max_levels must be non-negative, got -1"),
     ], ids=["simplex-budget-0", "quantized-budget-negative", "no-weights-budget-0",
-            "k-lo-above-hi", "k-lo-0", "k-lo-above-rows"])
+            "k-lo-above-hi", "k-lo-0", "k-lo-above-rows", "max-levels-negative"])
     def test_bad_option_rejected_before_any_scoring(self, monks1, monkeypatch, options,
                                                     message):
         def scored(*args, **kwargs):
@@ -107,6 +108,19 @@ class TestMetaSearch:
             assert record.model.describe(6) == res.model.describe(6), name
             assert record.train_correct == res.correct_count, name
             assert record.evaluations == res.evaluations, name
+
+    @pytest.mark.parametrize("max_levels", [0, 1])
+    def test_level_cap_is_the_stop_reason(self, monks1, max_levels):
+        # Monk-1 accepts a candidate at levels 1 and 2, so only the cap stops these runs
+        _, trace = meta_search(monks1.train, max_levels=max_levels)
+        assert trace.stop_reason == "level-cap"
+        assert len(trace.levels) == trace.levels_accepted() == max_levels
+        assert trace.to_records()[-1] == {"type": "stop", "reason": "level-cap",
+                                          "levels_accepted": max_levels}
+
+    def test_no_channels_is_channel_exhaustion(self, monks1):
+        _, trace = meta_search(monks1.train, channels=())
+        assert trace.stop_reason == "channel-exhaustion" and trace.levels == []
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_epsilon_rejected(self, monks1, epsilon):
