@@ -10,23 +10,46 @@ Three families share one parameterisation (scaling weights s_j >= 0):
 Minkowski values are left in the power domain: the root is monotone, so
 neighbor rankings are unchanged and leaving it out keeps sums exact.
 
+Exact distances.  A per-feature term T is stored as the integer-valued float
+rint(T * S).  The scale S is a power of two fixed by a set of reference rows
+(the training rows): S = 2**(52 - 16 - ceil(log2 sum_j maxT_j)), where maxT_j
+is column j's range for |x-y| terms, its square for squared terms and 1 for
+Camberra, so every sum of scaled terms stays below 2**36.  multipliers() turns
+weights into integer numerators p_j over one denominator L when every weight
+is within 1e-9 of p_j/L with L <= 1000 and every p_j fits in the remaining 16
+bits.  Between rows inside the reference range every partial sum is then an
+integer below 2**53: exact, the same in any order, with ties that are real,
+and rescaling all weights changes no comparison.  Other weights (simplex vertices, arbitrary floats) multiply the
+terms as they are; that is the one inexact path, through the same kernel.
+
 accumulate() is the one matrix kernel: it combines per-feature term matrices
 one feature at a time, in index order, with the same per-term operations as
 the scalar loop, so matrix entries are bitwise equal to dissimilarity() on
-the corresponding rows.  pairwise_matrix and cross_matrix feed it fresh
-terms; evaluation.EvalContext feeds it cached ones.
+the corresponding rows at the same scale.  pairwise_matrix and cross_matrix
+feed it fresh terms; evaluation.EvalContext feeds it cached ones, and updates
+its last matrix in place when a model changes a few exact multipliers.
+dissimilarity, pairwise_matrix and cross_matrix report distances in data
+units: the exact sum divided by S * L.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataset import DataError
 
 MINKOWSKI = "minkowski"
 CAMBERRA = "camberra"
 CHEBYSHEV = "chebyshev"
 KINDS = (MINKOWSKI, CAMBERRA, CHEBYSHEV)
+
+HEADROOM_BITS = 16  # bits of a distance sum left to weight numerators
+MAX_DENOMINATOR = 1000  # largest weight denominator L carried exactly
+GRID_TOLERANCE = 1e-9  # how far a weight may sit from p/L and still be p/L
 
 
 @dataclass
@@ -72,56 +95,146 @@ def term_key(kind: str, alpha: int | None) -> str:
     return "cam"
 
 
-def feature_terms(a: np.ndarray, b: np.ndarray, key: str) -> np.ndarray:
-    """Per-feature term matrix T[p, q] between rows of a and rows of b."""
-    d = np.abs(a[:, None] - b[None, :])
-    if key == "abs":
-        return d
+def term_scale(key: str, reference: np.ndarray, names=None, queries=None) -> float:
+    """The power-of-two scale S of key's terms between rows of reference.
+
+    S = 2**(52 - HEADROOM_BITS - ceil(log2 sum_j maxT_j)), with maxT_j the
+    largest term between two reference rows in column j.  Raises DataError,
+    naming the column (from names, else by position), when a term bound
+    overflows; with queries, also when a term between a query row and a
+    reference row could overflow at scale S.
+    """
+    with np.errstate(over="ignore"):
+        total = np.cumsum(_term_bounds(key, reference))
+        _require_finite(total, names)
+        mantissa, exponent = math.frexp(total[-1])  # total = mantissa * 2**exponent
+        ceil_log2 = exponent - (mantissa == 0.5)  # exact, and 0 for a zero total
+        # the cap keeps S finite for a total below 2**-987
+        scale = math.ldexp(1.0, min(1023, 52 - HEADROOM_BITS - ceil_log2))
+        if queries is not None:
+            _require_finite(_term_bounds(key, np.vstack([reference, queries])) * scale, names)
+    return scale
+
+
+def term_bounds(key: str, rows: np.ndarray, scale: float) -> np.ndarray:
+    """Per column, the largest scaled term between two of the rows."""
+    return np.rint(_term_bounds(key, rows) * scale)
+
+
+def _term_bounds(key: str, rows: np.ndarray) -> np.ndarray:
+    """Per column, the largest unscaled term between two of the rows."""
+    if key == "cam":  # at most 1, once |x| + |y| cannot overflow
+        return np.where(np.isfinite(2 * np.abs(rows).max(axis=0)), 1.0, np.inf)
+    span = rows.max(axis=0) - rows.min(axis=0)
+    return span * span if key == "sq" else span
+
+
+def _require_finite(bounds: np.ndarray, names) -> None:
+    bad = np.flatnonzero(~np.isfinite(bounds))
+    if len(bad):
+        j = int(bad[0])
+        name = names[j] if names is not None else j + 1
+        raise DataError(f"column {name!r}: values too large for exact distances")
+
+
+def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float) -> np.ndarray:
+    """Scaled per-feature term matrix rint(T[p, q] * scale) between rows of a and b."""
+    t = np.subtract.outer(a, b)
+    np.abs(t, out=t)
     if key == "sq":
-        return d * d
-    s = np.abs(a)[:, None] + np.abs(b)[None, :]
-    out = np.zeros_like(d)
-    np.divide(d, s, out=out, where=s != 0)
-    return out
+        np.multiply(t, t, out=t)
+    elif key == "cam":
+        s = np.add.outer(np.abs(a), np.abs(b))
+        np.divide(t, s, out=t, where=s != 0)  # s == 0 only where a = b = 0, and t is 0
+    t *= scale
+    return np.rint(t, out=t)
 
 
-def dissimilarity(spec: DistanceSpec, x, y) -> float:
-    """Dissimilarity between two vectors, accumulated feature by feature."""
+_DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _fraction(w: float) -> tuple[int, int] | None:
+    """(p, q) with the smallest q <= MAX_DENOMINATOR that puts w within
+    GRID_TOLERANCE of p/q, or None; None also when p cannot fit the headroom."""
+    if w >= 2 ** HEADROOM_BITS:
+        return None
+    p = np.rint(w * _DENOMINATORS)
+    hit = np.flatnonzero(np.abs(w - p / _DENOMINATORS) <= GRID_TOLERANCE)
+    return (int(p[hit[0]]), int(hit[0]) + 1) if len(hit) else None
+
+
+def multipliers(weights: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The factors scaled terms are multiplied by, and their denominator L.
+
+    When every weight is within GRID_TOLERANCE of p_j/L for one
+    L <= MAX_DENOMINATOR and every p_j < 2**HEADROOM_BITS, the factors are
+    the integers p_j, and sums of the scaled terms are exact.  Otherwise the
+    factors are the weights themselves and L is None: the inexact path.
+    """
+    fractions = [_fraction(w) for w in weights.tolist()]
+    if None not in fractions:
+        den = math.lcm(*(q for _, q in fractions))
+        num = [p * (den // q) for p, q in fractions]
+        if den <= MAX_DENOMINATOR and max(num) < 2 ** HEADROOM_BITS:
+            return np.array(num, dtype=float), den
+    return np.asarray(weights, dtype=float), None
+
+
+def _scaled_term(x: float, y: float, key: str, scale: float) -> float:
+    d = abs(x - y)
+    if key == "sq":
+        d = d * d
+    elif key == "cam":
+        s = abs(x) + abs(y)
+        d = d / s if s != 0 else 0.0
+    return float(round(d * scale))  # round() ties to even, as np.rint
+
+
+def pair_sum(kind: str, key: str, x: list, y: list, scale: float, factors: list) -> float:
+    """The scalar loop: scaled terms of x and y times factors, combined in index order."""
+    acc = 0.0
+    for j in range(len(x)):
+        t = factors[j] * _scaled_term(x[j], y[j], key, scale)
+        acc = max(acc, t) if kind == CHEBYSHEV else acc + t
+    return acc
+
+
+def dissimilarity(spec: DistanceSpec, x, y, scale: float | None = None) -> float:
+    """Dissimilarity between two vectors, accumulated feature by feature.
+
+    Terms are stored at scale, by default term_scale of the two vectors
+    themselves; pass the scale of a set of reference rows to match
+    pairwise_matrix, cross_matrix or an EvalContext on those rows.  Returns
+    the sum divided by the scale and the weights' denominator.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
-    w = spec.resolved_weights(len(x))
-    if spec.kind == CHEBYSHEV:
-        acc = 0.0
-        for j in range(len(x)):
-            acc = max(acc, w[j] * abs(x[j] - y[j]))
-        return float(acc)
-    acc = 0.0
-    for j in range(len(x)):
-        d = abs(x[j] - y[j])
-        if spec.kind == MINKOWSKI:
-            acc += w[j] * (d * d) if spec.alpha == 2 else w[j] * d
-        else:
-            s = abs(x[j]) + abs(y[j])
-            if s != 0:
-                acc += w[j] * (d / s)
-    return float(acc)
+    key = term_key(spec.kind, spec.alpha)
+    factors, den = multipliers(spec.resolved_weights(len(x)))
+    if scale is None:
+        scale = term_scale(key, np.vstack([x, y]))
+    acc = pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist())
+    return acc / (scale * (den or 1))
 
 
-def accumulate(kind: str, terms, weights, shape) -> np.ndarray:
+def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
     """Distance matrix of the given shape from per-feature term matrices.
 
-    terms yields one term matrix per active feature and weights holds the
-    matching scaling factors; they are combined in the order given, which
+    terms yields one scaled term matrix per active feature and factors holds
+    the matching multipliers; they are combined in the order given, which
     callers keep ascending by column to mirror the scalar loop exactly.
     """
     out = np.zeros(shape)
-    for w, t in zip(weights, terms):
+    product = np.empty(shape)
+    for f, t in zip(factors, terms):
+        np.multiply(t, f, out=product)
         if kind == CHEBYSHEV:
-            np.maximum(out, w * t, out=out)
+            np.maximum(out, product, out=out)
         else:
-            out += w * t
+            out += product
     return out
 
 
@@ -131,11 +244,18 @@ def pairwise_matrix(spec: DistanceSpec, data) -> np.ndarray:
 
 
 def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
-    """Matrix of distances from each row of `data` to each row of `other`."""
+    """Matrix of distances from each row of `data` to each row of `other`.
+
+    Terms are stored at the scale of other's rows, as a test set is measured
+    against its training set.
+    """
     if data.n_features != other.n_features:
         raise ValueError("datasets have different widths")
     a, b = data.vectors, other.vectors
     key = term_key(spec.kind, spec.alpha)
-    terms = (feature_terms(a[:, j], b[:, j], key) for j in range(data.n_features))
-    return accumulate(spec.kind, terms, spec.resolved_weights(data.n_features),
-                      (len(a), len(b)))
+    scale = term_scale(key, b, [f.name for f in other.features], queries=a)
+    factors, den = multipliers(spec.resolved_weights(data.n_features))
+    terms = (feature_terms(a[:, j], b[:, j], key, scale) for j in range(data.n_features))
+    out = accumulate(spec.kind, terms, factors, (len(a), len(b)))
+    out /= scale * (den or 1)
+    return out

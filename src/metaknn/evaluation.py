@@ -1,14 +1,27 @@
 """Model evaluation: leave-one-out and train/test scoring.
 
-EvalContext caches the training set's per-feature term matrices, each built
-the first time a scored model uses its column, so that the optimization
-channels can score thousands of leave-one-out candidates without recomputing
-|x-y| terms; test-side terms are computed afresh per scoring.
-Both go through distance.accumulate, per feature in index order, which keeps
-the matrix path bitwise identical to classifying each vector independently
-with knn.classify.  Every row of a scoring is voted by one knn.shell_votes
-call, and a report keeps its arrays: the winner of each row, and each row's
-vote fractions over its deciding neighborhood.
+EvalContext caches the training set's per-feature term matrices, stored at
+the training set's distance.term_scale and each built the first time a
+scored model uses its column, so that the optimization channels can score
+thousands of leave-one-out candidates without recomputing |x-y| terms;
+test-side terms are computed afresh per scoring, at the training scale.
+Every matrix is summed by distance.accumulate, per feature in index order,
+which keeps the matrix path bitwise identical to classifying each vector
+independently with knn.classify.  Every row of a scoring is voted by one
+knn.shell_votes call, and a report keeps its arrays: the winner of each
+row, and each row's vote fractions over its deciding neighborhood.
+
+Delta scoring.  The context keeps the last leave-one-out matrix it computed
+(+inf diagonal included), with the distance kind, term key, denominator and
+per-column multipliers it was summed with.  A model with the same
+multipliers (a k candidate) reuses it untouched.  An exact model of the same
+kind and term key that changes fewer columns than it has active (a feature
+drop, a coordinate-descent move) updates it in place: both models are
+brought to the lcm of their denominators, (n_new - n_old) * T_j is added for
+each changed column, and the result is divided back to the model's own
+denominator.  All of that is integer arithmetic below 2**53, so the matrix
+is bitwise the one a full accumulation gives.  Chebyshev, inexact and other
+models are accumulated in full.  A test-side scoring releases the matrix.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -20,12 +33,14 @@ actually computed; the channels count the evaluations they request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .distance import accumulate, feature_terms, term_key
+from .distance import (CHEBYSHEV, accumulate, feature_terms, multipliers, term_bounds,
+                       term_key, term_scale)
 from .knn import ModelSpec, shell_votes
 
 
@@ -55,10 +70,21 @@ def confusion_of(truths: np.ndarray, winners: np.ndarray, n_classes: int) -> np.
     return np.bincount(pairs, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
+@dataclass
+class _Matrix:
+    """A leave-one-out distance matrix and the multipliers it was summed with."""
+    dist: np.ndarray
+    kind: str
+    key: str
+    den: int | None  # None: inexact float multipliers
+    factors: np.ndarray  # one per training column, 0 where inactive
+
+
 class EvalContext:
     """Scores models on one training set (and optional test set).
 
-    Caches training terms, and the correct count of each model scored.
+    Caches training terms, the last leave-one-out distance matrix, and the
+    correct count of each model scored.
     """
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
@@ -68,26 +94,78 @@ class EvalContext:
         self.test = test
         self.n_features = train.n_features
         self.n_classes = train.n_classes
+        self._scales: dict[str, tuple[float, np.ndarray]] = {}  # per key: scale, term bounds
         self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
+        self._last: _Matrix | None = None  # the last leave-one-out matrix computed
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
         self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
 
+    def _scale(self, key: str) -> tuple[float, np.ndarray]:
+        """The training scale of key's terms, and each column's largest scaled term."""
+        if key not in self._scales:
+            train = self.train.vectors
+            names = [f.name for f in self.train.features]
+            queries = None if self.test is None else self.test.vectors
+            scale = term_scale(key, train, names, queries)
+            self._scales[key] = scale, term_bounds(key, train, scale)
+        return self._scales[key]
+
+    def _column(self, key: str, j: int) -> np.ndarray:
+        terms = self._terms.setdefault(key, {})
+        if j not in terms:
+            train = self.train.vectors
+            terms[j] = feature_terms(train[:, j], train[:, j], key, self._scale(key)[0])
+        return terms[j]
+
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
-        key = term_key(model.distance.kind, model.distance.alpha)
+        kind = model.distance.kind
+        key = term_key(kind, model.distance.alpha)
         columns = np.flatnonzero(model.mask_for(self.n_features))
-        weights = model.active_weights(self.n_features)
-        train = self.train.vectors
+        factors, den = multipliers(model.active_weights(self.n_features))
         if side == "test":
             # test terms are streamed, not cached: each test scoring is one model
-            test = self.test.vectors
-            terms = (feature_terms(test[:, j], train[:, j], key) for j in columns)
-            return accumulate(model.distance.kind, terms, weights, (len(test), len(train)))
-        terms = self._terms.setdefault(key, {})
-        for j in columns:
-            if j not in terms:
-                terms[j] = feature_terms(train[:, j], train[:, j], key)
-        return accumulate(model.distance.kind, (terms[j] for j in columns), weights,
-                          (len(train), len(train)))
+            self._last = None  # and the leave-one-out matrix is not held across it
+            test, train = self.test.vectors, self.train.vectors
+            scale = self._scale(key)[0]
+            terms = (feature_terms(test[:, j], train[:, j], key, scale) for j in columns)
+            return accumulate(kind, terms, factors, (len(test), len(train)))
+        full = np.zeros(self.n_features)
+        full[columns] = factors
+        last, dist = self._last, None
+        if last is not None and (last.kind, last.key) == (kind, key):
+            if last.den == den and np.array_equal(last.factors, full):
+                return last.dist
+            if den and last.den and kind != CHEBYSHEV:
+                dist = self._delta(last, full, den, len(columns))
+        if dist is None:
+            dist = accumulate(kind, (self._column(key, j) for j in columns), factors,
+                              (self.train.n, self.train.n))
+            np.fill_diagonal(dist, np.inf)
+        self._last = _Matrix(dist, kind, key, den, full)
+        return dist
+
+    def _delta(self, last: _Matrix, factors: np.ndarray, den: int, active: int):
+        """last's matrix updated in place to the exact multipliers factors / den,
+        or None when that would change as many columns as are active, or
+        could take a partial sum to 2**53."""
+        common = math.lcm(last.den, den)
+        up_old, up_new = common // last.den, common // den
+        old, new = last.factors * up_old, factors * up_new
+        changed = np.flatnonzero(old != new)
+        if len(changed) >= active:
+            return None
+        # a partial sum mixes old and new multipliers column by column; the
+        # limit is 2**52, not 2**53, to allow for the rounding of this dot product
+        if np.maximum(old, new) @ self._scale(last.key)[1] >= 2.0 ** 52:
+            return None
+        dist = last.dist
+        if up_old != 1:
+            dist *= up_old
+        for j in changed:
+            dist += (new[j] - old[j]) * self._column(last.key, j)
+        if up_new != 1:
+            dist /= up_new  # exact: every entry is a multiple of up_new
+        return dist
 
     def _score(self, model: ModelSpec, side: str, report: bool):
         """Leave-one-out on "train", else the test set, through one shell_votes call.
@@ -100,7 +178,6 @@ class EvalContext:
         dist = self._distances(model, side)
         if side == "train":
             self.evaluations += 1
-            np.fill_diagonal(dist, np.inf)
         winners, votes, sizes = shell_votes(dist, self.train.labels, model.k, self.n_classes)
         correct = int(np.count_nonzero(winners == data.labels))
         if not report:

@@ -4,7 +4,9 @@ The neighborhood of a query is defined by distance shells: training points
 are grouped by exact distance value, and shells are taken in increasing
 order until at least k points are covered.  Every point tied with the k-th
 rank is therefore included; the neighborhood can be larger than k but never
-depends on the order training rows happen to be stored in.
+depends on the order training rows happen to be stored in.  Distances are
+exact sums of terms stored at the training set's scale (see distance), so
+a tie is a real tie, not an accident of summation order.
 
 Class votes are counted over the whole neighborhood.  A tied vote widens
 the neighborhood by one more shell and re-votes; if the shells are
@@ -15,17 +17,18 @@ shell_votes votes every row of a distance matrix in one pass, and widens
 all tied rows together, one shell per round.  shell_vote is the per-row
 form: shell_votes falls back to it only for rows whose shells run out while
 still tied, and it is the oracle shell_votes is tested against, as
-classify/dissimilarity are the scalar reference.
+classify and dissimilarity, through the scalar loop distance.pair_sum, are
+the reference for the distance kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset
-from .distance import MINKOWSKI, DistanceSpec, dissimilarity
+from .distance import MINKOWSKI, DistanceSpec, multipliers, pair_sum, term_key, term_scale
 
 
 @dataclass
@@ -155,31 +158,38 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     return winners, votes, votes.sum(axis=1)
 
 
-def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None) -> np.ndarray:
+def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):
+    """Scaled distance sums from the query to each training row, and the unit
+    (scale times the weights' denominator) that turns them into data units."""
     query = np.asarray(query, dtype=float)
     if query.shape != (train.n_features,):
         raise ValueError(f"query must have {train.n_features} components")
     mask = model.mask_for(train.n_features)
-    spec = replace(model.distance, weights=model.active_weights(train.n_features))
-    q = query[mask]
-    rows = train.vectors[:, mask]
-    d = np.array([dissimilarity(spec, rows[p], q) for p in range(train.n)])
+    kind, key = model.distance.kind, term_key(model.distance.kind, model.distance.alpha)
+    names = [f.name for f in train.features]
+    scale = term_scale(key, train.vectors, names, queries=query[None, :])
+    factors, den = multipliers(model.active_weights(train.n_features))
+    factors, q = factors.tolist(), query[mask].tolist()
+    d = np.array([pair_sum(kind, key, row, q, scale, factors)
+                  for row in train.vectors[:, mask].tolist()])
     if exclude is not None:
         d[exclude] = np.inf
-    return d
+    return d, scale * (den or 1)
 
 
 def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = None):
     """Neighborhood of a query: all rows in the shells covering at least k points.
 
-    Returns (row_index, distance) pairs sorted by distance, then row index.
+    Returns (row_index, distance) pairs sorted by distance, then row index;
+    distances are in data units, as dissimilarity() at the training scale.
     """
-    order, ds, _, size = _shell(_distance_row(model, train, query, exclude), model.k)
-    return [(int(order[i]), float(ds[i])) for i in range(size)]
+    d, unit = _distance_row(model, train, query, exclude)
+    order, ds, _, size = _shell(d, model.k)
+    return [(int(order[i]), float(ds[i] / unit)) for i in range(size)]
 
 
 def classify(model: ModelSpec, train: Dataset, query, exclude: int | None = None) -> Prediction:
     """Classify a query vector against the training data."""
-    d = _distance_row(model, train, query, exclude)
+    d, _ = _distance_row(model, train, query, exclude)
     winner, votes, size = shell_vote(d, train.labels, model.k, train.n_classes)
     return Prediction(winner, votes / size)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
+from .distance import CAMBERRA, CHEBYSHEV, GRID_TOLERANCE, MAX_DENOMINATOR, MINKOWSKI
 from .evaluation import EvalContext
 from .knn import ModelSpec
 
@@ -29,7 +29,9 @@ DISTANCE_CANDIDATES = ((MINKOWSKI, 1), (MINKOWSKI, 2), (CHEBYSHEV, None), (CAMBE
 # search defaults, shared by meta_search and the command line
 K_RANGE = (1, 10)  # neighborhood sizes scanned by the k channel
 STEP = 0.1  # quantized weight grid step
-MAX_GRID_INTERVALS = 1000  # finest step 0.001: each grid value is a scoring per weight per sweep
+# finest step 0.001: each grid value is a scoring per weight per sweep, and an
+# exact distance multiplier (distance.multipliers)
+MAX_GRID_INTERVALS = MAX_DENOMINATOR
 BUDGET = 2000  # simplex leave-one-out evaluation budget
 WEIGHT_METHODS = ("quantized", "simplex")
 WEIGHT_METHOD = WEIGHT_METHODS[0]
@@ -162,7 +164,7 @@ def _grid(step: float) -> np.ndarray:
     if intervals > MAX_GRID_INTERVALS + 0.5:  # the margin lets float noise round to the cap
         raise ValueError(f"step {step} makes more than {MAX_GRID_INTERVALS} grid intervals")
     levels = int(round(intervals))
-    if levels < 1 or abs(levels * step - 1.0) > 1e-9:
+    if levels < 1 or abs(levels * step - 1.0) > GRID_TOLERANCE:
         raise ValueError(f"step {step} must divide 1 evenly")
     return np.round(np.arange(levels + 1) * step, 10)
 

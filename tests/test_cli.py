@@ -162,6 +162,16 @@ class TestExitCodes:
         assert "2 feature columns, expected 1" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("distance", ["euclidean", "manhattan", "camberra"])
+    def test_overflowing_column_is_2(self, capsys, tmp_path, distance):
+        # finite values whose distance terms overflow once made every distance +inf
+        data = tmp_path / "t.csv"
+        data.write_text("small,big,class\n0.5,1e308,A\n1.5,-1e308,B\n1.0,0,A\n2.0,3,B\n")
+        code, out, err = run(capsys, ["eval", "--train", str(data), "--distance", distance])
+        assert code == 2
+        assert "column 'big'" in err and "Traceback" not in err
+        assert "train loo" not in out
+
 
 class TestRescale:
     def test_test_set_takes_training_bounds(self, capsys, tmp_path):

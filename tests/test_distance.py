@@ -1,29 +1,35 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaknn import DistanceSpec, cross_matrix, dissimilarity, pairwise_matrix
-from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
+from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, term_key, term_scale
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
 
-def naive(spec, x, y):
-    """Independent scalar oracle: same accumulation order, textbook formulas."""
+def scale_of(spec, *rows):
+    return term_scale(term_key(spec.kind, spec.alpha), np.vstack(rows))
+
+
+def naive(spec, x, y, scale):
+    """Independent scalar oracle: textbook terms rounded to the scale, and
+    decimal weights, combined as exact rationals and rounded once."""
     w = spec.weights if spec.weights is not None else np.ones(len(x))
-    if spec.kind == CHEBYSHEV:
-        return max([0.0] + [w[j] * abs(x[j] - y[j]) for j in range(len(x))])
-    total = 0.0
+    terms = []
     for j in range(len(x)):
-        if spec.kind == MINKOWSKI:
-            d = abs(x[j] - y[j])
-            total += w[j] * (d * d) if spec.alpha == 2 else w[j] * d
-        else:
+        d = abs(x[j] - y[j])
+        if spec.kind == MINKOWSKI and spec.alpha == 2:
+            d = d * d
+        elif spec.kind == CAMBERRA:
             denom = abs(x[j]) + abs(y[j])
-            if denom != 0:
-                total += w[j] * (abs(x[j] - y[j]) / denom)
-    return total
+            d = d / denom if denom != 0 else 0.0
+        terms.append(Fraction(w[j]).limit_denominator(1000) * int(np.rint(d * scale)))
+    total = max([Fraction(0)] + terms) if spec.kind == CHEBYSHEV else sum(terms)
+    return float(total / Fraction(scale))
 
 
 class TestDissimilarity:
@@ -84,10 +90,12 @@ class TestPairwiseMatrix:
             w = np.round(rng.random(6), 1)
             spec = DistanceSpec(kind, alpha, weights=w)
             got = pairwise_matrix(spec, sub)
+            scale = scale_of(spec, sub.vectors)
             for p in range(sub.n):
                 for q in range(sub.n):
-                    assert got[p, q] == dissimilarity(spec, sub.vectors[p], sub.vectors[q])
-                    assert got[p, q] == naive(spec, sub.vectors[p], sub.vectors[q])
+                    x, y = sub.vectors[p], sub.vectors[q]
+                    assert got[p, q] == dissimilarity(spec, x, y, scale)
+                    assert got[p, q] == naive(spec, x, y, scale)
 
     def test_cross_matrix_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -96,9 +104,10 @@ class TestPairwiseMatrix:
         for kind, alpha in ALL_KINDS:
             spec = DistanceSpec(kind, alpha)
             got = cross_matrix(spec, a, b)
+            scale = scale_of(spec, b.vectors)  # the scale of the reference rows
             for p in range(a.n):
                 for q in range(b.n):
-                    assert got[p, q] == dissimilarity(spec, a.vectors[p], b.vectors[q])
+                    assert got[p, q] == dissimilarity(spec, a.vectors[p], b.vectors[q], scale)
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(11)
@@ -127,13 +136,16 @@ class TestMetricProperties:
     @given(vec3, vec3, vec3)
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, x, y, z):
-        # holds for the true metrics; squared Euclidean is excluded by design
+        # holds for the true metrics; squared Euclidean is excluded by design.
+        # At one scale, rounding each term to the scale can break it by at
+        # most one unit of the scale per feature.
         for kind, alpha in ((MINKOWSKI, 1), (CHEBYSHEV, None), (CAMBERRA, None)):
             spec = DistanceSpec(kind, alpha)
-            dxz = dissimilarity(spec, x, z)
-            dxy = dissimilarity(spec, x, y)
-            dyz = dissimilarity(spec, y, z)
-            assert dxz <= dxy + dyz + 1e-9
+            scale = scale_of(spec, x, y, z)
+            dxz = dissimilarity(spec, x, z, scale)
+            dxy = dissimilarity(spec, x, y, scale)
+            dyz = dissimilarity(spec, y, z, scale)
+            assert dxz <= dxy + dyz + len(x) / scale + 1e-9
 
     @given(vec3, vec3, st.sampled_from([0.01, 3.0, 1000.0]))
     @settings(max_examples=100, deadline=None)
@@ -150,6 +162,9 @@ class TestMetricProperties:
         w = np.array([1.0, 0.0, 0.7])
         keep = [0, 2]
         for kind, alpha in ALL_KINDS:
-            full = dissimilarity(DistanceSpec(kind, alpha, weights=w), x, y)
-            cut = dissimilarity(DistanceSpec(kind, alpha, weights=w[keep]), x[keep], y[keep])
+            spec = DistanceSpec(kind, alpha, weights=w)
+            scale = scale_of(spec, x, y)  # both at the scale of the full rows
+            full = dissimilarity(spec, x, y, scale)
+            cut = dissimilarity(DistanceSpec(kind, alpha, weights=w[keep]), x[keep], y[keep],
+                                scale)
             assert full == cut

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify,
-                     confusion_of, evaluate, evaluation, leave_one_out, meta_search)
-from metaknn.distance import MINKOWSKI
+from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
+                     confusion_of, evaluate, evaluation, leave_one_out, meta_search,
+                     select_features)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms,
+                              term_scale)
 
-from conftest import make_dataset, random_dataset, random_model
+from conftest import ALL_KINDS, make_dataset, random_dataset, random_model
 
 
 class TestLeaveOneOut:
@@ -201,3 +205,102 @@ class TestCountMemo:
         for model in models + models:
             assert ctx.loo_count(model) == ctx.loo_report(model).correct_count
             assert ctx.test_count(model) == ctx.test_report(model).correct_count
+
+
+KINDS_BY_NAME = {"euclidean": (MINKOWSKI, 2), "camberra": (CAMBERRA, None),
+                 "chebyshev": (CHEBYSHEV, None)}
+
+
+class TestExactDistances:
+    @pytest.mark.parametrize("kind", KINDS_BY_NAME)
+    @pytest.mark.parametrize("monk", ["monks1", "monks2", "monks3"])
+    def test_rescaled_grid_weights_score_alike(self, request, monk, kind):
+        # Monk's symbolic codes put many rows at equal distances, so a sum
+        # that depends on the weights' spelling splits or merges real ties
+        train = request.getfixturevalue(monk).train
+        rng = np.random.default_rng([int(monk[-1]), list(KINDS_BY_NAME).index(kind)])
+        kind, alpha = KINDS_BY_NAME[kind]
+        ctx = EvalContext(train)
+        for _ in range(100):
+            w = rng.integers(0, 11, train.n_features)
+            w[int(rng.integers(train.n_features))] = int(rng.integers(1, 11))
+            k = int(rng.integers(1, 8))
+            tenths = ModelSpec(k, DistanceSpec(kind, alpha, w / 10))
+            whole = ModelSpec(k, DistanceSpec(kind, alpha, w.astype(float)))
+            assert ctx.loo_count(tenths) == ctx.loo_count(whole)
+            assert np.array_equal(ctx.loo_report(tenths).winners, ctx.loo_report(whole).winners)
+
+    def test_terms_follow_the_data_magnitude(self):
+        # the scale is a power of two taken from the data and never clamped,
+        # so data scaled by 2**-40 stores the very same terms
+        ds = random_dataset(np.random.default_rng(45))
+        tiny = ds.vectors * 2.0 ** -40
+        for key in ("abs", "sq", "cam"):
+            s1, s2 = term_scale(key, ds.vectors), term_scale(key, tiny)
+            for j in range(ds.n_features):
+                terms = feature_terms(ds.vectors[:, j], ds.vectors[:, j], key, s1)
+                assert np.array_equal(terms, feature_terms(tiny[:, j], tiny[:, j], key, s2))
+                assert terms.max() > 2 ** 20 and np.array_equal(terms, np.rint(terms))
+
+    def test_backward_elimination_candidates_are_deltas(self, ionosphere, monkeypatch):
+        # a candidate differs from the last matrix in at most three columns
+        # (the last candidate's drop, the kept drop, its own drop), so only
+        # candidates with three or fewer features are summed in full
+        summed = []
+        original = evaluation.accumulate
+        monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
+            summed.append(len(factors)) or original(kind, terms, factors, shape)))
+        ctx = EvalContext(ionosphere.train)
+        result = select_features(ctx, ModelSpec())
+        assert result.evaluations == 595 and ctx.evaluations > 500
+        assert summed[0] == 34
+        assert summed[1:] and max(summed[1:]) <= 3
+
+
+def _walk(train: Dataset, steps) -> None:
+    """Score a sequence of one-change models in one context; every report must
+    equal a fresh context's, and sampled rows the scalar oracle's."""
+    n = train.n_features
+    ctx = EvalContext(train)
+    mask, w, k, (kind, alpha) = np.ones(n, dtype=bool), np.ones(n), 1, (MINKOWSKI, 2)
+    for op, a, b in steps:
+        j = a % n
+        if op == "drop" and mask.sum() > 1:
+            mask[j] = False
+        elif op == "restore":
+            mask[j] = True
+        elif op == "weight":
+            w[j] = b / 10
+        elif op == "off-grid":
+            w[j] = (a % 997 + 1) / 997 + 1e-7  # no p/L within the tolerance
+        elif op == "k":
+            k = 1 + b % 5
+        elif op == "kind":
+            kind, alpha = ALL_KINDS[b % 4]
+        model = ModelSpec(k, DistanceSpec(kind, alpha, w[mask].copy()), mask.copy())
+        got = ctx.loo_report(model)
+        fresh = EvalContext(train).loo_report(model)
+        assert got.to_dict() == fresh.to_dict()
+        assert np.array_equal(got.class_probs, fresh.class_probs)
+        assert ctx.loo_count(model) == fresh.correct_count
+        for i in (a % train.n, b % train.n):
+            assert classify(model, train, train.vectors[i], exclude=i).winner == got.winners[i]
+
+
+STEPS = st.lists(st.tuples(st.sampled_from(["drop", "drop", "restore", "weight", "weight",
+                                            "off-grid", "k", "kind"]),
+                           st.integers(0, 10 ** 6), st.integers(0, 10)),
+                 min_size=1, max_size=12)
+
+
+@given(steps=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_delta_scoring_equals_fresh_scoring_monks2(monks2, steps):
+    _walk(monks2.train, steps)
+
+
+@given(steps=STEPS)
+@settings(max_examples=25, deadline=None)
+def test_delta_scoring_equals_fresh_scoring_ionosphere(ionosphere, steps):
+    train = ionosphere.train
+    _walk(Dataset(train.features, train.vectors[:60], train.labels[:60], train.class_names), steps)

@@ -6,8 +6,8 @@ import pytest
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, optimize_distance,
                      optimize_k, select_features, weight_search_quantized,
                      weight_search_simplex)
-from metaknn.distance import CAMBERRA, MINKOWSKI
-from metaknn.optimize import DISTANCE_CANDIDATES, check_step
+from metaknn.distance import CAMBERRA, MINKOWSKI, multipliers
+from metaknn.optimize import DISTANCE_CANDIDATES, _grid, check_step
 
 from conftest import make_dataset, random_dataset, random_model
 
@@ -174,6 +174,15 @@ class TestQuantizedWeights:
     @pytest.mark.parametrize("step", [0.001, 0.1, 0.25, 1.0])
     def test_steps_up_to_1000_intervals_pass(self, step):
         check_step(step)
+
+    @pytest.mark.parametrize("step", [0.001, 0.1, 0.25, 1 / 3, 1.0])
+    def test_grid_weights_are_exact_multipliers(self, step):
+        # any vector of grid weights is scored with integer numerators over one denominator
+        grid = _grid(step)
+        factors, den = multipliers(grid)
+        assert den is not None and den <= 1000
+        assert np.array_equal(factors, np.rint(factors))
+        assert np.allclose(factors / den, grid, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("step", [0.0005, 1e-6, 1e-300])
     def test_grid_capped_at_1000_intervals(self, step):
