@@ -17,19 +17,25 @@ is column j's range for |x-y| terms, its square for squared terms and 1 for
 Camberra, so every sum of scaled terms stays below 2**36.  multipliers() turns
 weights into integer numerators p_j over one denominator L when every weight
 is within 1e-9 of p_j/L with L <= 1000 and every p_j fits in the remaining 16
-bits.  Between rows inside the reference range every partial sum is then an
-integer below 2**53: exact, the same in any order, with ties that are real,
-and rescaling all weights changes no comparison.  Other weights (simplex vertices, arbitrary floats) multiply the
-terms as they are; that is the one inexact path, through the same kernel.
+bits, or, failing that, when every weight over the largest is; p_j is 0 only
+for a zero weight.  Between rows inside the reference range every partial sum
+is then an integer below 2**53: exact, the same in any order, with ties that
+are real.  Weights whose ratios to the largest lie on such a grid (every
+search grid's do) keep proportional numerators when all are multiplied by
+any positive factor, so the rescaling changes no comparison.  Other weights
+(simplex vertices, arbitrary floats), divided by a power of two that puts
+the largest at most 1, multiply the terms as they are; that is the one
+inexact path, through the same kernel.
 
 accumulate() is the one matrix kernel: it combines per-feature term matrices
 one feature at a time, in index order, with the same per-term operations as
-the scalar loop, so matrix entries are bitwise equal to dissimilarity() on
+the scalar loop pair_sum, so matrix entries are bitwise equal to pair_sum on
 the corresponding rows at the same scale.  pairwise_matrix and cross_matrix
 feed it fresh terms; evaluation.EvalContext feeds it cached ones, and updates
 its last matrix in place when a model changes a few exact multipliers.
-dissimilarity, pairwise_matrix and cross_matrix report distances in data
-units: the exact sum divided by S * L.
+dissimilarity (at the scale of its two vectors), pairwise_matrix and
+cross_matrix report distances in data units: the sum divided by S and by the
+weights' unit (L for grid weights).
 """
 
 from __future__ import annotations
@@ -95,8 +101,10 @@ def term_key(kind: str, alpha: int | None) -> str:
     return "cam"
 
 
-def term_scale(key: str, reference: np.ndarray, names=None, queries=None) -> float:
-    """The power-of-two scale S of key's terms between rows of reference.
+def term_scale(key: str, reference: np.ndarray, names=None,
+               queries=None) -> tuple[float, np.ndarray]:
+    """The power-of-two scale S of key's terms between rows of reference, and
+    per column the largest scaled term rint(maxT_j * S).
 
     S = 2**(52 - HEADROOM_BITS - ceil(log2 sum_j maxT_j)), with maxT_j the
     largest term between two reference rows in column j.  Raises DataError,
@@ -105,7 +113,8 @@ def term_scale(key: str, reference: np.ndarray, names=None, queries=None) -> flo
     reference row could overflow at scale S.
     """
     with np.errstate(over="ignore"):
-        total = np.cumsum(_term_bounds(key, reference))
+        bounds = _term_bounds(key, reference)
+        total = np.cumsum(bounds)
         _require_finite(total, names)
         mantissa, exponent = math.frexp(total[-1])  # total = mantissa * 2**exponent
         ceil_log2 = exponent - (mantissa == 0.5)  # exact, and 0 for a zero total
@@ -113,12 +122,7 @@ def term_scale(key: str, reference: np.ndarray, names=None, queries=None) -> flo
         scale = math.ldexp(1.0, min(1023, 52 - HEADROOM_BITS - ceil_log2))
         if queries is not None:
             _require_finite(_term_bounds(key, np.vstack([reference, queries])) * scale, names)
-    return scale
-
-
-def term_bounds(key: str, rows: np.ndarray, scale: float) -> np.ndarray:
-    """Per column, the largest scaled term between two of the rows."""
-    return np.rint(_term_bounds(key, rows) * scale)
+    return scale, np.rint(bounds * scale)
 
 
 def _term_bounds(key: str, rows: np.ndarray) -> np.ndarray:
@@ -156,29 +160,54 @@ _DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)
 @functools.lru_cache(maxsize=4096)
 def _fraction(w: float) -> tuple[int, int] | None:
     """(p, q) with the smallest q <= MAX_DENOMINATOR that puts w within
-    GRID_TOLERANCE of p/q, or None; None also when p cannot fit the headroom."""
+    GRID_TOLERANCE of p/q, or None; None also when p cannot fit the headroom.
+    p is 0 only for w == 0: a nonzero weight never becomes a zero multiplier."""
+    if w == 0:
+        return 0, 1
     if w >= 2 ** HEADROOM_BITS:
         return None
     p = np.rint(w * _DENOMINATORS)
-    hit = np.flatnonzero(np.abs(w - p / _DENOMINATORS) <= GRID_TOLERANCE)
+    hit = np.flatnonzero((np.abs(w - p / _DENOMINATORS) <= GRID_TOLERANCE) & (p > 0))
     return (int(p[hit[0]]), int(hit[0]) + 1) if len(hit) else None
 
 
-def multipliers(weights: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """The factors scaled terms are multiplied by, and their denominator L.
+def _numerators(ratios: list) -> tuple[np.ndarray, int] | None:
+    """Integer numerators over one denominator L for ratios, or None."""
+    fractions = []
+    for r in ratios:  # an off-grid vector usually fails at its first ratios
+        f = _fraction(r)
+        if f is None:
+            return None
+        fractions.append(f)
+    den = math.lcm(*(q for _, q in fractions))
+    num = [p * (den // q) for p, q in fractions]
+    if den <= MAX_DENOMINATOR and max(num, default=0) < 2 ** HEADROOM_BITS:
+        return np.array(num, dtype=float), den
+    return None
 
-    When every weight is within GRID_TOLERANCE of p_j/L for one
-    L <= MAX_DENOMINATOR and every p_j < 2**HEADROOM_BITS, the factors are
-    the integers p_j, and sums of the scaled terms are exact.  Otherwise the
-    factors are the weights themselves and L is None: the inexact path.
+
+def multipliers(weights: np.ndarray) -> tuple[np.ndarray, int | None, float]:
+    """The factors scaled terms are multiplied by, their denominator L, and
+    the unit u with weights = factors / u, which turns sums into data units.
+
+    Exact: the factors are integers p_j < 2**HEADROOM_BITS over one
+    L <= MAX_DENOMINATOR, with each weight within GRID_TOLERANCE of p_j/L or,
+    failing that, each weight over the largest within GRID_TOLERANCE of
+    p_j/L, so a grid vector scaled by any positive factor keeps proportional
+    numerators.  Sums of the scaled terms are then exact.  Otherwise the
+    factors are the weights divided by a power of two that puts the largest
+    at most 1, and L is None: the inexact path.
     """
-    fractions = [_fraction(w) for w in weights.tolist()]
-    if None not in fractions:
-        den = math.lcm(*(q for _, q in fractions))
-        num = [p * (den // q) for p, q in fractions]
-        if den <= MAX_DENOMINATOR and max(num) < 2 ** HEADROOM_BITS:
-            return np.array(num, dtype=float), den
-    return np.asarray(weights, dtype=float), None
+    weights = np.asarray(weights, dtype=float)
+    exact = _numerators(weights.tolist())
+    if exact is not None:
+        return exact[0], exact[1], float(exact[1])
+    top = float(weights.max())
+    exact = _numerators([0.0 if w == 0 else w / top for w in weights.tolist()])
+    if exact is not None:
+        return exact[0], exact[1], exact[1] / top
+    shift = math.frexp(top)[1] if top > 1 else 0  # exact: comparisons are unchanged
+    return np.ldexp(weights, -shift), None, math.ldexp(1.0, -shift)
 
 
 def _scaled_term(x: float, y: float, key: str, scale: float) -> float:
@@ -200,24 +229,21 @@ def pair_sum(kind: str, key: str, x: list, y: list, scale: float, factors: list)
     return acc
 
 
-def dissimilarity(spec: DistanceSpec, x, y, scale: float | None = None) -> float:
+def dissimilarity(spec: DistanceSpec, x, y) -> float:
     """Dissimilarity between two vectors, accumulated feature by feature.
 
-    Terms are stored at scale, by default term_scale of the two vectors
-    themselves; pass the scale of a set of reference rows to match
-    pairwise_matrix, cross_matrix or an EvalContext on those rows.  Returns
-    the sum divided by the scale and the weights' denominator.
+    Terms are stored at term_scale of the two vectors; the result is the sum
+    divided by the scale and the weights' unit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
     key = term_key(spec.kind, spec.alpha)
-    factors, den = multipliers(spec.resolved_weights(len(x)))
-    if scale is None:
-        scale = term_scale(key, np.vstack([x, y]))
+    factors, _, unit = multipliers(spec.resolved_weights(len(x)))
+    scale, _ = term_scale(key, np.vstack([x, y]))
     acc = pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist())
-    return acc / (scale * (den or 1))
+    return acc / (scale * unit)
 
 
 def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
@@ -253,9 +279,9 @@ def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
         raise ValueError("datasets have different widths")
     a, b = data.vectors, other.vectors
     key = term_key(spec.kind, spec.alpha)
-    scale = term_scale(key, b, [f.name for f in other.features], queries=a)
-    factors, den = multipliers(spec.resolved_weights(data.n_features))
+    scale, _ = term_scale(key, b, [f.name for f in other.features], queries=a)
+    factors, _, unit = multipliers(spec.resolved_weights(data.n_features))
     terms = (feature_terms(a[:, j], b[:, j], key, scale) for j in range(data.n_features))
     out = accumulate(spec.kind, terms, factors, (len(a), len(b)))
-    out /= scale * (den or 1)
+    out /= scale * unit
     return out

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import (CHEBYSHEV, accumulate, feature_terms, multipliers, term_bounds,
-                       term_key, term_scale)
+from .distance import CHEBYSHEV, accumulate, feature_terms, multipliers, term_key, term_scale
 from .knn import ModelSpec, shell_votes
 
 
@@ -106,8 +105,7 @@ class EvalContext:
             train = self.train.vectors
             names = [f.name for f in self.train.features]
             queries = None if self.test is None else self.test.vectors
-            scale = term_scale(key, train, names, queries)
-            self._scales[key] = scale, term_bounds(key, train, scale)
+            self._scales[key] = term_scale(key, train, names, queries)
         return self._scales[key]
 
     def _column(self, key: str, j: int) -> np.ndarray:
@@ -121,7 +119,7 @@ class EvalContext:
         kind = model.distance.kind
         key = term_key(kind, model.distance.alpha)
         columns = np.flatnonzero(model.mask_for(self.n_features))
-        factors, den = multipliers(model.active_weights(self.n_features))
+        factors, den, _ = multipliers(model.active_weights(self.n_features))
         if side == "test":
             # test terms are streamed, not cached: each test scoring is one model
             self._last = None  # and the leave-one-out matrix is not held across it

@@ -160,21 +160,21 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
 
 def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):
     """Scaled distance sums from the query to each training row, and the unit
-    (scale times the weights' denominator) that turns them into data units."""
+    (scale times the weights' unit) that turns them into data units."""
     query = np.asarray(query, dtype=float)
     if query.shape != (train.n_features,):
         raise ValueError(f"query must have {train.n_features} components")
     mask = model.mask_for(train.n_features)
     kind, key = model.distance.kind, term_key(model.distance.kind, model.distance.alpha)
     names = [f.name for f in train.features]
-    scale = term_scale(key, train.vectors, names, queries=query[None, :])
-    factors, den = multipliers(model.active_weights(train.n_features))
+    scale, _ = term_scale(key, train.vectors, names, queries=query[None, :])
+    factors, _, unit = multipliers(model.active_weights(train.n_features))
     factors, q = factors.tolist(), query[mask].tolist()
     d = np.array([pair_sum(kind, key, row, q, scale, factors)
                   for row in train.vectors[:, mask].tolist()])
     if exclude is not None:
         d[exclude] = np.inf
-    return d, scale * (den or 1)
+    return d, scale * unit
 
 
 def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = None):

@@ -29,9 +29,6 @@ DISTANCE_CANDIDATES = ((MINKOWSKI, 1), (MINKOWSKI, 2), (CHEBYSHEV, None), (CAMBE
 # search defaults, shared by meta_search and the command line
 K_RANGE = (1, 10)  # neighborhood sizes scanned by the k channel
 STEP = 0.1  # quantized weight grid step
-# finest step 0.001: each grid value is a scoring per weight per sweep, and an
-# exact distance multiplier (distance.multipliers)
-MAX_GRID_INTERVALS = MAX_DENOMINATOR
 BUDGET = 2000  # simplex leave-one-out evaluation budget
 WEIGHT_METHODS = ("quantized", "simplex")
 WEIGHT_METHOD = WEIGHT_METHODS[0]
@@ -159,10 +156,11 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
 
 def _grid(step: float) -> np.ndarray:
     """The weight grid 0, step, ..., 1; ValueError unless step divides 1 evenly
-    into at most MAX_GRID_INTERVALS intervals."""
+    into at most MAX_DENOMINATOR intervals (finest step 0.001), so every grid
+    weight is an exact distance multiplier (distance.multipliers)."""
     intervals = 1.0 / step if step > 0 else 0.0  # zero, negative and NaN steps
-    if intervals > MAX_GRID_INTERVALS + 0.5:  # the margin lets float noise round to the cap
-        raise ValueError(f"step {step} makes more than {MAX_GRID_INTERVALS} grid intervals")
+    if intervals > MAX_DENOMINATOR + 0.5:  # the margin lets float noise round to the cap
+        raise ValueError(f"step {step} makes more than {MAX_DENOMINATOR} grid intervals")
     levels = int(round(intervals))
     if levels < 1 or abs(levels * step - 1.0) > GRID_TOLERANCE:
         raise ValueError(f"step {step} must divide 1 evenly")

@@ -172,6 +172,28 @@ class TestExitCodes:
         assert "column 'big'" in err and "Traceback" not in err
         assert "train loo" not in out
 
+    def test_tiny_weight_keeps_its_column(self, capsys, tmp_path):
+        # column y only breaks column x's ties; a weight of 1e-10 once
+        # matched 0/1 and dropped the column
+        data = tmp_path / "t.csv"
+        data.write_text("x,y,class\n0,0,A\n0,1,A\n0,9,B\n10,0,B\n10,1,B\n10,9,A\n")
+        for weights, loo in (("1,0", "0/6"), ("1,1e-10", "4/6"), ("1e-10,1e-20", "4/6")):
+            code, out, _ = run(capsys, ["eval", "--train", str(data), "--distance", "manhattan",
+                                        "--weights", weights])
+            assert code == 0
+            assert f"train loo: {loo} " in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_off_grid_weights_stay_finite(self, capsys):
+        # off-grid weights once multiplied terms scaled up to 2**36, so
+        # finite weights near 1e300 overflowed to +inf distances
+        code, out, _ = run(capsys, [
+            "eval", "--train", str(DATA_DIR / "ionosphere.data"), "--split", "200:150",
+            "--distance", "manhattan", "--features", "1,3,5", "--weights", "1e300,1e300,0.2"])
+        assert code == 0
+        assert "train loo: 152/200 (76.0%)" in out
+        assert "test: 126/150 (84.0%)" in out
+
 
 class TestRescale:
     def test_test_set_takes_training_bounds(self, capsys, tmp_path):

@@ -6,13 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaknn import DistanceSpec, cross_matrix, dissimilarity, pairwise_matrix
-from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, term_key, term_scale
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, multipliers, pair_sum, term_key,
+                              term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
 
 def scale_of(spec, *rows):
-    return term_scale(term_key(spec.kind, spec.alpha), np.vstack(rows))
+    return term_scale(term_key(spec.kind, spec.alpha), np.vstack(rows))[0]
+
+
+def at_scale(spec, x, y, scale):
+    """dissimilarity(spec, x, y) with its terms stored at the scale of a set
+    of reference rows, as pairwise_matrix and cross_matrix store them."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    factors, _, unit = multipliers(spec.resolved_weights(len(x)))
+    key = term_key(spec.kind, spec.alpha)
+    return pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist()) / (
+        scale * unit)
 
 
 def naive(spec, x, y, scale):
@@ -94,7 +105,7 @@ class TestPairwiseMatrix:
             for p in range(sub.n):
                 for q in range(sub.n):
                     x, y = sub.vectors[p], sub.vectors[q]
-                    assert got[p, q] == dissimilarity(spec, x, y, scale)
+                    assert got[p, q] == at_scale(spec, x, y, scale)
                     assert got[p, q] == naive(spec, x, y, scale)
 
     def test_cross_matrix_matches_scalar(self):
@@ -107,7 +118,7 @@ class TestPairwiseMatrix:
             scale = scale_of(spec, b.vectors)  # the scale of the reference rows
             for p in range(a.n):
                 for q in range(b.n):
-                    assert got[p, q] == dissimilarity(spec, a.vectors[p], b.vectors[q], scale)
+                    assert got[p, q] == at_scale(spec, a.vectors[p], b.vectors[q], scale)
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(11)
@@ -142,9 +153,9 @@ class TestMetricProperties:
         for kind, alpha in ((MINKOWSKI, 1), (CHEBYSHEV, None), (CAMBERRA, None)):
             spec = DistanceSpec(kind, alpha)
             scale = scale_of(spec, x, y, z)
-            dxz = dissimilarity(spec, x, z, scale)
-            dxy = dissimilarity(spec, x, y, scale)
-            dyz = dissimilarity(spec, y, z, scale)
+            dxz = at_scale(spec, x, z, scale)
+            dxy = at_scale(spec, x, y, scale)
+            dyz = at_scale(spec, y, z, scale)
             assert dxz <= dxy + dyz + len(x) / scale + 1e-9
 
     @given(vec3, vec3, st.sampled_from([0.01, 3.0, 1000.0]))
@@ -164,7 +175,31 @@ class TestMetricProperties:
         for kind, alpha in ALL_KINDS:
             spec = DistanceSpec(kind, alpha, weights=w)
             scale = scale_of(spec, x, y)  # both at the scale of the full rows
-            full = dissimilarity(spec, x, y, scale)
-            cut = dissimilarity(DistanceSpec(kind, alpha, weights=w[keep]), x[keep], y[keep],
-                                scale)
+            full = at_scale(spec, x, y, scale)
+            cut = at_scale(DistanceSpec(kind, alpha, weights=w[keep]), x[keep], y[keep], scale)
             assert full == cut
+
+
+class TestMultipliers:
+    def test_nonzero_weight_is_never_a_zero_factor(self):
+        # a weight within the grid tolerance of 0 once matched 0/1, which
+        # dropped its column; whether it did depended on the other weights
+        for w in ([1.0, 1e-10], [1e-10, 1.0], [1e-10, 1e-10], [1e-10, 1 / 3], [0.0, 1e-10]):
+            factors, _, _ = multipliers(np.array(w))
+            assert np.array_equal(factors > 0, np.array(w) > 0)
+
+    @pytest.mark.parametrize("c", [1e-10, 3e-7, 1 / 3, 12345.678, 1e300])
+    def test_rescaled_grid_weights_keep_proportional_integers(self, c):
+        w = np.array([0.0, 0.3, 0.6, 1.0, 0.25])
+        f1, d1, _ = multipliers(w)
+        f2, d2, u2 = multipliers(w * c)
+        assert d1 is not None and d2 is not None
+        assert np.array_equal(f1 * f2.max(), f2 * f1.max())
+        assert np.allclose(f2 / u2, w * c, rtol=1e-9, atol=0)
+
+    def test_off_grid_factors_are_at_most_one(self):
+        # a power of two keeps huge weights' products with scaled terms finite
+        w = np.array([1e300, 1e300, 0.2])
+        factors, den, unit = multipliers(w)
+        assert den is None and factors.max() <= 1
+        assert np.array_equal(factors / unit, w)

@@ -230,13 +230,31 @@ class TestExactDistances:
             assert ctx.loo_count(tenths) == ctx.loo_count(whole)
             assert np.array_equal(ctx.loo_report(tenths).winners, ctx.loo_report(whole).winners)
 
+    @pytest.mark.parametrize("c", [1e-10, 3e-7, 12345.678, 1e300])
+    @pytest.mark.parametrize("kind", KINDS_BY_NAME)
+    def test_any_positive_rescaling_scores_alike(self, monks2, kind, c):
+        # grid weights times any positive factor keep proportional integer
+        # numerators, even where the scaled weights are off every grid
+        train = monks2.train
+        rng = np.random.default_rng([2, list(KINDS_BY_NAME).index(kind), 7])
+        kind, alpha = KINDS_BY_NAME[kind]
+        ctx = EvalContext(train)
+        for _ in range(30):
+            w = rng.integers(0, 11, train.n_features)
+            w[int(rng.integers(train.n_features))] = int(rng.integers(1, 11))
+            k = int(rng.integers(1, 8))
+            grid = ModelSpec(k, DistanceSpec(kind, alpha, w / 10))
+            scaled = ModelSpec(k, DistanceSpec(kind, alpha, w * c))
+            assert ctx.loo_count(grid) == ctx.loo_count(scaled)
+            assert np.array_equal(ctx.loo_report(grid).winners, ctx.loo_report(scaled).winners)
+
     def test_terms_follow_the_data_magnitude(self):
         # the scale is a power of two taken from the data and never clamped,
         # so data scaled by 2**-40 stores the very same terms
         ds = random_dataset(np.random.default_rng(45))
         tiny = ds.vectors * 2.0 ** -40
         for key in ("abs", "sq", "cam"):
-            s1, s2 = term_scale(key, ds.vectors), term_scale(key, tiny)
+            (s1, _), (s2, _) = term_scale(key, ds.vectors), term_scale(key, tiny)
             for j in range(ds.n_features):
                 terms = feature_terms(ds.vectors[:, j], ds.vectors[:, j], key, s1)
                 assert np.array_equal(terms, feature_terms(tiny[:, j], tiny[:, j], key, s2))

@@ -179,8 +179,8 @@ class TestQuantizedWeights:
     def test_grid_weights_are_exact_multipliers(self, step):
         # any vector of grid weights is scored with integer numerators over one denominator
         grid = _grid(step)
-        factors, den = multipliers(grid)
-        assert den is not None and den <= 1000
+        factors, den, unit = multipliers(grid)
+        assert den is not None and den <= 1000 and unit == den
         assert np.array_equal(factors, np.rint(factors))
         assert np.allclose(factors / den, grid, rtol=0, atol=1e-9)
 
