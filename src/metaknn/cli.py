@@ -48,14 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_data_args(p: _Parser, test_optional=True):
+def _add_data_args(p: _Parser):
     p.add_argument("--train", required=True, help="training data file")
-    p.add_argument("--test", help="test data file (encoded with the training tables)")
+    held_out = p.add_mutually_exclusive_group()
+    held_out.add_argument("--test", help="test data file (encoded with the training tables)")
     p.add_argument("--format", choices=("csv", "monks"), default="csv")
     p.add_argument("--label-column", default="-1",
                    help="CSV label column name or position (default: last)")
-    p.add_argument("--split", metavar="TRAIN:TEST",
-                   help="carve a train/test partition out of --train by row counts")
+    held_out.add_argument("--split", metavar="TRAIN:TEST",
+                          help="carve a train/test partition out of --train by row counts")
     p.add_argument("--rescale", action="store_true",
                    help="min-max rescale features to [0,1] (off by default)")
     p.add_argument("--output", help="write line-delimited JSON records to this file")
@@ -213,14 +214,9 @@ def _search_kwargs(args):
                 weight_method=args.weight_method, step=args.step, budget=args.budget)
 
 
-def _run_search(args):
+def cmd_search(args) -> int:
     train, test = _load(args)
     model, trace = meta_search(train, test=test, **_search_kwargs(args))
-    return train, test, model, trace
-
-
-def cmd_search(args) -> int:
-    train, test, model, trace = _run_search(args)
     config = _config_echo(args)
     _print_config(config)
     ref = trace.initial
@@ -246,7 +242,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    train, test, _, trace = _run_search(args)
+    train, test = _load(args)
+    _, trace = meta_search(train, **_search_kwargs(args))  # the test set scores only the sequence
     config = _config_echo(args)
     _print_config(config)
     pool, truths = build_pool(train, trace)

@@ -101,16 +101,15 @@ def term_key(kind: str, alpha: int | None) -> str:
     return "cam"
 
 
-def term_scale(key: str, reference: np.ndarray, names=None,
-               queries=None) -> tuple[float, np.ndarray]:
-    """The power-of-two scale S of key's terms between rows of reference, and
-    per column the largest scaled term rint(maxT_j * S).
+def term_scale(key: str, reference: np.ndarray, names=None, queries=None) -> float:
+    """The power-of-two scale S of key's terms between rows of reference.
 
     S = 2**(52 - HEADROOM_BITS - ceil(log2 sum_j maxT_j)), with maxT_j the
-    largest term between two reference rows in column j.  Raises DataError,
-    naming the column (from names, else by position), when a term bound
-    overflows; with queries, also when a term between a query row and a
-    reference row could overflow at scale S.
+    largest term between two reference rows in column j, so every sum of
+    scaled terms times numerators below 2**HEADROOM_BITS, partial or full,
+    stays below 2**53.  Raises DataError, naming the column (from names, else
+    by position), when a term bound overflows; with queries, also when a term
+    between a query row and a reference row could overflow at scale S.
     """
     with np.errstate(over="ignore"):
         bounds = _term_bounds(key, reference)
@@ -122,7 +121,7 @@ def term_scale(key: str, reference: np.ndarray, names=None,
         scale = math.ldexp(1.0, min(1023, 52 - HEADROOM_BITS - ceil_log2))
         if queries is not None:
             _require_finite(_term_bounds(key, np.vstack([reference, queries])) * scale, names)
-    return scale, np.rint(bounds * scale)
+    return scale
 
 
 def _term_bounds(key: str, rows: np.ndarray) -> np.ndarray:
@@ -241,7 +240,7 @@ def dissimilarity(spec: DistanceSpec, x, y) -> float:
         raise ValueError("x and y must be equal-length vectors")
     key = term_key(spec.kind, spec.alpha)
     factors, _, unit = multipliers(spec.resolved_weights(len(x)))
-    scale, _ = term_scale(key, np.vstack([x, y]))
+    scale = term_scale(key, np.vstack([x, y]))
     acc = pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist())
     return acc / (scale * unit)
 
@@ -279,7 +278,7 @@ def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
         raise ValueError("datasets have different widths")
     a, b = data.vectors, other.vectors
     key = term_key(spec.kind, spec.alpha)
-    scale, _ = term_scale(key, b, [f.name for f in other.features], queries=a)
+    scale = term_scale(key, b, [f.name for f in other.features], queries=a)
     factors, _, unit = multipliers(spec.resolved_weights(data.n_features))
     terms = (feature_terms(a[:, j], b[:, j], key, scale) for j in range(data.n_features))
     out = accumulate(spec.kind, terms, factors, (len(a), len(b)))

@@ -19,9 +19,10 @@ kind and term key that changes fewer columns than it has active (a feature
 drop, a coordinate-descent move) updates it in place: both models are
 brought to the lcm of their denominators, (n_new - n_old) * T_j is added for
 each changed column, and the result is divided back to the model's own
-denominator.  All of that is integer arithmetic below 2**53, so the matrix
-is bitwise the one a full accumulation gives.  Chebyshev, inexact and other
-models are accumulated in full.  A test-side scoring releases the matrix.
+denominator.  With every numerator at the lcm below 2**HEADROOM_BITS, all of
+that is integer arithmetic below 2**53 (term_scale), so the matrix is bitwise
+the one a full accumulation gives.  Chebyshev, inexact and other models are
+accumulated in full.  A test-side scoring releases the matrix.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import CHEBYSHEV, accumulate, feature_terms, multipliers, term_key, term_scale
+from .distance import (CHEBYSHEV, HEADROOM_BITS, accumulate, feature_terms, multipliers,
+                       term_key, term_scale)
 from .knn import ModelSpec, shell_votes
 
 
@@ -93,14 +95,14 @@ class EvalContext:
         self.test = test
         self.n_features = train.n_features
         self.n_classes = train.n_classes
-        self._scales: dict[str, tuple[float, np.ndarray]] = {}  # per key: scale, term bounds
+        self._scales: dict[str, float] = {}  # training term scale per key
         self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
         self._last: _Matrix | None = None  # the last leave-one-out matrix computed
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
         self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
 
-    def _scale(self, key: str) -> tuple[float, np.ndarray]:
-        """The training scale of key's terms, and each column's largest scaled term."""
+    def _scale(self, key: str) -> float:
+        """The training scale of key's terms."""
         if key not in self._scales:
             train = self.train.vectors
             names = [f.name for f in self.train.features]
@@ -112,7 +114,7 @@ class EvalContext:
         terms = self._terms.setdefault(key, {})
         if j not in terms:
             train = self.train.vectors
-            terms[j] = feature_terms(train[:, j], train[:, j], key, self._scale(key)[0])
+            terms[j] = feature_terms(train[:, j], train[:, j], key, self._scale(key))
         return terms[j]
 
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
@@ -124,7 +126,7 @@ class EvalContext:
             # test terms are streamed, not cached: each test scoring is one model
             self._last = None  # and the leave-one-out matrix is not held across it
             test, train = self.test.vectors, self.train.vectors
-            scale = self._scale(key)[0]
+            scale = self._scale(key)
             terms = (feature_terms(test[:, j], train[:, j], key, scale) for j in columns)
             return accumulate(kind, terms, factors, (len(test), len(train)))
         full = np.zeros(self.n_features)
@@ -145,16 +147,15 @@ class EvalContext:
     def _delta(self, last: _Matrix, factors: np.ndarray, den: int, active: int):
         """last's matrix updated in place to the exact multipliers factors / den,
         or None when that would change as many columns as are active, or
-        could take a partial sum to 2**53."""
+        when a numerator at the common denominator leaves the headroom."""
         common = math.lcm(last.den, den)
         up_old, up_new = common // last.den, common // den
         old, new = last.factors * up_old, factors * up_new
         changed = np.flatnonzero(old != new)
         if len(changed) >= active:
             return None
-        # a partial sum mixes old and new multipliers column by column; the
-        # limit is 2**52, not 2**53, to allow for the rounding of this dot product
-        if np.maximum(old, new) @ self._scale(last.key)[1] >= 2.0 ** 52:
+        # numerators inside the headroom keep every partial sum below 2**53
+        if max(old.max(), new.max()) >= 2 ** HEADROOM_BITS:
             return None
         dist = last.dist
         if up_old != 1:

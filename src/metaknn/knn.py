@@ -167,7 +167,7 @@ def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):
     mask = model.mask_for(train.n_features)
     kind, key = model.distance.kind, term_key(model.distance.kind, model.distance.alpha)
     names = [f.name for f in train.features]
-    scale, _ = term_scale(key, train.vectors, names, queries=query[None, :])
+    scale = term_scale(key, train.vectors, names, queries=query[None, :])
     factors, _, unit = multipliers(model.active_weights(train.n_features))
     factors, q = factors.tolist(), query[mask].tolist()
     d = np.array([pair_sum(kind, key, row, q, scale, factors)

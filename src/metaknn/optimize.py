@@ -82,16 +82,15 @@ def optimize_k(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> Channe
 
 # --------------------------------------------------------- distance channel
 
-def optimize_distance(ctx: EvalContext, ref: ModelSpec, step=STEP, **_) -> ChannelResult:
+def optimize_distance(ctx: EvalContext, ref: ModelSpec, **options) -> ChannelResult:
     """Try each candidate distance kind in order; keep the reference on ties.
 
-    When the reference carries non-unit weights, Minkowski candidates get a
-    quantized weight re-fit before comparison; Chebyshev and Camberra are
-    scored with the weights as they are.
+    Minkowski candidates of a weighted reference are re-fitted by the weights
+    channel under the search's options (budget_exhausted if any re-fit ran
+    out); Chebyshev and Camberra are scored with the weights as they are.
     """
-    ref_count = ctx.loo_count(ref)
-    evals = 1
-    best_model, best_count = ref, ref_count
+    best_model, best_count = ref, ctx.loo_count(ref)
+    evals, exhausted = 1, False
     weighted = np.any(ref.active_weights(ctx.n_features) != 1.0)
     for kind, alpha in DISTANCE_CANDIDATES:
         if kind == ref.distance.kind and alpha == ref.distance.alpha:
@@ -99,16 +98,17 @@ def optimize_distance(ctx: EvalContext, ref: ModelSpec, step=STEP, **_) -> Chann
         cand = _with_kind(ref, kind, alpha)
         if weighted and kind == MINKOWSKI:
             # weights tuned under one exponent rarely transfer to another;
-            # re-run the quantized weight search under the candidate exponent
-            refit = weight_search_quantized(ctx, cand, step)
+            # re-run the search's weight search under the candidate exponent
+            refit = _weight_channel(ctx, cand, **options)
             cand, count = refit.model, refit.correct_count
             evals += refit.evaluations
+            exhausted |= refit.budget_exhausted
         else:
             count = ctx.loo_count(cand)
             evals += 1
         if count > best_count:  # strict: ties keep the reference / earlier kind
             best_model, best_count = cand, count
-    return ChannelResult(best_model, best_count, evals)
+    return ChannelResult(best_model, best_count, evals, exhausted)
 
 
 # --------------------------------------------------------- feature channel

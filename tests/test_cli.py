@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from metaknn import EvalContext
 from metaknn.cli import main
 
 from conftest import DATA_DIR
@@ -123,6 +124,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["eval", "--train", str(data), "--split", "nope"])
         assert code == 1
 
+
+    @pytest.mark.parametrize("command", ["eval", "search", "sequence"])
+    def test_split_with_test_is_1(self, capsys, command):
+        # --split carves its partition out of --train; with --test it would be ignored
+        code, out, err = run(capsys, [command, *MONKS, "--split", "10:5"])
+        assert code == 1
+        assert "not allowed with argument --test" in err and out == ""
 
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
@@ -255,6 +263,16 @@ class TestSequence:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert records[-1]["type"] == "sequence"
         assert records[-1]["train_total"] == 124
+
+    def test_test_set_scores_only_the_sequence(self, capsys, monkeypatch):
+        sides = []
+        original = EvalContext._score
+        monkeypatch.setattr(EvalContext, "_score", lambda self, model, side, report: (
+            sides.append(side) or original(self, model, side, report)))
+        code, out, _ = run(capsys, ["sequence", *MONKS])
+        assert code == 0
+        members = out.count("\nmember ")
+        assert members == 1 and sides.count("test") == members
 
 
 class TestReproduce:

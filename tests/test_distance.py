@@ -13,7 +13,7 @@ from conftest import ALL_KINDS, make_dataset, random_dataset
 
 
 def scale_of(spec, *rows):
-    return term_scale(term_key(spec.kind, spec.alpha), np.vstack(rows))[0]
+    return term_scale(term_key(spec.kind, spec.alpha), np.vstack(rows))
 
 
 def at_scale(spec, x, y, scale):

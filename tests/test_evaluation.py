@@ -254,7 +254,7 @@ class TestExactDistances:
         ds = random_dataset(np.random.default_rng(45))
         tiny = ds.vectors * 2.0 ** -40
         for key in ("abs", "sq", "cam"):
-            (s1, _), (s2, _) = term_scale(key, ds.vectors), term_scale(key, tiny)
+            s1, s2 = term_scale(key, ds.vectors), term_scale(key, tiny)
             for j in range(ds.n_features):
                 terms = feature_terms(ds.vectors[:, j], ds.vectors[:, j], key, s1)
                 assert np.array_equal(terms, feature_terms(tiny[:, j], tiny[:, j], key, s2))
@@ -273,6 +273,31 @@ class TestExactDistances:
         assert result.evaluations == 595 and ctx.evaluations > 500
         assert summed[0] == 34
         assert summed[1:] and max(summed[1:]) <= 3
+
+    def test_delta_needs_numerators_inside_the_headroom(self, monks2, monkeypatch):
+        # one column moves in both pairs; at the common denominator 4 every
+        # numerator is small, at 999000 the unit weight's is 999000 >= 2**16
+        summed = []
+        original = evaluation.accumulate
+        monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
+            summed.append(len(factors)) or original(kind, terms, factors, shape)))
+        train = monks2.train
+        n = train.n_features
+
+        def model(second):
+            w = np.ones(n)
+            w[1] = second
+            return ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, w))
+
+        for first, second, full in ((0.5, 0.25, False), (1 / 999, 1 / 1000, True)):
+            ctx = EvalContext(train)
+            ctx.loo_report(model(first))
+            fresh = EvalContext(train).loo_report(model(second))
+            summed.clear()
+            got = ctx.loo_report(model(second))
+            assert len(summed) == full
+            assert got.to_dict() == fresh.to_dict()
+            assert np.array_equal(got.class_probs, fresh.class_probs)
 
 
 def _walk(train: Dataset, steps) -> None:

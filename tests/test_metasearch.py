@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember, build_pool,
-                     classify, ensemble_predict, evaluate_sequence, meta_search,
+                     classify, ensemble_predict, evaluate_sequence, meta_search, optimize,
                      optimize_distance, optimize_k, select_features,
                      select_model_sequence)
 from metaknn.distance import CAMBERRA, MINKOWSKI
@@ -136,6 +136,43 @@ class TestMetaSearch:
         records = trace.to_records()
         assert {r["channel"] for r in records if "budget_exhausted" in r} == {"weights"}
         assert all(r["budget_exhausted"] is True for r in records if "budget_exhausted" in r)
+
+    def test_simplex_search_never_runs_the_grid_search(self, monks1, monkeypatch):
+        # the distance channel re-fits a weighted reference's Minkowski
+        # candidates with the search's weight method, here the simplex
+        def grid_search(*args, **kwargs):
+            raise AssertionError("grid weight search inside a simplex search")
+
+        monkeypatch.setattr(optimize, "weight_search_quantized", grid_search)
+        _, trace = meta_search(monks1.train, weight_method="simplex", budget=20)
+        assert trace.levels_accepted() >= 2
+
+    def test_distance_refits_keep_the_budget(self, monks1, monkeypatch):
+        # each re-fit spends at most the budget, and a re-fit stopped by it
+        # flags the distance record
+        refits, flags = [], []
+        simplex, distance = optimize.weight_search_simplex, optimize.CHANNELS["distance"]
+
+        def logged_simplex(*args, **kwargs):
+            result = simplex(*args, **kwargs)
+            refits.append(result.budget_exhausted)
+            return result
+
+        def logged_distance(*args, **kwargs):
+            start = len(refits)
+            result = distance(*args, **kwargs)
+            flags.append(any(refits[start:]))
+            return result
+
+        monkeypatch.setattr(optimize, "weight_search_simplex", logged_simplex)
+        monkeypatch.setitem(optimize.CHANNELS, "distance", logged_distance)
+        budget = 20
+        _, trace = meta_search(monks1.train, weight_method="simplex", budget=budget)
+        records = [r for r in trace.to_records() if r.get("channel") == "distance"]
+        assert len(records) == len(flags) and any(flags)
+        for record, exhausted in zip(records, flags):
+            assert record["evaluations"] <= 2 * budget + 2
+            assert record.get("budget_exhausted", False) == exhausted
 
     def test_trace_serialization_is_stable(self, monks1):
         _, trace_a = meta_search(monks1.train, monks1.test)
