@@ -8,7 +8,7 @@ of searching the space of similarity-based models level by level.
 
 from .dataset import (CONTINUOUS, SYMBOLIC, DataError, Dataset, FeatureSpec,
                       Partition, encode_symbolic, load_csv, load_monks,
-                      load_partition, minmax_rescale, split_rows, write_csv)
+                      load_partition, minmax_rescale, split_rows)
 from .distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, DistanceSpec,
                        cross_matrix, dissimilarity, pairwise_matrix)
 from .evaluation import (EvalContext, EvalReport, confusion_of, evaluate,
@@ -37,5 +37,5 @@ __all__ = [
     "meta_search", "minmax_rescale", "neighbors", "optimize_distance",
     "optimize_k", "pairwise_matrix", "run_suite", "select_features",
     "select_model_sequence", "shell_vote", "split_rows",
-    "weight_search_quantized", "weight_search_simplex", "write_csv",
+    "weight_search_quantized", "weight_search_simplex",
 ]

@@ -37,6 +37,7 @@ DISTANCE_NAMES = {
     "chebyshev": (CHEBYSHEV, None),
     "camberra": (CAMBERRA, None),
 }
+_NOT_ECHOED = ("func", "command", "output")  # arguments the config line leaves out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,8 +158,8 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
     return ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
 
 
-def _config_echo(args, skip=("func", "command", "output")) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _config_echo(args) -> dict:
+    return {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_ECHOED}
 
 
 def _emit(args, records: list[dict]):

@@ -180,14 +180,16 @@ def _encode(path, names: list[str], kinds: list[str | None], columns: list[list[
 
 
 def load_csv(path, label_column=-1, schema: dict | None = None,
-             header: bool | str = "auto", reference: Dataset | None = None) -> Dataset:
+             reference: Dataset | None = None) -> Dataset:
     """Load a CSV classification table.
 
-    label_column is a column name (requires a header) or integer position
-    (negative counts from the end).  schema maps column name/position to a
-    feature kind, overriding numeric auto-detection.  With a reference
-    dataset, its feature kinds, symbol codes, and class names are reused so
-    test rows are encoded identically to the training rows.
+    Row 0 is a header when label_column is a column name, or when some
+    column is non-numeric in row 0 but numeric in row 1; otherwise columns
+    are named a1, a2, ...  label_column is a column name or integer position
+    (negative counts from the end).  schema maps column name/position to a feature
+    kind, overriding numeric auto-detection.  With a reference dataset, its
+    feature kinds, symbol codes, and class names are reused so test rows are
+    encoded identically to the training rows.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -204,13 +206,8 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
     rows = [[cell.strip() for cell in row] for row in rows]
 
-    if header == "auto":
-        # a header is assumed when some column is non-numeric only in row 0
-        header = isinstance(label_column, str) or (
-            len(rows) > 1
-            and any(not _looks_numeric(rows[0][j]) and _looks_numeric(rows[1][j])
-                    for j in range(width))
-        )
+    header = isinstance(label_column, str) or (len(rows) > 1 and any(
+        not _looks_numeric(rows[0][j]) and _looks_numeric(rows[1][j]) for j in range(width)))
     names = rows[0] if header else [f"a{j + 1}" for j in range(width)]
     body = rows[1:] if header else rows
 
@@ -297,25 +294,3 @@ def minmax_rescale(data: Dataset, reference: Dataset | None = None) -> Dataset:
     span = source.vectors.max(axis=0) - lo
     span[span == 0] = 1.0
     return Dataset(data.features, (data.vectors - lo) / span, data.labels, data.class_names)
-
-
-def write_csv(data: Dataset, path, label_name="class") -> None:
-    """Write with a header row; symbolic codes are decoded back to their tokens."""
-    decoders = []
-    for f_spec in data.features:
-        if f_spec.kind == SYMBOLIC and f_spec.codes:
-            decoders.append({v: k for k, v in f_spec.codes.items()})
-        else:
-            decoders.append(None)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([fs.name for fs in data.features] + [label_name])
-        for row, label in zip(data.vectors, data.labels):
-            cells = []
-            for j, value in enumerate(row):
-                if decoders[j] is not None:
-                    cells.append(decoders[j][int(value)])
-                else:
-                    cells.append(repr(float(value)))
-            cells.append(data.class_names[label])
-            w.writerow(cells)

@@ -34,8 +34,8 @@ the corresponding rows at the same scale.  pairwise_matrix and cross_matrix
 feed it fresh terms; evaluation.EvalContext feeds it cached ones, and updates
 its last matrix in place when a model changes a few exact multipliers.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
-cross_matrix report distances in data units: the sum divided by S and by the
-weights' unit (L for grid weights).
+cross_matrix report distances in data units: the sum divided by S, then by
+the weights' unit (L for grid weights), as S times the unit can overflow.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def dissimilarity(spec: DistanceSpec, x, y) -> float:
     """Dissimilarity between two vectors, accumulated feature by feature.
 
     Terms are stored at term_scale of the two vectors; the result is the sum
-    divided by the scale and the weights' unit.
+    divided by the scale, then by the weights' unit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -242,7 +242,7 @@ def dissimilarity(spec: DistanceSpec, x, y) -> float:
     factors, _, unit = multipliers(spec.resolved_weights(len(x)))
     scale = term_scale(key, np.vstack([x, y]))
     acc = pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist())
-    return acc / (scale * unit)
+    return acc / scale / unit
 
 
 def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
@@ -282,5 +282,6 @@ def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
     factors, _, unit = multipliers(spec.resolved_weights(data.n_features))
     terms = (feature_terms(a[:, j], b[:, j], key, scale) for j in range(data.n_features))
     out = accumulate(spec.kind, terms, factors, (len(a), len(b)))
-    out /= scale * unit
+    out /= scale  # a power of two; scale * unit can overflow
+    out /= unit
     return out

@@ -65,12 +65,10 @@ class ModelSpec:
                 + (0 if mask is None else int(np.sum(~mask)))
                 + int(not (self.distance.kind == MINKOWSKI and self.distance.alpha == 2)))
 
-    def describe(self, n_features: int | None = None) -> dict:
-        out = {"k": self.k, "distance": self.distance.describe()}
-        if n_features is not None:
-            out["features"] = [int(j) + 1 for j in np.flatnonzero(self.mask_for(n_features))]
-            out["weights"] = [float(v) for v in self.active_weights(n_features)]
-        return out
+    def describe(self, n_features: int) -> dict:
+        return {"k": self.k, "distance": self.distance.describe(),
+                "features": [int(j) + 1 for j in np.flatnonzero(self.mask_for(n_features))],
+                "weights": [float(v) for v in self.active_weights(n_features)]}
 
 
 @dataclass
@@ -134,11 +132,12 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     tied goes to shell_vote, which applies the summed-distance rule.
     Returns (winners, votes, sizes) with one entry (or votes row) per row.
     """
-    available = np.count_nonzero(np.isfinite(dist), axis=1)
-    short = np.flatnonzero(available < k)
+    kth = (np.partition(dist, k - 1, axis=1)[:, k - 1] if k <= dist.shape[1]
+           else np.full(len(dist), np.inf))
+    short = np.flatnonzero(kth == np.inf)  # rows with fewer than k finite entries
     if len(short):
-        raise ValueError(f"k={k} but only {available[short[0]]} training points available")
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        available = np.count_nonzero(np.isfinite(dist[short[0]]))
+        raise ValueError(f"k={k} but only {available} training points available")
     onehot = np.equal.outer(labels, np.arange(n_classes)).astype(float)
     # +inf entries stay outside every shell: thresholds are finite
     votes = ((dist <= kth[:, None]) @ onehot).astype(np.int64)
@@ -159,8 +158,8 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
 
 
 def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):
-    """Scaled distance sums from the query to each training row, and the unit
-    (scale times the weights' unit) that turns them into data units."""
+    """Scaled distance sums from the query to each training row, the scale,
+    and the weights' unit: a sum divided by both is in data units."""
     query = np.asarray(query, dtype=float)
     if query.shape != (train.n_features,):
         raise ValueError(f"query must have {train.n_features} components")
@@ -174,7 +173,7 @@ def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):
                   for row in train.vectors[:, mask].tolist()])
     if exclude is not None:
         d[exclude] = np.inf
-    return d, scale * unit
+    return d, scale, unit
 
 
 def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = None):
@@ -183,13 +182,13 @@ def neighbors(model: ModelSpec, train: Dataset, query, exclude: int | None = Non
     Returns (row_index, distance) pairs sorted by distance, then row index;
     distances are in data units, as dissimilarity() at the training scale.
     """
-    d, unit = _distance_row(model, train, query, exclude)
+    d, scale, unit = _distance_row(model, train, query, exclude)
     order, ds, _, size = _shell(d, model.k)
-    return [(int(order[i]), float(ds[i] / unit)) for i in range(size)]
+    return [(int(order[i]), float(ds[i] / scale / unit)) for i in range(size)]
 
 
 def classify(model: ModelSpec, train: Dataset, query, exclude: int | None = None) -> Prediction:
     """Classify a query vector against the training data."""
-    d, _ = _distance_row(model, train, query, exclude)
+    d, _, _ = _distance_row(model, train, query, exclude)
     winner, votes, size = shell_vote(d, train.labels, model.k, train.n_classes)
     return Prediction(winner, votes / size)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from metaknn import (CONTINUOUS, SYMBOLIC, DataError, Dataset, FeatureSpec,
                      Partition, encode_symbolic, load_csv, load_monks,
-                     load_partition, minmax_rescale, split_rows, write_csv)
+                     load_partition, minmax_rescale, split_rows)
 
 from conftest import DATA_DIR
 
@@ -199,27 +199,6 @@ class TestEncodeSymbolic:
         width = test_rows.count(",")
         with pytest.raises(DataError, match=f"te.csv: {width} feature columns, expected 2"):
             load_partition(train, test)
-
-
-class TestRoundTrip:
-    def test_mixed_dataset_round_trips(self, tmp_path):
-        src = write(tmp_path, "src.csv", "red,1.25,A\ngreen,2.5,B\nred,-0.125,A\nblue,9.0,B\n")
-        ds = load_csv(src)
-        out = tmp_path / "out.csv"
-        write_csv(ds, out)
-        back = load_csv(out, label_column="class")
-        assert np.array_equal(back.vectors, ds.vectors)
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.class_names == ds.class_names
-        assert [f.kind for f in back.features] == [f.kind for f in ds.features]
-
-    def test_monk_round_trips_via_csv(self, tmp_path, monks1):
-        out = tmp_path / "monk.csv"
-        write_csv(monks1.train, out)
-        back = load_csv(out, label_column="class",
-                        schema={f.name: SYMBOLIC for f in monks1.train.features})
-        assert np.array_equal(back.vectors, monks1.train.vectors)
-        assert np.array_equal(back.labels, monks1.train.labels)
 
 
 class TestPartitionHelpers:

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metaknn import DistanceSpec, cross_matrix, dissimilarity, pairwise_matrix
+from metaknn import DistanceSpec, ModelSpec, cross_matrix, dissimilarity, neighbors, pairwise_matrix
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, multipliers, pair_sum, term_key,
                               term_scale)
 
@@ -76,6 +76,15 @@ class TestDissimilarity:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             DistanceSpec(MINKOWSKI, 2, weights=[-1.0])
+
+    def test_tiny_weights_keep_their_distance(self):
+        # scale * unit overflows here (the unit is 1e300): divide by each in turn
+        spec = DistanceSpec(weights=np.array([1e-300, 1e-300]))
+        expected = pytest.approx(2e-300, rel=1e-12, abs=0)
+        assert dissimilarity(spec, [0.0, 0.0], [1.0, 1.0]) == expected
+        ds = make_dataset([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+        assert pairwise_matrix(spec, ds)[0, 1] == expected
+        assert neighbors(ModelSpec(distance=spec), ds, [0.0, 0.0], exclude=0) == [(1, expected)]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +168,7 @@ class TestMetricProperties:
             assert dxz <= dxy + dyz + len(x) / scale + 1e-9
 
     @given(vec3, vec3, st.sampled_from([0.01, 3.0, 1000.0]))
+    @example(x=np.array([0.0, 0.0, 0.0]), y=np.array([0.0, 0.0, 9.3e-149]), c=0.01)
     @settings(max_examples=100, deadline=None)
     def test_weight_scaling_scales_distance(self, x, y, c):
         base = np.array([1.0, 0.5, 2.0])

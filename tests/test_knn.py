@@ -191,6 +191,11 @@ class TestShellVotes:
         with pytest.raises(ValueError, match="k=2 but only 1"):
             shell_votes(dist, labels, 2, 2)
 
+    def test_k_above_row_width_raises(self):
+        dist = np.array([[np.inf, 1.0], [1.0, np.inf]])
+        with pytest.raises(ValueError, match="k=3 but only 1"):
+            shell_votes(dist, np.array([0, 1]), 3, 2)
+
     def test_widens_every_tied_row_together(self, monkeypatch):
         # k=2 over labels 0,1,0,1,0,1: row 0 is decided at its first shell,
         # row 1 at its second, row 2 at its third; row 3 runs out of shells
