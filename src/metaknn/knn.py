@@ -14,11 +14,13 @@ exhausted while still tied, the class with the smallest summed distance to
 the query wins, then the lowest class index.
 
 shell_votes votes every row of a distance matrix in one pass, and widens
-all tied rows together, one shell per round.  shell_vote is the per-row
-form: shell_votes falls back to it only for rows whose shells run out while
-still tied, and it is the oracle shell_votes is tested against, as
-classify and dissimilarity, through the scalar loop distance.pair_sum, are
-the reference for the distance kernel.
+all tied rows together, one shell per round.  Its first threshold is each
+row's k-th smallest entry: at k=1 the row minimum, for k>1 a selection
+(numpy partition).  shell_vote is the per-row form: shell_votes falls back
+to it only for rows whose shells run out while still tied, and it is the
+oracle shell_votes is tested against, as classify and dissimilarity,
+through the scalar loop distance.pair_sum, are the reference for the
+distance kernel.
 """
 
 from __future__ import annotations
@@ -125,15 +127,23 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     """shell_vote for every row of a distance matrix at once.
 
     The k-th shell of a row is every finite entry at or below its k-th
-    smallest distance.  Rows whose top vote is tied there are widened
-    together, one shell per round: each such row's threshold moves to its
-    smallest entry above the current one, and only those rows are voted
-    again, until none is tied.  A row whose shells run out while still
-    tied goes to shell_vote, which applies the summed-distance rule.
-    Returns (winners, votes, sizes) with one entry (or votes row) per row.
+    smallest distance; at k=1 that threshold is the row minimum, a single
+    reduction, and only k>1 runs a selection.  Rows whose top vote is tied
+    there are widened together, one shell per round: each such row's
+    threshold moves to its smallest entry above the current one, and only
+    those rows are voted again, until none is tied.  A row whose shells run
+    out while still tied goes to shell_vote, which applies the
+    summed-distance rule.  Entries are never NaN (data and weights are
+    finite, and a distance that could overflow is a DataError upstream), so
+    the minimum and the selection agree.  Returns (winners, votes, sizes)
+    with one entry (or votes row) per row.
     """
-    kth = (np.partition(dist, k - 1, axis=1)[:, k - 1] if k <= dist.shape[1]
-           else np.full(len(dist), np.inf))
+    if k > dist.shape[1]:  # also k=1 on zero width, where a row has no minimum
+        kth = np.full(len(dist), np.inf)
+    elif k == 1:
+        kth = dist.min(axis=1)
+    else:
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     short = np.flatnonzero(kth == np.inf)  # rows with fewer than k finite entries
     if len(short):
         available = np.count_nonzero(np.isfinite(dist[short[0]]))

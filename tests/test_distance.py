@@ -22,8 +22,8 @@ def at_scale(spec, x, y, scale):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     factors, _, unit = multipliers(spec.resolved_weights(len(x)))
     key = term_key(spec.kind, spec.alpha)
-    return pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist()) / (
-        scale * unit)
+    # by the scale, then by the unit, as the library divides: scale * unit can overflow
+    return pair_sum(spec.kind, key, x.tolist(), y.tolist(), scale, factors.tolist()) / scale / unit
 
 
 def naive(spec, x, y, scale):
@@ -85,6 +85,8 @@ class TestDissimilarity:
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0]], [0, 1])
         assert pairwise_matrix(spec, ds)[0, 1] == expected
         assert neighbors(ModelSpec(distance=spec), ds, [0.0, 0.0], exclude=0) == [(1, expected)]
+        x, y = [0.0, 0.0], [1.0, 1.0]
+        assert at_scale(spec, x, y, scale_of(spec, x, y)) == dissimilarity(spec, x, y) == expected
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

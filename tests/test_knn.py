@@ -191,6 +191,14 @@ class TestShellVotes:
         with pytest.raises(ValueError, match="k=2 but only 1"):
             shell_votes(dist, labels, 2, 2)
 
+    def test_k1_without_finite_entries_raises(self):
+        # the k=1 threshold is the row minimum, which a zero-width matrix lacks
+        with pytest.raises(ValueError, match="k=1 but only 0 training points available"):
+            shell_votes(np.empty((2, 0)), np.array([], dtype=int), 1, 2)
+        dist = np.array([[0.0, 1.0], [np.inf, np.inf]])
+        with pytest.raises(ValueError, match="k=1 but only 0 training points available"):
+            shell_votes(dist, np.array([0, 1]), 1, 2)
+
     def test_k_above_row_width_raises(self):
         dist = np.array([[np.inf, 1.0], [1.0, np.inf]])
         with pytest.raises(ValueError, match="k=3 but only 1"):
@@ -224,6 +232,17 @@ class TestShellVotes:
         model = manhattan(k=k)
         report = EvalContext(train).loo_report(model)
         for i in range(train.n):
+            direct = classify(model, train, train.vectors[i], exclude=i)
+            assert report.winners[i] == direct.winner
+            assert np.array_equal(report.class_probs[i], direct.class_probs)
+
+    def test_ionosphere_k1_loo_report_matches_classify(self, ionosphere):
+        # continuous data: nearly every first shell holds one point; the
+        # scalar oracle is slow, so only the first rows are checked
+        train = ionosphere.train
+        model = manhattan(k=1)
+        report = EvalContext(train).loo_report(model)
+        for i in range(60):
             direct = classify(model, train, train.vectors[i], exclude=i)
             assert report.winners[i] == direct.winner
             assert np.array_equal(report.class_probs[i], direct.class_probs)
