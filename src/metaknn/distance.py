@@ -196,17 +196,32 @@ def multipliers(weights: np.ndarray) -> tuple[np.ndarray, int | None, float]:
     numerators.  Sums of the scaled terms are then exact.  Otherwise the
     factors are the weights divided by a power of two that puts the largest
     at most 1, and L is None: the inexact path.
+
+    Memoised on the bytes of the float64 weights (a search asks for the
+    same few hundred vectors thousands of times), so the factors returned
+    are shared and read-only; -0.0 and 0.0 are separate keys with equal
+    results.
     """
-    weights = np.asarray(weights, dtype=float)
+    return _multipliers(np.asarray(weights, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=4096)
+def _multipliers(raw: bytes) -> tuple[np.ndarray, int | None, float]:
+    """multipliers of the float64 vector whose bytes are raw."""
+    weights = np.frombuffer(raw)
     exact = _numerators(weights.tolist())
     if exact is not None:
-        return exact[0], exact[1], float(exact[1])
-    top = float(weights.max())
-    exact = _numerators([0.0 if w == 0 else w / top for w in weights.tolist()])
-    if exact is not None:
-        return exact[0], exact[1], exact[1] / top
-    shift = math.frexp(top)[1] if top > 1 else 0  # exact: comparisons are unchanged
-    return np.ldexp(weights, -shift), None, math.ldexp(1.0, -shift)
+        factors, den, unit = exact[0], exact[1], float(exact[1])
+    else:
+        top = float(weights.max())
+        exact = _numerators([0.0 if w == 0 else w / top for w in weights.tolist()])
+        if exact is not None:
+            factors, den, unit = exact[0], exact[1], exact[1] / top
+        else:
+            shift = math.frexp(top)[1] if top > 1 else 0  # exact: comparisons are unchanged
+            factors, den, unit = np.ldexp(weights, -shift), None, math.ldexp(1.0, -shift)
+    factors.flags.writeable = False
+    return factors, den, unit
 
 
 def _scaled_term(x: float, y: float, key: str, scale: float) -> float:

@@ -19,10 +19,15 @@ kind and term key that changes fewer columns than it has active (a feature
 drop, a coordinate-descent move) updates it in place: both models are
 brought to the lcm of their denominators, (n_new - n_old) * T_j is added for
 each changed column, and the result is divided back to the model's own
-denominator.  With every numerator at the lcm below 2**HEADROOM_BITS, all of
-that is integer arithmetic below 2**53 (term_scale), so the matrix is bitwise
-the one a full accumulation gives.  Chebyshev, inexact and other models are
-accumulated in full.  A test-side scoring releases the matrix.
+denominator.  A step of +1 or -1 (such as a unit column restored or
+dropped) adds or subtracts the cached column itself, in place, with no
+step * T_j temporary.  With every numerator at the lcm below
+2**HEADROOM_BITS, all of that is integer arithmetic below 2**53
+(term_scale), so the matrix is bitwise the one a full accumulation gives.
+Chebyshev, inexact and other models are accumulated in full.  A test-side
+scoring releases the matrix.  The multipliers of a weight vector are
+memoised (distance.multipliers), so a candidate whose weights were seen
+before skips their derivation.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -161,7 +166,14 @@ class EvalContext:
         if up_old != 1:
             dist *= up_old
         for j in changed:
-            dist += (new[j] - old[j]) * self._column(last.key, j)
+            step, column = new[j] - old[j], self._column(last.key, j)
+            # a unit column restored or dropped needs no step * column temporary
+            if step == 1:
+                np.add(dist, column, out=dist)
+            elif step == -1:
+                np.subtract(dist, column, out=dist)
+            else:
+                dist += step * column
         if up_new != 1:
             dist /= up_new  # exact: every entry is a multiple of up_new
         return dist

@@ -15,12 +15,14 @@ the query wins, then the lowest class index.
 
 shell_votes votes every row of a distance matrix in one pass, and widens
 all tied rows together, one shell per round.  Its first threshold is each
-row's k-th smallest entry: at k=1 the row minimum, for k>1 a selection
-(numpy partition).  shell_vote is the per-row form: shell_votes falls back
-to it only for rows whose shells run out while still tied, and it is the
-oracle shell_votes is tested against, as classify and dissimilarity,
-through the scalar loop distance.pair_sum, are the reference for the
-distance kernel.
+row's k-th smallest entry: at k=1 the row minimum, found by argmin, for k>1
+a selection (numpy partition).  At k=1, when no row's minimum is shared,
+every first shell is one point and the vote is that point's label; one
+shared minimum sends every row through the shell kernel.  shell_vote is the
+per-row form: shell_votes falls back to it only for rows whose shells run
+out while still tied, and it is the oracle shell_votes is tested against,
+as classify and dissimilarity, through the scalar loop distance.pair_sum,
+are the reference for the distance kernel.
 """
 
 from __future__ import annotations
@@ -123,25 +125,51 @@ def _is_tied(votes: np.ndarray) -> np.ndarray:
     return np.count_nonzero(votes == votes.max(axis=1, keepdims=True), axis=1) > 1
 
 
+# rows whose minima shell_votes checks for ties before masking every row's:
+# on tie-heavy data one of them is nearly always tied, which ends the check
+_TIE_PROBE_ROWS = 8
+
+
 def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     """shell_vote for every row of a distance matrix at once.
 
     The k-th shell of a row is every finite entry at or below its k-th
-    smallest distance; at k=1 that threshold is the row minimum, a single
-    reduction, and only k>1 runs a selection.  Rows whose top vote is tied
-    there are widened together, one shell per round: each such row's
-    threshold moves to its smallest entry above the current one, and only
-    those rows are voted again, until none is tied.  A row whose shells run
-    out while still tied goes to shell_vote, which applies the
+    smallest distance; at k=1 that threshold is the row minimum, taken at
+    each row's argmin, and only k>1 runs a selection.  At k=1, unless one of
+    the first rows holds its minimum twice, a second argmin, with each row's
+    first minimum overwritten by +inf and then restored, finds the
+    runner-up; if every row's runner-up is larger, each row's shell is its
+    one nearest point, and the votes are its label with size 1.  Otherwise
+    (all rows or none: counting the tied rows costs what it would save) the
+    shells are voted as a comparison and a matrix product.  Rows whose top
+    vote is tied there are widened together, one shell per round: each such
+    row's threshold moves to its smallest entry above the current one, and
+    only those rows are voted again, until none is tied.  A row whose shells
+    run out while still tied goes to shell_vote, which applies the
     summed-distance rule.  Entries are never NaN (data and weights are
     finite, and a distance that could overflow is a DataError upstream), so
-    the minimum and the selection agree.  Returns (winners, votes, sizes)
+    the minimum and the selection agree.  dist must be a writable float
+    array and is left bitwise unchanged.  Returns (winners, votes, sizes)
     with one entry (or votes row) per row.
     """
     if k > dist.shape[1]:  # also k=1 on zero width, where a row has no minimum
         kth = np.full(len(dist), np.inf)
     elif k == 1:
-        kth = dist.min(axis=1)
+        every, first = np.arange(len(dist)), dist.argmin(axis=1)
+        kth = dist[every, first]
+        head = min(_TIE_PROBE_ROWS, len(dist))
+        if np.count_nonzero(dist[:head] == kth[:head, None]) == head:
+            # each row's runner-up, found with its minimum masked out; the
+            # restore writes back the very values read, so dist is unchanged
+            dist[every, first] = np.inf
+            second = dist[every, dist.argmin(axis=1)]
+            dist[every, first] = kth
+            # a row without finite entries has kth == second == inf: checked below
+            if np.all(second > kth):  # every first shell is one point: no vote ties
+                winners = labels[first].astype(np.intp)
+                votes = np.zeros((len(dist), n_classes), dtype=np.int64)
+                votes[every, winners] = 1
+                return winners, votes, np.ones(len(dist), dtype=np.int64)
     else:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     short = np.flatnonzero(kth == np.inf)  # rows with fewer than k finite entries

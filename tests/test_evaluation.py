@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
                      confusion_of, evaluate, evaluation, leave_one_out, meta_search,
                      select_features)
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms,
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms, multipliers,
                               term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset, random_model
@@ -298,6 +298,42 @@ class TestExactDistances:
             assert len(summed) == full
             assert got.to_dict() == fresh.to_dict()
             assert np.array_equal(got.class_probs, fresh.class_probs)
+
+
+@pytest.mark.parametrize("name", ["monks2", "ionosphere"])
+def test_column_steps_leave_the_fresh_matrix(request, monkeypatch, name):
+    # unit steps (a drop, then its restore) and a multi-step move (0.2 -> 0.7
+    # at L=10) are deltas; the matrix they leave must be the one a fresh
+    # accumulation gives, bit for bit, not only score alike
+    train = request.getfixturevalue(name).train
+    n, vectors = train.n_features, train.vectors
+    summed = []
+    original = evaluation.accumulate
+    monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
+        summed.append(len(factors)) or original(kind, terms, factors, shape)))
+
+    def fresh(model):
+        scale = term_scale("sq", vectors, [f.name for f in train.features])
+        columns = np.flatnonzero(model.mask_for(n))
+        factors, _, _ = multipliers(model.active_weights(n))
+        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in columns)
+        dist = original(MINKOWSKI, terms, factors, (train.n, train.n))
+        np.fill_diagonal(dist, np.inf)
+        return dist
+
+    dropped, tenths = np.ones(n, dtype=bool), np.ones(n)
+    dropped[1] = False
+    tenths[2] = 0.2
+    moved = tenths.copy()
+    moved[2] = 0.7
+    ctx = EvalContext(train)
+    models = [ModelSpec(), ModelSpec(feature_mask=dropped), ModelSpec(),
+              ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, tenths)),
+              ModelSpec(distance=DistanceSpec(MINKOWSKI, 2, moved))]
+    for model in models:
+        ctx.loo_report(model)
+        assert ctx._last.dist.tobytes() == fresh(model).tobytes()
+    assert summed == [n]  # only the first model was summed in full
 
 
 def _walk(train: Dataset, steps) -> None:

@@ -3,8 +3,10 @@
 Each command's stdout and --output JSONL are stored under tests/golden/.
 The config line echoes --train verbatim, so commands run from the repository
 root with relative data paths.  Each reproduction suite's SuiteResult is
-stored there too, as reproduce_<suite>.json.  After an intended output
-change, regenerate all of these files with
+stored there too, as reproduce_<suite>.json, and the stdout of
+`metaknn reproduce all --data-dir data` as reproduce_all.stdout, which the CI
+workflow diffs against the installed entry point's output.  After an
+intended output change, regenerate all of these files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -81,3 +83,10 @@ if __name__ == "__main__":
     for suite in SUITE_NAMES:
         (GOLDEN / f"reproduce_{suite}.json").write_text(suite_json(run_suite(suite, "data")))
         print(f"wrote reproduce_{suite}")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["reproduce", "all", "--data-dir", "data"])
+    if code != 0:
+        sys.exit(f"reproduce all: exit code {code}")
+    (GOLDEN / "reproduce_all.stdout").write_text(stdout.getvalue())
+    print("wrote reproduce_all")

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, knn, neighbors,
                      shell_vote)
 from metaknn.distance import MINKOWSKI
-from metaknn.knn import shell_votes
+from metaknn.knn import _is_tied, shell_votes
 
 from conftest import ALL_KINDS, make_dataset, random_dataset, random_model
 
@@ -176,9 +176,23 @@ def vote_cases(draw):
 class TestShellVotes:
     @given(vote_cases())
     @settings(max_examples=300, deadline=None)
+    # k=1 with every row's minimum unique (the one-point shortcut): +inf
+    # entries, a row holding a single finite entry, a single column
+    @example((np.array([[0.0, 2.0, np.inf, 3.0], [np.inf, np.inf, 1.0, np.inf],
+                        [3.0, 1.0, 2.0, np.inf]]), np.array([0, 1, 2, 0]), 1, 3))
+    @example((np.array([[np.inf, 1.0], [1.0, np.inf]]), np.array([1, 0]), 1, 2))
+    @example((np.array([[2.0], [0.0]]), np.array([1]), 1, 2))
+    @example((np.array([[0.0, 1.0, 2.0]] * 10), np.array([0, 1, 0]), 1, 2))
+    # k=1 with one row tied at its minimum: every row goes through the kernel,
+    # also when the tie lies past the first rows, which are checked first
+    @example((np.array([[0.0, 2.0, np.inf], [1.0, 1.0, 3.0]]), np.array([0, 1, 1]), 1, 2))
+    @example((np.array([[0.0, 1.0, 2.0]] * 9 + [[1.0, 1.0, 2.0]]), np.array([0, 1, 0]), 1, 2))
     def test_matches_per_row_shell_vote(self, case):
         dist, labels, k, n_classes = case
+        before = dist.copy()
         winners, votes, sizes = shell_votes(dist, labels, k, n_classes)
+        # in a search dist is the context's last matrix, which the next delta updates
+        assert dist.tobytes() == before.tobytes()
         for i, row in enumerate(dist):
             winner, row_votes, size = shell_vote(row, labels, k, n_classes)
             assert winners[i] == winner
@@ -235,6 +249,21 @@ class TestShellVotes:
             direct = classify(model, train, train.vectors[i], exclude=i)
             assert report.winners[i] == direct.winner
             assert np.array_equal(report.class_probs[i], direct.class_probs)
+
+    @pytest.mark.parametrize("name, short", [("ionosphere", True), ("monks2", False)])
+    def test_k1_loo_takes_the_one_point_shortcut_without_ties(self, request, monkeypatch,
+                                                              name, short):
+        # the kernel tests its first votes for ties; the shortcut, taken only
+        # when every row's minimum is unique, never votes by shells.  Nearly
+        # every Ionosphere row has one nearest point; Monk-2 rows are full of ties
+        tie_tests = []
+        monkeypatch.setattr(knn, "_is_tied", lambda votes: (
+            tie_tests.append(len(votes)) or _is_tied(votes)))
+        train = request.getfixturevalue(name).train
+        report = EvalContext(train).loo_report(ModelSpec())
+        assert (tie_tests == []) == short
+        if short:
+            assert np.all(report.class_probs.max(axis=1) == 1.0)
 
     def test_ionosphere_k1_loo_report_matches_classify(self, ionosphere):
         # continuous data: nearly every first shell holds one point; the
