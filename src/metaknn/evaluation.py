@@ -33,8 +33,8 @@ loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
 weights), so a search that asks again for a model it has scored (under any
 spelling of all features or unit weights) gets the stored integer.  Reports
-are always computed.  ctx.evaluations counts the leave-one-out scorings
-actually computed; the channels count the evaluations they request.
+are always computed.  ctx.requested counts the leave-one-out counts
+requested, repeats included, and ctx.evaluations the scorings computed.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ class EvalContext:
     def __init__(self, train: Dataset, test: Dataset | None = None):
         if test is not None and test.n_features != train.n_features:
             raise ValueError("train and test widths differ")
+        if test is not None and test.class_names != train.class_names:
+            raise ValueError("train and test class tables differ")
         self.train = train
         self.test = test
         self.n_features = train.n_features
@@ -104,6 +106,7 @@ class EvalContext:
         self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
         self._last: _Matrix | None = None  # the last leave-one-out matrix computed
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
+        self.requested = 0  # loo_count calls, repeats included
         self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
 
     def _scale(self, key: str) -> float:
@@ -211,6 +214,7 @@ class EvalContext:
 
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""
+        self.requested += 1
         return self._count(model, "train")
 
     def loo_report(self, model: ModelSpec) -> EvalReport:

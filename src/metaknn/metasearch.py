@@ -137,8 +137,8 @@ def meta_search(train: Dataset, test: Dataset | None = None,
             record.test_total = test.n
         return record
 
-    trace = SearchTrace(train.n_features,
-                        observed(CandidateRecord(0, "reference", ref, ref_count, train.n, 1)))
+    trace = SearchTrace(train.n_features, observed(CandidateRecord(
+        0, "reference", ref, ref_count, train.n, ctx.requested)))
     # accepted gains are strictly positive vector counts, so the loop is
     # bounded by train.n even without an explicit level cap
     level = 0
@@ -146,10 +146,11 @@ def meta_search(train: Dataset, test: Dataset | None = None,
         level += 1
         candidates = []
         for name in channels:
+            before = ctx.requested  # a channel's cost: the LOO counts it requested
             result = CHANNELS[name](ctx, ref, **opts)
             candidates.append(observed(CandidateRecord(
-                level, name, result.model, result.correct_count, train.n, result.evaluations,
-                budget_exhausted=result.budget_exhausted)))
+                level, name, result.model, result.correct_count, train.n,
+                ctx.requested - before, budget_exhausted=result.budget_exhausted)))
         if not candidates:
             trace.stop_reason = "channel-exhaustion"
             break

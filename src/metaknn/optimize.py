@@ -4,10 +4,10 @@ Each channel improves one aspect of a reference model while leaving the
 rest alone: the neighborhood size k, the distance kind, the active feature
 subset, or the feature weights.  Each is one public function,
 channel(ctx, ref, **options) -> ChannelResult, scoring in the EvalContext
-it is given, so a search shares one context (and its count memo) across
-all of its channels.  Every channel scores candidates by leave-one-out
-accuracy on the training data only and never returns a model scoring below
-the reference.
+it is given, so a search shares one context (its count memo, and the
+ctx.requested count that prices each channel) across all of its channels.
+Every channel scores candidates by leave-one-out accuracy on the training
+data only and never returns a model scoring below the reference.
 
 All search loops are fully deterministic: candidate orders are fixed, and
 every tie rule is explicit.
@@ -38,7 +38,6 @@ WEIGHT_METHOD = WEIGHT_METHODS[0]
 class ChannelResult:
     model: ModelSpec
     correct_count: int  # leave-one-out correct count of model, out of ctx.train.n
-    evaluations: int  # leave-one-out evaluations requested, repeats included
     budget_exhausted: bool = False
 
 
@@ -65,19 +64,17 @@ def check_k_range(k_range, n: int) -> tuple[int, int]:
 def optimize_k(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> ChannelResult:
     """Exhaustive scan of the neighborhood size; ties keep the smallest k."""
     lo, hi = check_k_range(k_range, ctx.train.n)
-    best_model, best_count, evals = None, -1, 0
+    best_model, best_count = None, -1
     for k in range(lo, hi + 1):
         cand = ref if k == ref.k else replace(ref, k=k)
         count = ctx.loo_count(cand)
-        evals += 1
         if count > best_count:  # ties keep the smaller k
             best_model, best_count = cand, count
     if not lo <= ref.k <= hi:  # never return a model scoring below the reference
         ref_count = ctx.loo_count(ref)
-        evals += 1
         if ref_count >= best_count:
             best_model, best_count = ref, ref_count
-    return ChannelResult(best_model, best_count, evals)
+    return ChannelResult(best_model, best_count)
 
 
 # --------------------------------------------------------- distance channel
@@ -90,7 +87,7 @@ def optimize_distance(ctx: EvalContext, ref: ModelSpec, **options) -> ChannelRes
     out); Chebyshev and Camberra are scored with the weights as they are.
     """
     best_model, best_count = ref, ctx.loo_count(ref)
-    evals, exhausted = 1, False
+    exhausted = False
     weighted = np.any(ref.active_weights(ctx.n_features) != 1.0)
     for kind, alpha in DISTANCE_CANDIDATES:
         if kind == ref.distance.kind and alpha == ref.distance.alpha:
@@ -101,14 +98,12 @@ def optimize_distance(ctx: EvalContext, ref: ModelSpec, **options) -> ChannelRes
             # re-run the search's weight search under the candidate exponent
             refit = _weight_channel(ctx, cand, **options)
             cand, count = refit.model, refit.correct_count
-            evals += refit.evaluations
             exhausted |= refit.budget_exhausted
         else:
             count = ctx.loo_count(cand)
-            evals += 1
         if count > best_count:  # strict: ties keep the reference / earlier kind
             best_model, best_count = cand, count
-    return ChannelResult(best_model, best_count, evals, exhausted)
+    return ChannelResult(best_model, best_count, exhausted)
 
 
 # --------------------------------------------------------- feature channel
@@ -134,7 +129,6 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     best_model = ref
     best_count = ctx.loo_count(ref)
     best_size = int(ref.mask_for(ctx.n_features).sum())
-    evals = 1
     current, current_mask = ref, ref.mask_for(ctx.n_features)
     # march all the way down to one feature, keeping the best subset seen
     while current_mask.sum() > 1:
@@ -142,14 +136,13 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
         for j in np.flatnonzero(current_mask):
             cand = _drop_feature(current, current_mask, int(j))
             candidates.append((ctx.loo_count(cand), int(j), cand))
-            evals += 1
         count, _, cand = max(candidates, key=lambda t: (t[0], t[1]))
         current = cand
         current_mask = current.mask_for(ctx.n_features)
         size = int(current_mask.sum())
         if count > best_count or (count == best_count and size < best_size):
             best_model, best_count, best_size = current, count, size
-    return ChannelResult(best_model, best_count, evals)
+    return ChannelResult(best_model, best_count)
 
 
 # -------------------------------------------------- quantized weight search
@@ -182,7 +175,6 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     w = ref.active_weights(ctx.n_features).copy()
     model = _with_weights(ref, w)
     count = ctx.loo_count(model)
-    evals = 1
     changed = True
     while changed:
         changed = False
@@ -195,7 +187,6 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
                     continue
                 w[pos] = g
                 scores.append(ctx.loo_count(_with_weights(model, w)))
-                evals += 1
             w[pos] = cur
             top = max(scores)
             if top < count:
@@ -209,7 +200,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
                 w[pos] = grid[pick]
                 count = top
                 changed = True
-    return _with_weights(model, w), count, evals
+    return _with_weights(model, w), count
 
 
 def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,
@@ -221,13 +212,13 @@ def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,
     score wins, and equal scores prefer the sparser weight vector.
     """
     grid = _grid(step)
-    m1, c1, e1 = _cd_pass(ctx, ref, grid, "near")
-    m2, c2, e2 = _cd_pass(ctx, ref, grid, "low")
+    m1, c1 = _cd_pass(ctx, ref, grid, "near")
+    m2, c2 = _cd_pass(ctx, ref, grid, "low")
     nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))
     nnz2 = int(np.count_nonzero(m2.active_weights(ctx.n_features)))
     if c2 > c1 or (c2 == c1 and nnz2 < nnz1):
-        return ChannelResult(m2, c2, e1 + e2)
-    return ChannelResult(m1, c1, e1 + e2)
+        return ChannelResult(m2, c2)
+    return ChannelResult(m1, c1)
 
 
 # ---------------------------------------------------- simplex weight search
@@ -250,29 +241,24 @@ def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
     """
     check_budget(budget)
     dim = int(ref.mask_for(ctx.n_features).sum())
-
-    def objective(w):
-        # maximize correct count, then prefer small total weight
-        count = ctx.loo_count(_with_weights(ref, w))
-        return count, -float(np.sum(w))
-
+    stop = ctx.requested + budget  # the budget counts this search's own requests
     best_w, best_score = None, (-1, 0.0)
 
-    def track(w, s):
+    def objective(w):
+        # maximize correct count, then prefer small total weight; keep the best vertex
         nonlocal best_w, best_score
-        if s > best_score:
-            best_w, best_score = w.copy(), s
+        score = ctx.loo_count(_with_weights(ref, w)), -float(np.sum(w))
+        if score > best_score:
+            best_w, best_score = w.copy(), score
+        return score
 
     start = ref.active_weights(ctx.n_features).copy()
     vertices = [start] + [start + 0.5 * np.eye(dim)[i] for i in range(dim)]
     vertices = vertices[:budget]
     scores = [objective(v) for v in vertices]
-    for v, s in zip(vertices, scores):
-        track(v, s)
-    evals = len(vertices)
 
-    # stops on convergence or on the budget; evals >= budget tells which
-    while evals < budget and len(vertices) == dim + 1:
+    # stops on convergence or on the budget; ctx.requested >= stop tells which
+    while ctx.requested < stop and len(vertices) == dim + 1:
         order = sorted(range(dim + 1), key=lambda i: scores[i], reverse=True)
         vertices = [vertices[i] for i in order]
         scores = [scores[i] for i in order]
@@ -282,15 +268,11 @@ def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
         centroid = np.mean(vertices[:-1], axis=0)
         reflected = np.maximum(centroid + (centroid - vertices[-1]), 0.0)
         s_r = objective(reflected)
-        evals += 1
-        track(reflected, s_r)
-        if evals >= budget:
+        if ctx.requested >= stop:
             break
         if s_r > scores[0]:
             expanded = np.maximum(centroid + 2.0 * (centroid - vertices[-1]), 0.0)
             s_e = objective(expanded)
-            evals += 1
-            track(expanded, s_e)
             if s_e > s_r:
                 vertices[-1], scores[-1] = expanded, s_e
             else:
@@ -300,20 +282,16 @@ def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
         else:
             contracted = np.maximum(centroid + 0.5 * (vertices[-1] - centroid), 0.0)
             s_c = objective(contracted)
-            evals += 1
-            track(contracted, s_c)
             if s_c > scores[-1]:
                 vertices[-1], scores[-1] = contracted, s_c
             else:
                 for i in range(1, dim + 1):
-                    if evals >= budget:
+                    if ctx.requested >= stop:
                         break
                     vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
                     scores[i] = objective(vertices[i])
-                    evals += 1
-                    track(vertices[i], scores[i])
 
-    return ChannelResult(_with_weights(ref, best_w), best_score[0], evals, evals >= budget)
+    return ChannelResult(_with_weights(ref, best_w), best_score[0], ctx.requested >= stop)
 
 
 def check_weight_method(weight_method: str) -> None:

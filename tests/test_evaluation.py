@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
-                     confusion_of, evaluate, evaluation, leave_one_out, meta_search,
-                     select_features)
+                     confusion_of, evaluate, evaluation, leave_one_out, load_csv,
+                     load_partition, meta_search, select_features)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms, multipliers,
                               term_scale)
 
@@ -173,6 +173,23 @@ class TestWidthCheck:
             meta_search(self.TRAIN, test)
 
 
+class TestClassTableCheck:
+    def test_separately_loaded_sides_are_rejected(self, tmp_path):
+        # separate load_csv calls number each file's classes by first appearance;
+        # load_partition encodes the test file with the training file's table
+        paths = tmp_path / "train.csv", tmp_path / "test.csv"
+        paths[0].write_text("0,a\n1,a\n10,b\n11,b\n")
+        paths[1].write_text("10,b\n0,a\n11,b\n1,a\n")
+        train, test = (load_csv(path) for path in paths)
+        assert (train.class_names, test.class_names) == (["a", "b"], ["b", "a"])
+        with pytest.raises(ValueError, match="class tables differ"):
+            evaluate(ModelSpec(), train, test)
+        with pytest.raises(ValueError, match="class tables differ"):
+            meta_search(train, test)
+        part = load_partition(*paths)
+        assert evaluate(ModelSpec(), part.train, part.test).correct_count == 4
+
+
 class TestCountMemo:
     def test_default_and_explicit_spellings_share_one_scoring(self, monks1):
         ctx = EvalContext(monks1.train)
@@ -197,6 +214,16 @@ class TestCountMemo:
         assert ctx.evaluations == 1
         ctx.loo_report(model)  # reports are always computed
         assert ctx.evaluations == 2
+
+    def test_requested_counts_every_loo_count(self, monks1):
+        ctx = EvalContext(monks1.train)
+        model = ModelSpec(k=3)
+        ctx.loo_count(model)
+        ctx.loo_count(model)
+        assert (ctx.requested, ctx.evaluations) == (2, 1)
+        memo = dict(ctx._counts)
+        ctx.loo_report(model)  # a report is not a request, and is not remembered
+        assert ctx.requested == 2 and ctx._counts == memo
 
     def test_counts_match_reports(self, monks1):
         ctx = EvalContext(monks1.train, monks1.test)
@@ -269,8 +296,8 @@ class TestExactDistances:
         monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
             summed.append(len(factors)) or original(kind, terms, factors, shape)))
         ctx = EvalContext(ionosphere.train)
-        result = select_features(ctx, ModelSpec())
-        assert result.evaluations == 595 and ctx.evaluations > 500
+        select_features(ctx, ModelSpec())
+        assert ctx.requested == 595 and ctx.evaluations > 500
         assert summed[0] == 34
         assert summed[1:] and max(summed[1:]) <= 3
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, PoolMember, build_pool,
                      classify, ensemble_predict, evaluate_sequence, meta_search, optimize,
                      optimize_distance, optimize_k, select_features,
-                     select_model_sequence)
+                     select_model_sequence, weight_search_quantized, weight_search_simplex)
 from metaknn.distance import CAMBERRA, MINKOWSKI
 from metaknn.metasearch import _majority
 
@@ -98,16 +98,22 @@ class TestMetaSearch:
             meta_search(monks1.train, step=1.0, **options)
 
     def test_level_one_candidates_match_the_public_channels(self, monks1):
-        _, trace = meta_search(monks1.train, max_levels=1)
-        ref = trace.initial.model
-        recorded = {c.channel: c for c in trace.levels[0].candidates}
-        for name, channel in [("k", optimize_k), ("distance", optimize_distance),
-                              ("features", select_features)]:
-            res = channel(EvalContext(monks1.train), ref)
-            record = recorded[name]
-            assert record.model.describe(6) == res.model.describe(6), name
-            assert record.train_correct == res.correct_count, name
-            assert record.evaluations == res.evaluations, name
+        # a record's evaluations are the LOO counts its channel requests of a fresh context
+        for options, weights in [({}, weight_search_quantized),
+                                 ({"weight_method": "simplex", "budget": 20},
+                                  weight_search_simplex)]:
+            _, trace = meta_search(monks1.train, max_levels=1, **options)
+            ref = trace.initial.model
+            recorded = {c.channel: c for c in trace.levels[0].candidates}
+            for name, channel in [("k", optimize_k), ("distance", optimize_distance),
+                                  ("features", select_features), ("weights", weights)]:
+                ctx = EvalContext(monks1.train)
+                res = channel(ctx, ref, **options)
+                record = recorded[name]
+                assert record.model.describe(6) == res.model.describe(6), name
+                assert record.train_correct == res.correct_count, name
+                assert record.evaluations == ctx.requested, name
+                assert record.budget_exhausted == res.budget_exhausted, name
 
     @pytest.mark.parametrize("max_levels", [0, 1])
     def test_level_cap_is_the_stop_reason(self, monks1, max_levels):

@@ -58,8 +58,9 @@ class TestOptimizeK:
             assert res.correct_count >= loo_count(ds, ref)
 
     def test_counts_evaluations(self, monks1):
-        res = optimize_k(EvalContext(monks1.train), ModelSpec(), k_range=(1, 10))
-        assert res.evaluations == 10
+        ctx = EvalContext(monks1.train)
+        optimize_k(ctx, ModelSpec(), k_range=(1, 10))
+        assert ctx.requested == 10
 
 
 class TestOptimizeDistance:
@@ -202,21 +203,32 @@ class TestSimplexWeights:
     def test_budget_initial_simplex_only(self):
         rng = np.random.default_rng(47)
         ds = separable(rng)
-        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=3)
+        ctx = EvalContext(ds)
+        res = weight_search_simplex(ctx, ModelSpec(), budget=3)
         assert res.budget_exhausted
-        assert res.evaluations == 3
+        assert ctx.requested == 3
         # best initial vertex: the reference itself or one +0.5 bump
         starts = [np.array([1.0, 1.0]), np.array([1.5, 1.0]), np.array([1.0, 1.5])]
         assert any(np.array_equal(res.model.active_weights(2), s) for s in starts)
+
+    @pytest.mark.parametrize("budget", [3, 12])
+    def test_budget_counts_from_the_search_start(self, budget):
+        # the context has already served 5 requests; the search still spends its whole budget
+        ctx = EvalContext(separable(np.random.default_rng(47)))
+        for k in range(1, 6):
+            ctx.loo_count(ModelSpec(k=k))
+        res = weight_search_simplex(ctx, ModelSpec(), budget=budget)
+        assert ctx.requested == 5 + budget and res.budget_exhausted
 
     def test_plateau_stops_by_diameter(self):
         # all weightings classify this set identically, so the simplex
         # shrinks to the diameter criterion long before the budget
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]],
                           [0, 0, 1, 1])
-        res = weight_search_simplex(EvalContext(ds), ModelSpec(), budget=5000)
+        ctx = EvalContext(ds)
+        res = weight_search_simplex(ctx, ModelSpec(), budget=5000)
         assert not res.budget_exhausted
-        assert res.evaluations < 5000
+        assert ctx.requested < 5000
 
     def test_reaches_grid_optimum_on_separable_set(self):
         rng = np.random.default_rng(53)
