@@ -27,12 +27,20 @@ any positive factor, so the rescaling changes no comparison.  Other weights
 the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
-accumulate() is the one matrix kernel: it combines per-feature term matrices
-one feature at a time, in index order, with the same per-term operations as
-the scalar loop pair_sum, so matrix entries are bitwise equal to pair_sum on
-the corresponding rows at the same scale.  pairwise_matrix and cross_matrix
-feed it fresh terms; evaluation.EvalContext feeds it cached ones, and updates
-its last matrix in place when a model changes a few exact multipliers.
+distance_sums() is the one matrix kernel.  It builds a distance matrix one
+block of rows at a time: a block's terms, product and sum take BLOCK_BYTES
+each, so the block stays in L2 through all of its passes.  Within a block
+it combines per-feature term matrices one feature at a time, in index order,
+with the same per-term operations as the scalar loop pair_sum, so matrix
+entries are bitwise equal to pair_sum on the corresponding rows at the same
+scale, and to accumulate() over whole term matrices, which is what a matrix
+of one block gets.  A column's terms come from a cache of whole term
+matrices when the column is there.  Otherwise feature_terms builds them: in
+a matrix of several blocks, per block into one reused buffer, and nothing
+is kept; in a matrix of one block, whole (column_terms), and they go into
+the cache when there is one.  pairwise_matrix and cross_matrix pass no
+cache.  evaluation.EvalContext passes its training terms, and updates its
+last matrix in place when a model changes a few exact multipliers.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -56,6 +64,7 @@ KINDS = (MINKOWSKI, CAMBERRA, CHEBYSHEV)
 HEADROOM_BITS = 16  # bits of a distance sum left to weight numerators
 MAX_DENOMINATOR = 1000  # largest weight denominator L carried exactly
 GRID_TOLERANCE = 1e-9  # how far a weight may sit from p/L and still be p/L
+BLOCK_BYTES = 2 ** 19  # a row block's terms, its product and its sum: 1.5 MB fit a 2 MB L2
 
 
 @dataclass
@@ -140,9 +149,11 @@ def _require_finite(bounds: np.ndarray, names) -> None:
         raise DataError(f"column {name!r}: values too large for exact distances")
 
 
-def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float) -> np.ndarray:
-    """Scaled per-feature term matrix rint(T[p, q] * scale) between rows of a and b."""
-    t = np.subtract.outer(a, b)
+def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Scaled per-feature term matrix rint(T[p, q] * scale) between rows of a and b,
+    written into out when given."""
+    t = np.subtract.outer(a, b, out=out)
     np.abs(t, out=t)
     if key == "sq":
         np.multiply(t, t, out=t)
@@ -267,8 +278,11 @@ def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
     the matching multipliers; they are combined in the order given, which
     callers keep ascending by column to mirror the scalar loop exactly.
     """
-    out = np.zeros(shape)
-    product = np.empty(shape)
+    return _sum_into(np.zeros(shape), np.empty(shape), kind, terms, factors)
+
+
+def _sum_into(out: np.ndarray, product: np.ndarray, kind: str, terms, factors) -> np.ndarray:
+    """accumulate's loop: each term matrix times its factor, combined into out."""
     for f, t in zip(factors, terms):
         np.multiply(t, f, out=product)
         if kind == CHEBYSHEV:
@@ -276,6 +290,44 @@ def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
         else:
             out += product
     return out
+
+
+def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
+                  columns, factors, cache: dict | None = None) -> np.ndarray:
+    """Distance sums (before division by scale and unit) from each row of a to
+    each row of b, over columns with the matching factors.
+
+    The matrix is built one block of rows at a time, every entry bitwise the
+    one accumulate gives on whole term matrices; a matrix of one block is
+    accumulate's own.  cache maps a column to its whole term matrix between a
+    and b: a column found there is read from it.  Any other is built by
+    feature_terms, per block into one reused buffer, and not kept, except
+    that a matrix of one block builds it whole and adds it to cache.
+    """
+    rows = max(1, BLOCK_BYTES // (8 * len(b)))
+    if rows >= len(a):
+        return accumulate(kind, (column_terms(a, b, j, key, scale, cache) for j in columns),
+                          factors, (len(a), len(b)))
+    cache = cache or {}
+    out = np.zeros((len(a), len(b)))
+    product, built = np.empty((rows, len(b))), np.empty((rows, len(b)))
+    for r in range(0, len(a), rows):
+        block = out[r:r + rows]
+        m = len(block)
+        terms = (cache[j][r:r + m] if j in cache
+                 else feature_terms(a[r:r + m, j], b[:, j], key, scale, built[:m]) for j in columns)
+        _sum_into(block, product[:m], kind, terms, factors)
+    return out
+
+
+def column_terms(a, b, j: int, key: str, scale: float, cache: dict | None = None) -> np.ndarray:
+    """Column j's whole term matrix between rows of a and b: read from cache,
+    or built, and kept in cache when there is one."""
+    if cache is None:
+        return feature_terms(a[:, j], b[:, j], key, scale)
+    if j not in cache:
+        cache[j] = feature_terms(a[:, j], b[:, j], key, scale)
+    return cache[j]
 
 
 def pairwise_matrix(spec: DistanceSpec, data) -> np.ndarray:
@@ -295,8 +347,7 @@ def cross_matrix(spec: DistanceSpec, data, other) -> np.ndarray:
     key = term_key(spec.kind, spec.alpha)
     scale = term_scale(key, b, [f.name for f in other.features], queries=a)
     factors, _, unit = multipliers(spec.resolved_weights(data.n_features))
-    terms = (feature_terms(a[:, j], b[:, j], key, scale) for j in range(data.n_features))
-    out = accumulate(spec.kind, terms, factors, (len(a), len(b)))
+    out = distance_sums(spec.kind, key, scale, a, b, range(data.n_features), factors)
     out /= scale  # a power of two; scale * unit can overflow
     out /= unit
     return out

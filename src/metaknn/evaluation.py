@@ -1,15 +1,23 @@
 """Model evaluation: leave-one-out and train/test scoring.
 
-EvalContext caches the training set's per-feature term matrices, stored at
-the training set's distance.term_scale and each built the first time a
-scored model uses its column, so that the optimization channels can score
-thousands of leave-one-out candidates without recomputing |x-y| terms;
-test-side terms are computed afresh per scoring, at the training scale.
-Every matrix is summed by distance.accumulate, per feature in index order,
-which keeps the matrix path bitwise identical to classifying each vector
-independently with knn.classify.  Every row of a scoring is voted by one
-knn.shell_votes call, and a report keeps its arrays: the winner of each
-row, and each row's vote fractions over its deciding neighborhood.
+EvalContext keeps training-side per-feature term matrices, stored at the
+training set's distance.term_scale, so that the optimization channels can
+score thousands of leave-one-out candidates without recomputing |x-y|
+terms.  Which columns it keeps depends on the size of the n x n matrix.
+When it fits one row block of distance.distance_sums (n up to 256), each
+column is kept the first time a scored model uses it.  A larger column is
+kept only when a delta (below) steps it, as a delta reads columns whole; a
+one-shot context (metaknn eval, leave_one_out, evaluate) on large data so
+keeps no term matrix, and its full sums build their terms block by block.
+Test-side terms are never kept: they are built afresh per scoring, at the
+training scale.  Every matrix is summed by distance.distance_sums, per
+feature in index order, which keeps the matrix path bitwise identical to
+classifying each vector independently with knn.classify.  Every row of a
+scoring is voted by one knn.shell_votes call, and a report keeps its
+arrays: the winner of each row, and each row's vote fractions over its
+deciding neighborhood.  The context checks once that the two sides agree:
+widths, class tables, feature kinds, and each test symbol's code, which
+must be its training code (a test table may lack symbols).
 
 Delta scoring.  The context keeps the last leave-one-out matrix it computed
 (+inf diagonal included), with the distance kind, term key, denominator and
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import (CHEBYSHEV, HEADROOM_BITS, accumulate, feature_terms, multipliers,
+from .distance import (CHEBYSHEV, HEADROOM_BITS, column_terms, distance_sums, multipliers,
                        term_key, term_scale)
 from .knn import ModelSpec, shell_votes
 
@@ -94,10 +102,15 @@ class EvalContext:
     """
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
-        if test is not None and test.n_features != train.n_features:
-            raise ValueError("train and test widths differ")
-        if test is not None and test.class_names != train.class_names:
-            raise ValueError("train and test class tables differ")
+        if test is not None:
+            if test.n_features != train.n_features:
+                raise ValueError("train and test widths differ")
+            if test.class_names != train.class_names:
+                raise ValueError("train and test class tables differ")
+            for f, g in zip(train.features, test.features):
+                # a test table may lack symbols, as separately loaded native codes do
+                if f.kind != g.kind or not (g.codes or {}).items() <= (f.codes or {}).items():
+                    raise ValueError(f"train and test encode feature {f.name!r} differently")
         self.train = train
         self.test = test
         self.n_features = train.n_features
@@ -119,24 +132,21 @@ class EvalContext:
         return self._scales[key]
 
     def _column(self, key: str, j: int) -> np.ndarray:
-        terms = self._terms.setdefault(key, {})
-        if j not in terms:
-            train = self.train.vectors
-            terms[j] = feature_terms(train[:, j], train[:, j], key, self._scale(key))
-        return terms[j]
+        """Column j's whole training term matrix, kept once built: a delta reads it."""
+        train = self.train.vectors
+        return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}))
 
     def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
         kind = model.distance.kind
         key = term_key(kind, model.distance.alpha)
         columns = np.flatnonzero(model.mask_for(self.n_features))
         factors, den, _ = multipliers(model.active_weights(self.n_features))
+        train = self.train.vectors
         if side == "test":
             # test terms are streamed, not cached: each test scoring is one model
             self._last = None  # and the leave-one-out matrix is not held across it
-            test, train = self.test.vectors, self.train.vectors
-            scale = self._scale(key)
-            terms = (feature_terms(test[:, j], train[:, j], key, scale) for j in columns)
-            return accumulate(kind, terms, factors, (len(test), len(train)))
+            return distance_sums(kind, key, self._scale(key), self.test.vectors, train,
+                                 columns, factors)
         full = np.zeros(self.n_features)
         full[columns] = factors
         last, dist = self._last, None
@@ -146,8 +156,8 @@ class EvalContext:
             if den and last.den and kind != CHEBYSHEV:
                 dist = self._delta(last, full, den, len(columns))
         if dist is None:
-            dist = accumulate(kind, (self._column(key, j) for j in columns), factors,
-                              (self.train.n, self.train.n))
+            dist = distance_sums(kind, key, self._scale(key), train, train, columns, factors,
+                                 self._terms.setdefault(key, {}))
             np.fill_diagonal(dist, np.inf)
         self._last = _Matrix(dist, kind, key, den, full)
         return dist

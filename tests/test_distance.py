@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metaknn import DistanceSpec, ModelSpec, cross_matrix, dissimilarity, neighbors, pairwise_matrix
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, multipliers, pair_sum, term_key,
-                              term_scale)
+from metaknn import (DistanceSpec, ModelSpec, cross_matrix, dissimilarity, distance, neighbors,
+                     pairwise_matrix)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
+                              feature_terms, multipliers, pair_sum, term_key, term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
@@ -139,6 +140,64 @@ class TestPairwiseMatrix:
             assert np.array_equal(m, m.T)
             assert np.all(np.diag(m) == 0.0)
             assert np.all(m >= 0.0)
+
+
+class TestDistanceSums:
+    """The row-blocked kernel, with blocks of a few rows: ragged and many."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
+    def test_blocks_match_one_accumulate(self, monkeypatch, rows, exact, kind, alpha):
+        rng = np.random.default_rng([rows, exact, ALL_KINDS.index((kind, alpha))])
+        key = term_key(kind, alpha)
+        for _ in range(5):
+            width = int(rng.integers(2, 9))
+            a = np.round(rng.normal(size=(int(rng.integers(2 * rows + 1, 31)), width)) * 3, 3)
+            b = np.round(rng.normal(size=(int(rng.integers(2, 20)), width)) * 3, 3)
+            scale = term_scale(key, b, queries=a)
+            mask = rng.random(width) < 0.7
+            mask[rng.choice(width, 2, replace=False)] = True  # two off-grid weights stay off-grid
+            columns = np.flatnonzero(mask)
+            w = rng.integers(0, 11, len(columns)) / 10 if exact else rng.random(len(columns))
+            factors, den, _ = multipliers(w)
+            assert (den is not None) == exact
+            whole = [feature_terms(a[:, j], b[:, j], key, scale) for j in columns]
+            one = accumulate(kind, whole, factors, (len(a), len(b)))
+            # some columns come from the cache, the rest are built per block
+            cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
+            kept = sorted(cache)
+            monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * len(b) * rows)
+            for given in (None, cache):
+                got = distance_sums(kind, key, scale, a, b, columns, factors, given)
+                assert got.tobytes() == one.tobytes()
+            assert sorted(cache) == kept  # a matrix of several blocks adds no column
+            for p, q in zip(rng.integers(0, len(a), 10), rng.integers(0, len(b), 10)):
+                assert got[p, q] == pair_sum(kind, key, a[p, columns].tolist(),
+                                             b[q, columns].tolist(), scale, factors.tolist())
+
+    def test_one_block_keeps_the_columns_it_builds(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(12, 4))
+        scale = term_scale("abs", a)
+        cache = {}
+        got = distance_sums(MINKOWSKI, "abs", scale, a, a, [1, 3], np.ones(2), cache)
+        assert sorted(cache) == [1, 3]
+        assert got.tobytes() == accumulate(MINKOWSKI, (cache[1], cache[3]), np.ones(2),
+                                           (12, 12)).tobytes()
+
+    @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
+    def test_blocked_cross_matrix_matches_scalar(self, monkeypatch, kind, alpha):
+        rng = np.random.default_rng([9, ALL_KINDS.index((kind, alpha))])
+        a = random_dataset(rng, max_n=25)
+        b = make_dataset(rng.normal(size=(9, a.n_features)), [0, 1, 0, 1, 0, 1, 0, 1, 0])
+        spec = DistanceSpec(kind, alpha, rng.integers(1, 11, a.n_features) / 10)
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * b.n * 2)
+        got = cross_matrix(spec, a, b)
+        scale = scale_of(spec, b.vectors)
+        for p in range(a.n):
+            for q in range(b.n):
+                assert got[p, q] == at_scale(spec, a.vectors[p], b.vectors[q], scale)
 
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
-                     confusion_of, evaluate, evaluation, leave_one_out, load_csv,
-                     load_partition, meta_search, select_features)
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms, multipliers,
-                              term_scale)
+                     confusion_of, distance, evaluate, evaluation, leave_one_out, load_csv,
+                     load_monks, load_partition, meta_search, select_features)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, feature_terms,
+                              multipliers, term_scale)
 
-from conftest import ALL_KINDS, make_dataset, random_dataset, random_model
+from conftest import ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model
 
 
 class TestLeaveOneOut:
@@ -134,19 +134,55 @@ class TestCachedOracle:
 
 class TestTrainingTerms:
     def test_built_per_column_on_first_use(self, monks1, monkeypatch):
+        # a 124-row Monk matrix is one block, so each column is kept when first
+        # built, by a full sum or by a delta
         calls = []
-        original = evaluation.feature_terms
-        monkeypatch.setattr(evaluation, "feature_terms",
+        original = distance.feature_terms
+        monkeypatch.setattr(distance, "feature_terms",
                             lambda *args: calls.append(args) or original(*args))
         ctx = EvalContext(monks1.train)
         mask = [False, True, False, False, True, False]
         ctx.loo_count(ModelSpec(feature_mask=mask))
-        assert len(calls) == 2
+        assert len(calls) == 2 and sorted(ctx._terms["sq"]) == [1, 4]
         ctx.loo_count(ModelSpec(k=3, distance=DistanceSpec(MINKOWSKI, 2, [0.5, 1.0]),
                                 feature_mask=mask))
         assert len(calls) == 2
         ctx.loo_count(ModelSpec(feature_mask=[True, True, False, False, True, False]))
-        assert len(calls) == 3
+        assert len(calls) == 3 and sorted(ctx._terms["sq"]) == [0, 1, 4]
+
+    def test_larger_sets_keep_only_the_columns_a_delta_steps(self, monkeypatch):
+        # 300 rows make a 720 KB matrix, two row blocks: a one-shot scoring
+        # keeps no term matrix, a delta keeps each column it steps whole, and
+        # a later full sum reads that column's rows instead of building them
+        rng = np.random.default_rng(46)
+        train = make_dataset(np.round(rng.normal(size=(300, 4)) * 3, 3), rng.integers(0, 3, 300))
+        test = make_dataset(np.round(rng.normal(size=(100, 4)) * 3, 3), rng.integers(0, 3, 100),
+                            n_classes=3)
+        assert 8 * train.n * train.n > distance.BLOCK_BYTES
+        ctx = EvalContext(train, test)
+        ctx.loo_report(ModelSpec())
+        ctx.test_report(ModelSpec())
+        assert ctx._terms == {"sq": {}}
+        dropped = ModelSpec(feature_mask=[True, True, False, True])
+        ctx.loo_report(ModelSpec())
+        ctx.loo_report(dropped)
+        assert list(ctx._terms["sq"]) == [2]
+        vectors = train.vectors
+        scale = term_scale("sq", vectors, queries=test.vectors)
+        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
+        fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
+        np.fill_diagonal(fresh, np.inf)
+        assert ctx._last.dist.tobytes() == fresh.tobytes()
+        built = []
+        original = distance.feature_terms
+        monkeypatch.setattr(distance, "feature_terms",
+                            lambda *args: built.append(args) or original(*args))
+        ctx.test_report(dropped)  # releases the last matrix
+        ctx.loo_report(ModelSpec())
+        # the test side is one block of 3 columns; the training side builds
+        # the 3 uncached columns in each of its 2 blocks
+        assert len(built) == 3 + 3 * 2
+        assert list(ctx._terms["sq"]) == [2]
 
     def test_column_order_keeps_counts(self, monks1):
         # filling columns out of order must not change any entry
@@ -188,6 +224,38 @@ class TestClassTableCheck:
             meta_search(train, test)
         part = load_partition(*paths)
         assert evaluate(ModelSpec(), part.train, part.test).correct_count == 4
+
+    def test_separately_loaded_symbol_tables_are_rejected(self, tmp_path):
+        # equal class tables, but each file numbers its symbols by first appearance
+        paths = tmp_path / "train.csv", tmp_path / "test.csv"
+        paths[0].write_text("x,0,a\ny,0,b\nx,1,a\ny,1,b\n")
+        paths[1].write_text("y,9,a\nx,0,a\ny,0,b\nx,1,a\ny,1,b\n")
+        train, test = (load_csv(path) for path in paths)
+        assert (train.features[0].codes, test.features[0].codes) == ({"x": 0, "y": 1},
+                                                                     {"y": 0, "x": 1})
+        with pytest.raises(ValueError, match="encode feature 'a1' differently"):
+            evaluate(ModelSpec(), train, test)
+        with pytest.raises(ValueError, match="encode feature 'a1' differently"):
+            meta_search(train, test)
+        part = load_partition(*paths)
+        assert evaluate(ModelSpec(), part.train, part.test).correct_count == 4
+
+    def test_other_feature_kinds_are_rejected(self, tmp_path):
+        paths = tmp_path / "train.csv", tmp_path / "test.csv"
+        paths[0].write_text("x,0,a\ny,0,b\n")
+        paths[1].write_text("1,0,a\n0,0,b\n")
+        with pytest.raises(ValueError, match="encode feature 'a1' differently"):
+            evaluate(ModelSpec(), *(load_csv(path) for path in paths))
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_separately_loaded_native_codes_pass(self, request, i):
+        # Monk tokens keep their integer values, so a test table may lack a
+        # symbol but never gives one another code
+        files = [DATA_DIR / f"monks-{i}.{side}" for side in ("train", "test")]
+        train, test = (load_monks(path) for path in files)
+        part = request.getfixturevalue(f"monks{i}")
+        assert (evaluate(ModelSpec(), train, test).to_dict()
+                == evaluate(ModelSpec(), part.train, part.test).to_dict())
 
 
 class TestCountMemo:
@@ -292,9 +360,9 @@ class TestExactDistances:
         # (the last candidate's drop, the kept drop, its own drop), so only
         # candidates with three or fewer features are summed in full
         summed = []
-        original = evaluation.accumulate
-        monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
-            summed.append(len(factors)) or original(kind, terms, factors, shape)))
+        original = evaluation.distance_sums
+        monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
+            summed.append(len(args[6])) or original(*args)))
         ctx = EvalContext(ionosphere.train)
         select_features(ctx, ModelSpec())
         assert ctx.requested == 595 and ctx.evaluations > 500
@@ -305,9 +373,9 @@ class TestExactDistances:
         # one column moves in both pairs; at the common denominator 4 every
         # numerator is small, at 999000 the unit weight's is 999000 >= 2**16
         summed = []
-        original = evaluation.accumulate
-        monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
-            summed.append(len(factors)) or original(kind, terms, factors, shape)))
+        original = evaluation.distance_sums
+        monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
+            summed.append(len(args[6])) or original(*args)))
         train = monks2.train
         n = train.n_features
 
@@ -335,16 +403,16 @@ def test_column_steps_leave_the_fresh_matrix(request, monkeypatch, name):
     train = request.getfixturevalue(name).train
     n, vectors = train.n_features, train.vectors
     summed = []
-    original = evaluation.accumulate
-    monkeypatch.setattr(evaluation, "accumulate", lambda kind, terms, factors, shape: (
-        summed.append(len(factors)) or original(kind, terms, factors, shape)))
+    original = evaluation.distance_sums
+    monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
+        summed.append(len(args[6])) or original(*args)))
 
     def fresh(model):
         scale = term_scale("sq", vectors, [f.name for f in train.features])
         columns = np.flatnonzero(model.mask_for(n))
         factors, _, _ = multipliers(model.active_weights(n))
         terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in columns)
-        dist = original(MINKOWSKI, terms, factors, (train.n, train.n))
+        dist = accumulate(MINKOWSKI, terms, factors, (train.n, train.n))
         np.fill_diagonal(dist, np.inf)
         return dist
 
