@@ -28,19 +28,20 @@ the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
 distance_sums() is the one matrix kernel.  It builds a distance matrix one
-block of rows at a time: a block's terms, product and sum take BLOCK_BYTES
-each, so the block stays in L2 through all of its passes.  Within a block
-it combines per-feature term matrices one feature at a time, in index order,
-with the same per-term operations as the scalar loop pair_sum, so matrix
-entries are bitwise equal to pair_sum on the corresponding rows at the same
-scale, and to accumulate() over whole term matrices, which is what a matrix
-of one block gets.  A column's terms come from a cache of whole term
-matrices when the column is there.  Otherwise feature_terms builds them: in
-a matrix of several blocks, per block into one reused buffer, and nothing
-is kept; in a matrix of one block, whole (column_terms), and they go into
-the cache when there is one.  pairwise_matrix and cross_matrix pass no
-cache.  evaluation.EvalContext passes its training terms, and updates its
-last matrix in place when a model changes a few exact multipliers.
+block of rows at a time (block_rows): a block's terms, product and sum take
+BLOCK_BYTES each, so the block stays in L2 through all of its passes.
+Within a block it combines per-feature term matrices one feature at a time,
+in index order, with the same per-term operations as the scalar loop
+pair_sum, so matrix entries are bitwise equal to pair_sum on the
+corresponding rows at the same scale, and to accumulate() over whole term
+matrices, which is what a matrix of one block gets.  Given a cache of whole
+term matrices, it reads each column from there, building a missing one
+whole (column_terms) and adding it.  Given none, it keeps nothing:
+feature_terms builds a column whole in a matrix of one block, and per block
+into one reused buffer in a matrix of several.  pairwise_matrix and
+cross_matrix pass no cache.  evaluation.EvalContext passes its training
+terms when it keeps them (it decides when), and updates its last matrix in
+place when a model changes a few exact multipliers.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -292,6 +293,11 @@ def _sum_into(out: np.ndarray, product: np.ndarray, kind: str, terms, factors) -
     return out
 
 
+def block_rows(width: int) -> int:
+    """Rows in one block of distance_sums for a matrix of width columns."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
+
 def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
                   columns, factors, cache: dict | None = None) -> np.ndarray:
     """Distance sums (before division by scale and unit) from each row of a to
@@ -299,23 +305,25 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
 
     The matrix is built one block of rows at a time, every entry bitwise the
     one accumulate gives on whole term matrices; a matrix of one block is
-    accumulate's own.  cache maps a column to its whole term matrix between a
-    and b: a column found there is read from it.  Any other is built by
-    feature_terms, per block into one reused buffer, and not kept, except
-    that a matrix of one block builds it whole and adds it to cache.
+    accumulate's own.  With a cache, which maps a column to its whole term
+    matrix between a and b, each column is read from it, or built whole
+    (column_terms) and added to it, so the caller keeps it.  Without one,
+    each column is built by feature_terms and not kept: whole in a matrix of
+    one block, per block into one reused buffer in a matrix of several.
     """
-    rows = max(1, BLOCK_BYTES // (8 * len(b)))
+    rows = block_rows(len(b))
     if rows >= len(a):
         return accumulate(kind, (column_terms(a, b, j, key, scale, cache) for j in columns),
                           factors, (len(a), len(b)))
-    cache = cache or {}
     out = np.zeros((len(a), len(b)))
     product, built = np.empty((rows, len(b))), np.empty((rows, len(b)))
     for r in range(0, len(a), rows):
         block = out[r:r + rows]
         m = len(block)
-        terms = (cache[j][r:r + m] if j in cache
-                 else feature_terms(a[r:r + m, j], b[:, j], key, scale, built[:m]) for j in columns)
+        if cache is None:
+            terms = (feature_terms(a[r:r + m, j], b[:, j], key, scale, built[:m]) for j in columns)
+        else:
+            terms = (column_terms(a, b, j, key, scale, cache)[r:r + m] for j in columns)
         _sum_into(block, product[:m], kind, terms, factors)
     return out
 

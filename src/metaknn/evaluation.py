@@ -3,21 +3,24 @@
 EvalContext keeps training-side per-feature term matrices, stored at the
 training set's distance.term_scale, so that the optimization channels can
 score thousands of leave-one-out candidates without recomputing |x-y|
-terms.  Which columns it keeps depends on the size of the n x n matrix.
-When it fits one row block of distance.distance_sums (n up to 256), each
-column is kept the first time a scored model uses it.  A larger column is
-kept only when a delta (below) steps it, as a delta reads columns whole; a
-one-shot context (metaknn eval, leave_one_out, evaluate) on large data so
-keeps no term matrix, and its full sums build their terms block by block.
-Test-side terms are never kept: they are built afresh per scoring, at the
-training scale.  Every matrix is summed by distance.distance_sums, per
-feature in index order, which keeps the matrix path bitwise identical to
-classifying each vector independently with knn.classify.  Every row of a
-scoring is voted by one knn.shell_votes call, and a report keeps its
-arrays: the winner of each row, and each row's vote fractions over its
-deciding neighborhood.  The context checks once that the two sides agree:
-widths, class tables, feature kinds, and each test symbol's code, which
-must be its training code (a test table may lack symbols).
+terms.  It keeps every whole training column it builds.  When the n x n
+matrix is one block of distance.distance_sums (distance.block_rows), its
+columns are built whole anyway, so each is kept the first time a scored
+model uses it.  A larger matrix is built block by block, keeping nothing,
+in the context's first leave-one-out scoring; from the second scoring on,
+every full sum and every delta (below) reads its columns whole and keeps
+them.  So a one-shot context (metaknn eval, leave_one_out, evaluate) on
+data larger than one block keeps no term matrix, and a search keeps its
+columns at any size.  Test-side terms are never kept: they are built
+afresh per scoring, at the training scale.  Every matrix is summed by
+distance.distance_sums, per feature in index order, which keeps the matrix
+path bitwise identical to classifying each vector independently with
+knn.classify.  Every row of a scoring is voted by one knn.shell_votes call,
+and a report keeps its arrays: the winner of each row, and each row's vote
+fractions over its deciding neighborhood.  The context checks once that
+the two sides agree: widths, class tables, feature kinds, and each test
+symbol's code, which must be its training code (a test table may lack
+symbols).
 
 Delta scoring.  The context keeps the last leave-one-out matrix it computed
 (+inf diagonal included), with the distance kind, term key, denominator and
@@ -53,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import (CHEBYSHEV, HEADROOM_BITS, column_terms, distance_sums, multipliers,
-                       term_key, term_scale)
+from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, column_terms, distance_sums,
+                       multipliers, term_key, term_scale)
 from .knn import ModelSpec, shell_votes
 
 
@@ -156,8 +159,10 @@ class EvalContext:
             if den and last.den and kind != CHEBYSHEV:
                 dist = self._delta(last, full, den, len(columns))
         if dist is None:
+            # whole columns cost nothing extra in one block, and pay once the context scores again
+            keep = self.evaluations or block_rows(len(train)) >= len(train)
             dist = distance_sums(kind, key, self._scale(key), train, train, columns, factors,
-                                 self._terms.setdefault(key, {}))
+                                 self._terms.setdefault(key, {}) if keep else None)
             np.fill_diagonal(dist, np.inf)
         self._last = _Matrix(dist, kind, key, den, full)
         return dist

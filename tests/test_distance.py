@@ -164,26 +164,34 @@ class TestDistanceSums:
             assert (den is not None) == exact
             whole = [feature_terms(a[:, j], b[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (len(a), len(b)))
-            # some columns come from the cache, the rest are built per block
+            # some columns come from the cache, the rest are built whole into it;
+            # without a cache, every column is built per block
             cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
-            kept = sorted(cache)
             monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * len(b) * rows)
             for given in (None, cache):
                 got = distance_sums(kind, key, scale, a, b, columns, factors, given)
                 assert got.tobytes() == one.tobytes()
-            assert sorted(cache) == kept  # a matrix of several blocks adds no column
+            assert sorted(cache) == list(columns)
+            assert all(cache[j].tobytes() == t.tobytes() for j, t in zip(columns, whole))
             for p, q in zip(rng.integers(0, len(a), 10), rng.integers(0, len(b), 10)):
                 assert got[p, q] == pair_sum(kind, key, a[p, columns].tolist(),
                                              b[q, columns].tolist(), scale, factors.tolist())
 
-    def test_one_block_keeps_the_columns_it_builds(self):
+    @pytest.mark.parametrize("rows", [3, 12])  # several blocks, and one
+    def test_a_cache_is_read_and_filled(self, monkeypatch, rows):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(12, 4))
         scale = term_scale("abs", a)
-        cache = {}
+        whole = {j: feature_terms(a[:, j], a[:, j], "abs", scale) for j in (1, 3)}
+        monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * 12 * rows)
+        calls = []
+        monkeypatch.setattr(distance, "feature_terms",
+                            lambda *args: calls.append(args[2:]) or feature_terms(*args))
+        cache = {1: whole[1]}
         got = distance_sums(MINKOWSKI, "abs", scale, a, a, [1, 3], np.ones(2), cache)
-        assert sorted(cache) == [1, 3]
-        assert got.tobytes() == accumulate(MINKOWSKI, (cache[1], cache[3]), np.ones(2),
+        assert calls == [("abs", scale)] and sorted(cache) == [1, 3]  # column 3, built once
+        assert cache[3].tobytes() == whole[3].tobytes()
+        assert got.tobytes() == accumulate(MINKOWSKI, (whole[1], whole[3]), np.ones(2),
                                            (12, 12)).tobytes()
 
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)

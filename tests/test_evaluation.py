@@ -132,28 +132,53 @@ class TestCachedOracle:
         assert back["correct"] == 95 and back["total"] == 124
 
 
+def spy_term_builds(monkeypatch) -> list:
+    """Every feature_terms call."""
+    calls = []
+    original = distance.feature_terms
+    monkeypatch.setattr(distance, "feature_terms",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def kept(ctx) -> dict:
+    return {key: sorted(terms) for key, terms in ctx._terms.items() if terms}
+
+
 class TestTrainingTerms:
     def test_built_per_column_on_first_use(self, monks1, monkeypatch):
-        # a 124-row Monk matrix is one block, so each column is kept when first
-        # built, by a full sum or by a delta
-        calls = []
-        original = distance.feature_terms
-        monkeypatch.setattr(distance, "feature_terms",
-                            lambda *args: calls.append(args) or original(*args))
+        # a 124-row Monk matrix is one block, so each column is built whole and
+        # kept when first used, by a full sum or by a delta
+        calls = spy_term_builds(monkeypatch)
         ctx = EvalContext(monks1.train)
         mask = [False, True, False, False, True, False]
         ctx.loo_count(ModelSpec(feature_mask=mask))
-        assert len(calls) == 2 and sorted(ctx._terms["sq"]) == [1, 4]
+        assert len(calls) == 2 and kept(ctx) == {"sq": [1, 4]}
         ctx.loo_count(ModelSpec(k=3, distance=DistanceSpec(MINKOWSKI, 2, [0.5, 1.0]),
                                 feature_mask=mask))
         assert len(calls) == 2
         ctx.loo_count(ModelSpec(feature_mask=[True, True, False, False, True, False]))
-        assert len(calls) == 3 and sorted(ctx._terms["sq"]) == [0, 1, 4]
+        assert len(calls) == 3 and kept(ctx) == {"sq": [0, 1, 4]}
 
-    def test_larger_sets_keep_only_the_columns_a_delta_steps(self, monkeypatch):
-        # 300 rows make a 720 KB matrix, two row blocks: a one-shot scoring
-        # keeps no term matrix, a delta keeps each column it steps whole, and
-        # a later full sum reads that column's rows instead of building them
+    @pytest.mark.parametrize("n", [40, 300])  # one row block, and two
+    def test_one_shot_scorings_keep_only_whole_columns(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        train = make_dataset(np.round(rng.normal(size=(n, 4)) * 3, 3), rng.integers(0, 3, n))
+        test = make_dataset(np.round(rng.normal(size=(30, 4)) * 3, 3), rng.integers(0, 3, 30),
+                            n_classes=3)
+        one_block = distance.block_rows(n) >= n
+        assert one_block == (n == 40)
+        calls = spy_term_builds(monkeypatch)
+        ctx = EvalContext(train, test)
+        ctx.test_report(ModelSpec())
+        ctx.loo_report(ModelSpec(k=3))
+        assert kept(ctx) == ({"sq": [0, 1, 2, 3]} if one_block else {})
+        assert len(calls) == 4 + 4 * (1 if one_block else 2)
+
+    def test_a_context_that_scores_again_keeps_its_columns(self, monkeypatch):
+        # 300 rows make a 720 KB matrix, two row blocks: the first full sum
+        # builds per block and keeps nothing, the second keeps every column,
+        # and later sums and deltas read them
         rng = np.random.default_rng(46)
         train = make_dataset(np.round(rng.normal(size=(300, 4)) * 3, 3), rng.integers(0, 3, 300))
         test = make_dataset(np.round(rng.normal(size=(100, 4)) * 3, 3), rng.integers(0, 3, 100),
@@ -161,28 +186,23 @@ class TestTrainingTerms:
         assert 8 * train.n * train.n > distance.BLOCK_BYTES
         ctx = EvalContext(train, test)
         ctx.loo_report(ModelSpec())
-        ctx.test_report(ModelSpec())
-        assert ctx._terms == {"sq": {}}
-        dropped = ModelSpec(feature_mask=[True, True, False, True])
+        ctx.test_report(ModelSpec())  # releases the last matrix
+        assert kept(ctx) == {}
         ctx.loo_report(ModelSpec())
+        assert kept(ctx) == {"sq": [0, 1, 2, 3]}
+        calls = spy_term_builds(monkeypatch)
+        dropped = ModelSpec(feature_mask=[True, True, False, True])
         ctx.loo_report(dropped)
-        assert list(ctx._terms["sq"]) == [2]
         vectors = train.vectors
         scale = term_scale("sq", vectors, queries=test.vectors)
         terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
         fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
         np.fill_diagonal(fresh, np.inf)
         assert ctx._last.dist.tobytes() == fresh.tobytes()
-        built = []
-        original = distance.feature_terms
-        monkeypatch.setattr(distance, "feature_terms",
-                            lambda *args: built.append(args) or original(*args))
-        ctx.test_report(dropped)  # releases the last matrix
+        ctx.test_report(dropped)
         ctx.loo_report(ModelSpec())
-        # the test side is one block of 3 columns; the training side builds
-        # the 3 uncached columns in each of its 2 blocks
-        assert len(built) == 3 + 3 * 2
-        assert list(ctx._terms["sq"]) == [2]
+        # only the test scoring builds terms, one block of its 3 columns
+        assert len(calls) == 3
 
     def test_column_order_keeps_counts(self, monks1):
         # filling columns out of order must not change any entry
