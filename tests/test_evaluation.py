@@ -175,6 +175,21 @@ class TestTrainingTerms:
         assert kept(ctx) == ({"sq": [0, 1, 2, 3]} if one_block else {})
         assert len(calls) == 4 + 4 * (1 if one_block else 2)
 
+    def test_a_delta_after_the_first_scoring_keeps_only_its_columns(self):
+        rng = np.random.default_rng(47)
+        train = make_dataset(np.round(rng.normal(size=(300, 4)) * 3, 3), rng.integers(0, 3, 300))
+        assert distance.block_rows(train.n) < train.n
+        ctx = EvalContext(train)
+        ctx.loo_report(ModelSpec())
+        ctx.loo_report(ModelSpec(feature_mask=[True, True, False, True]))
+        assert kept(ctx) == {"sq": [2]}
+        vectors = train.vectors
+        scale = term_scale("sq", vectors)
+        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
+        fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
+        np.fill_diagonal(fresh, np.inf)
+        assert ctx._last.dist.tobytes() == fresh.tobytes()
+
     def test_a_context_that_scores_again_keeps_its_columns(self, monkeypatch):
         # 300 rows make a 720 KB matrix, two row blocks: the first full sum
         # builds per block and keeps nothing, the second keeps every column,
