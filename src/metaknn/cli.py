@@ -145,17 +145,27 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         if args.distance != "minkowski":
             raise ValueError("--alpha only applies to --distance minkowski")
         alpha = args.alpha
+    if not 1 <= args.k < train.n:  # leave-one-out votes over the other n - 1 rows
+        raise ValueError(f"--k must be in 1..{train.n - 1} on {train.n} training rows")
     weights = None
     if args.weights:
         weights = np.array([float(t) for t in args.weights.split(",")])
     mask = None
     if args.features:
-        indices = sorted({int(t) for t in args.features.split(",")})
-        if not indices or indices[0] < 1 or indices[-1] > train.n_features:
+        indices = [int(t) for t in args.features.split(",")]
+        if min(indices) < 1 or max(indices) > train.n_features:
             raise ValueError(f"--features indices must be in 1..{train.n_features}")
+        if len(set(indices)) < len(indices):
+            raise ValueError(f"--features repeats an index: {args.features}")
         mask = np.zeros(train.n_features, dtype=bool)
         mask[[i - 1 for i in indices]] = True
-    return ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
+        if weights is not None and len(weights) == len(indices):
+            # each weight belongs to the feature written at its place; the model
+            # holds the weights of the active features in ascending order
+            weights = weights[np.argsort(indices)]
+    model = ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
+    model.active_weights(train.n_features)  # a weight count that does not fit fails here
+    return model
 
 
 def _config_echo(args) -> dict:

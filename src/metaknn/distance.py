@@ -34,9 +34,14 @@ Within a block it combines per-feature term matrices one feature at a time,
 in index order, with the same per-term operations as the scalar loop
 pair_sum, so matrix entries are bitwise equal to pair_sum on the
 corresponding rows at the same scale, and to accumulate() over whole term
-matrices, which is what a matrix of one block gets.  Given a cache of whole
-term matrices, it reads each column from there, building a missing one
-whole (column_terms) and adding it.  Given none, it keeps nothing:
+matrices, which is what a matrix of one block gets.  A matrix of rows
+against themselves (a is b: a leave-one-out matrix, pairwise_matrix) is
+symmetric term by term, since x - y is exactly -(y - x) and |x| + |y| is
+|y| + |x|, so a matrix of several blocks builds and sums each block's rows
+against its own and later rows only (the upper trapezoid) and mirrors the
+rest: each unordered pair of blocks once.  Given a cache of whole term
+matrices, it reads each column from there, building a missing one whole
+(column_terms) and adding it.  Given none, it keeps nothing:
 feature_terms builds a column whole in a matrix of one block, and per block
 into one reused buffer in a matrix of several.  pairwise_matrix and
 cross_matrix pass no cache.  evaluation.EvalContext passes its training
@@ -305,26 +310,35 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
 
     The matrix is built one block of rows at a time, every entry bitwise the
     one accumulate gives on whole term matrices; a matrix of one block is
-    accumulate's own.  With a cache, which maps a column to its whole term
-    matrix between a and b, each column is read from it, or built whole
-    (column_terms) and added to it, so the caller keeps it.  Without one,
-    each column is built by feature_terms and not kept: whole in a matrix of
-    one block, per block into one reused buffer in a matrix of several.
+    accumulate's own.  When a is b, the block of rows r:r+m is built against
+    columns r: only, and its entries right of the diagonal block are copied
+    below it, transposed: terms are symmetric bit for bit, so these are the
+    entries the later blocks would build.  With a cache, which maps a column
+    to its whole term matrix between a and b, each column is read from it,
+    or built whole (column_terms) and added to it, so the caller keeps it.
+    Without one, each column is built by feature_terms and not kept: whole
+    in a matrix of one block, per block into one reused buffer in a matrix
+    of several.
     """
     rows = block_rows(len(b))
     if rows >= len(a):
         return accumulate(kind, (column_terms(a, b, j, key, scale, cache) for j in columns),
                           factors, (len(a), len(b)))
     out = np.zeros((len(a), len(b)))
-    product, built = np.empty((rows, len(b))), np.empty((rows, len(b)))
+    product, built = np.empty(rows * len(b)), np.empty(rows * len(b))
+    symmetric = a is b
     for r in range(0, len(a), rows):
-        block = out[r:r + rows]
-        m = len(block)
+        m = min(rows, len(a) - r)
+        c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
+        size = m * (len(b) - c)
         if cache is None:
-            terms = (feature_terms(a[r:r + m, j], b[:, j], key, scale, built[:m]) for j in columns)
+            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, built[:size].reshape(m, -1))
+                     for j in columns)
         else:
-            terms = (column_terms(a, b, j, key, scale, cache)[r:r + m] for j in columns)
-        _sum_into(block, product[:m], kind, terms, factors)
+            terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
+        _sum_into(out[r:r + m, c:], product[:size].reshape(m, -1), kind, terms, factors)
+        if symmetric:
+            out[r + m:, r:r + m] = out[r:r + m, r + m:].T
     return out
 
 

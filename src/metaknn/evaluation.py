@@ -15,12 +15,15 @@ columns at any size.  Test-side terms are never kept: they are built
 afresh per scoring, at the training scale.  Every matrix is summed by
 distance.distance_sums, per feature in index order, which keeps the matrix
 path bitwise identical to classifying each vector independently with
-knn.classify.  Every row of a scoring is voted by one knn.shell_votes call,
-and a report keeps its arrays: the winner of each row, and each row's vote
-fractions over its deciding neighborhood.  The context checks once that
-the two sides agree: widths, class tables, feature kinds, and each test
-symbol's code, which must be its training code (a test table may lack
-symbols).
+knn.classify.  A leave-one-out matrix is the training rows against
+themselves, so a full sum of several blocks builds and sums each unordered
+pair of row blocks once and mirrors it (distance_sums), whether it streams
+its terms or reads kept columns.  Every row of a scoring is voted by one
+knn.shell_votes call, and a report keeps its arrays: the winner of each
+row, and each row's vote fractions over its deciding neighborhood.  The
+context checks once that the two sides agree: widths, class tables,
+feature kinds, and each test symbol's code, which must be its training
+code (a test table may lack symbols).
 
 Delta scoring.  The context keeps the last leave-one-out matrix it computed
 (+inf diagonal included), with the distance kind, term key, denominator and

@@ -62,9 +62,29 @@ class TestEval:
         assert records[2]["correct"] == 95
         assert records[0]["k"] == 1  # resolved defaults echoed
 
+    def test_weights_follow_their_features_as_written(self, capsys):
+        _, reversed_out, _ = run(capsys, ["eval", *MONKS, "--features", "5,1",
+                                          "--weights", "0.1,1"])
+        code, out, _ = run(capsys, ["eval", *MONKS, "--features", "1,5", "--weights", "1,0.1"])
+        assert code == 0
+        assert "features=[1, 5] weights=[1.0, 0.1]" in reversed_out
+        # the two spellings differ only in the echoed arguments
+        assert reversed_out.splitlines()[1:] == out.splitlines()[1:]
+
+    def test_repeated_feature_is_1(self, capsys):
+        code, out, err = run(capsys, ["eval", *MONKS, "--features", "1,1,3"])
+        assert code == 1 and out == ""
+        assert "--features repeats an index: 1,1,3" in err
+
+    def test_k_beyond_the_training_rows_prints_nothing(self, capsys):
+        code, out, err = run(capsys, ["eval", *MONKS, "--k", "200"])
+        assert code == 1 and out == ""
+        assert "--k must be in 1..123 on 124 training rows" in err
+
     def test_weights_length_error(self, capsys):
-        code, _, err = run(capsys, ["eval", *MONKS, "--weights", "1,2"])
-        assert code == 1
+        code, out, err = run(capsys, ["eval", *MONKS, "--weights", "1,2"])
+        assert code == 1 and out == ""
+        assert "2 weights for 6 features" in err
 
     def test_alpha_with_non_minkowski(self, capsys):
         code, _, err = run(capsys, ["eval", *MONKS, "--distance", "camberra",

@@ -142,6 +142,17 @@ class TestPairwiseMatrix:
             assert np.all(m >= 0.0)
 
 
+def random_factors(rng, width: int, exact: bool):
+    """Random active columns of a width and their multipliers: grid or off-grid."""
+    mask = rng.random(width) < 0.7
+    mask[rng.choice(width, 2, replace=False)] = True  # two off-grid weights stay off-grid
+    columns = np.flatnonzero(mask)
+    w = rng.integers(0, 11, len(columns)) / 10 if exact else rng.random(len(columns))
+    factors, den, _ = multipliers(w)
+    assert (den is not None) == exact
+    return columns, factors
+
+
 class TestDistanceSums:
     """The row-blocked kernel, with blocks of a few rows: ragged and many."""
 
@@ -156,12 +167,7 @@ class TestDistanceSums:
             a = np.round(rng.normal(size=(int(rng.integers(2 * rows + 1, 31)), width)) * 3, 3)
             b = np.round(rng.normal(size=(int(rng.integers(2, 20)), width)) * 3, 3)
             scale = term_scale(key, b, queries=a)
-            mask = rng.random(width) < 0.7
-            mask[rng.choice(width, 2, replace=False)] = True  # two off-grid weights stay off-grid
-            columns = np.flatnonzero(mask)
-            w = rng.integers(0, 11, len(columns)) / 10 if exact else rng.random(len(columns))
-            factors, den, _ = multipliers(w)
-            assert (den is not None) == exact
+            columns, factors = random_factors(rng, width, exact)
             whole = [feature_terms(a[:, j], b[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (len(a), len(b)))
             # some columns come from the cache, the rest are built whole into it;
@@ -176,6 +182,36 @@ class TestDistanceSums:
             for p, q in zip(rng.integers(0, len(a), 10), rng.integers(0, len(b), 10)):
                 assert got[p, q] == pair_sum(kind, key, a[p, columns].tolist(),
                                              b[q, columns].tolist(), scale, factors.tolist())
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
+    def test_rows_against_themselves_build_one_triangle(self, monkeypatch, rows, exact, kind,
+                                                        alpha):
+        rng = np.random.default_rng([rows, exact, ALL_KINDS.index((kind, alpha)), 1])
+        key = term_key(kind, alpha)
+        for _ in range(5):
+            width = int(rng.integers(2, 9))
+            a = np.round(rng.normal(size=(int(rng.integers(2 * rows + 1, 31)), width)) * 3, 3)
+            n = len(a)
+            scale = term_scale(key, a)
+            columns, factors = random_factors(rng, width, exact)
+            whole = [feature_terms(a[:, j], a[:, j], key, scale) for j in columns]
+            one = accumulate(kind, whole, factors, (n, n)).tobytes()
+            cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
+            monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * n * rows)
+            built = []
+            monkeypatch.setattr(distance, "feature_terms",
+                                lambda *args: built.append(args[0].size * args[1].size)
+                                or feature_terms(*args))
+            # b is a: each block builds and sums its rows against columns r: only
+            assert distance_sums(kind, key, scale, a, a, columns, factors).tobytes() == one
+            trapezoid = sum(min(rows, n - r) * (n - r) for r in range(0, n, rows))
+            assert sum(built) == len(columns) * trapezoid
+            assert distance_sums(kind, key, scale, a, a, columns, factors, cache).tobytes() == one
+            assert sorted(cache) == list(columns)
+            # b a copy of a: the general path, every block against every row
+            assert distance_sums(kind, key, scale, a, a.copy(), columns, factors).tobytes() == one
 
     @pytest.mark.parametrize("rows", [3, 12])  # several blocks, and one
     def test_a_cache_is_read_and_filled(self, monkeypatch, rows):

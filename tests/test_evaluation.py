@@ -466,6 +466,10 @@ def test_column_steps_leave_the_fresh_matrix(request, monkeypatch, name):
     assert summed == [n]  # only the first model was summed in full
 
 
+def first_rows(data: Dataset, n: int) -> Dataset:
+    return Dataset(data.features, data.vectors[:n], data.labels[:n], data.class_names)
+
+
 def _walk(train: Dataset, steps) -> None:
     """Score a sequence of one-change models in one context; every report must
     equal a fresh context's, and sampled rows the scalar oracle's."""
@@ -511,5 +515,15 @@ def test_delta_scoring_equals_fresh_scoring_monks2(monks2, steps):
 @given(steps=STEPS)
 @settings(max_examples=25, deadline=None)
 def test_delta_scoring_equals_fresh_scoring_ionosphere(ionosphere, steps):
-    train = ionosphere.train
-    _walk(Dataset(train.features, train.vectors[:60], train.labels[:60], train.class_names), steps)
+    _walk(first_rows(ionosphere.train, 60), steps)
+
+
+@given(steps=STEPS)
+@settings(max_examples=10, deadline=None)
+def test_delta_scoring_equals_fresh_scoring_in_row_blocks(ionosphere, steps):
+    # blocks of 7 rows cut the 60-row slice into 9, the last ragged: the first
+    # scoring streams each block against its own and later rows, and later
+    # full sums read the kept columns block by block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "BLOCK_BYTES", 8 * 60 * 7)
+        _walk(first_rows(ionosphere.train, 60), steps)
