@@ -106,7 +106,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> tuple[Dataset, Dataset | None]:
+def _load(args) -> tuple[Dataset, Dataset | None, int]:
+    """Training set, test set (or None) and the rows a --split leaves unused."""
     label = args.label_column
     if isinstance(label, str):
         try:
@@ -121,22 +122,20 @@ def _load(args) -> tuple[Dataset, Dataset | None]:
         single = lambda path: load_csv(path, label_column=label)
     if args.test:
         part = load_partition(args.train, args.test, **loaders)
-        train, test = part.train, part.test
+        train, test, unused = part.train, part.test, 0
     elif args.split:
         try:
             n_train, n_test = (int(t) for t in args.split.split(":"))
         except ValueError:
             raise ValueError("--split expects TRAIN:TEST row counts") from None
         part = split_rows(single(args.train), n_train, n_test)
-        if part.unused_rows:
-            print(f"note: {part.unused_rows} rows beyond the split are unused")
-        train, test = part.train, part.test
+        train, test, unused = part.train, part.test, part.unused_rows
     else:
-        train, test = single(args.train), None
+        train, test, unused = single(args.train), None, 0
     if args.rescale:  # the test set takes the training set's min and max
         test = minmax_rescale(test, reference=train) if test is not None else None
         train = minmax_rescale(train)
-    return train, test
+    return train, test, unused
 
 
 def _model_from_args(args, train: Dataset) -> ModelSpec:
@@ -183,7 +182,12 @@ def _fmt(correct: int, total: int) -> str:
     return f"{correct}/{total} ({100.0 * correct / total:.1f}%)"
 
 
-def _print_config(config: dict):
+def _print_config(config: dict, unused: int):
+    """The config line, after the note on rows a --split leaves unused.  Each
+    command prints it only once its checks have passed, so a failing command
+    prints nothing to stdout."""
+    if unused:
+        print(f"note: {unused} rows beyond the split are unused")
     print("config: " + json.dumps(config, sort_keys=True))
 
 
@@ -194,10 +198,10 @@ def _model_line(model: ModelSpec, n_features: int) -> str:
 
 
 def cmd_eval(args) -> int:
-    train, test = _load(args)
+    train, test, unused = _load(args)
     model = _model_from_args(args, train)
     config = _config_echo(args)
-    _print_config(config)
+    _print_config(config, unused)
     print("model: " + _model_line(model, train.n_features))
     ctx = EvalContext(train, test)
     loo = ctx.loo_report(model)
@@ -226,10 +230,10 @@ def _search_kwargs(args):
 
 
 def cmd_search(args) -> int:
-    train, test = _load(args)
+    train, test, unused = _load(args)
     model, trace = meta_search(train, test=test, **_search_kwargs(args))
     config = _config_echo(args)
-    _print_config(config)
+    _print_config(config, unused)
     ref = trace.initial
     print(f"reference: {_model_line(ref.model, train.n_features)}")
     print(f"  train {_fmt(ref.train_correct, ref.train_total)}"
@@ -253,10 +257,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    train, test = _load(args)
+    train, test, unused = _load(args)
     _, trace = meta_search(train, **_search_kwargs(args))  # the test set scores only the sequence
     config = _config_echo(args)
-    _print_config(config)
+    _print_config(config, unused)
     pool, truths = build_pool(train, trace)
     seq = select_model_sequence(pool, truths, epsilon=args.epsilon)
     print(f"pool size: {len(pool)}")

@@ -34,19 +34,17 @@ Within a block it combines per-feature term matrices one feature at a time,
 in index order, with the same per-term operations as the scalar loop
 pair_sum, so matrix entries are bitwise equal to pair_sum on the
 corresponding rows at the same scale, and to accumulate() over whole term
-matrices, which is what a matrix of one block gets.  A matrix of rows
-against themselves (a is b: a leave-one-out matrix, pairwise_matrix) is
-symmetric term by term, since x - y is exactly -(y - x) and |x| + |y| is
-|y| + |x|, so a matrix of several blocks builds and sums each block's rows
-against its own and later rows only (the upper trapezoid) and mirrors the
-rest: each unordered pair of blocks once.  Given a cache of whole term
-matrices, it reads each column from there, building a missing one whole
-(column_terms) and adding it.  Given none, it keeps nothing:
-feature_terms builds a column whole in a matrix of one block, and per block
-into one reused buffer in a matrix of several.  pairwise_matrix and
-cross_matrix pass no cache.  evaluation.EvalContext passes its training
-terms when it keeps them (it decides when), and updates its last matrix in
-place when a model changes a few exact multipliers.
+matrices.  A matrix of rows against themselves (a is b: a leave-one-out
+matrix, pairwise_matrix) is symmetric term by term, since x - y is exactly
+-(y - x) and |x| + |y| is |y| + |x|, so each block's rows are built and
+summed against its own and later rows only (the upper trapezoid) and the
+rest is mirrored: each unordered pair of blocks once.  Given a cache of
+whole term matrices, it reads each column from there, building a missing
+one whole (column_terms) and adding it.  Given none, it keeps nothing:
+feature_terms builds each column per block into one reused buffer.
+pairwise_matrix and cross_matrix pass no cache.  evaluation.EvalContext
+passes its training terms when it keeps them (it decides when), and updates
+its last matrix in place when a model changes a few exact multipliers.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -283,6 +281,7 @@ def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
     terms yields one scaled term matrix per active feature and factors holds
     the matching multipliers; they are combined in the order given, which
     callers keep ascending by column to mirror the scalar loop exactly.
+    It is the whole-matrix reference that distance_sums is tested against.
     """
     return _sum_into(np.zeros(shape), np.empty(shape), kind, terms, factors)
 
@@ -309,23 +308,19 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
     each row of b, over columns with the matching factors.
 
     The matrix is built one block of rows at a time, every entry bitwise the
-    one accumulate gives on whole term matrices; a matrix of one block is
-    accumulate's own.  When a is b, the block of rows r:r+m is built against
-    columns r: only, and its entries right of the diagonal block are copied
-    below it, transposed: terms are symmetric bit for bit, so these are the
-    entries the later blocks would build.  With a cache, which maps a column
-    to its whole term matrix between a and b, each column is read from it,
-    or built whole (column_terms) and added to it, so the caller keeps it.
-    Without one, each column is built by feature_terms and not kept: whole
-    in a matrix of one block, per block into one reused buffer in a matrix
-    of several.
+    one accumulate gives on whole term matrices.  When a is b, the block of
+    rows r:r+m is built against columns r: only, and its entries right of
+    the diagonal block are copied below it, transposed: terms are symmetric
+    bit for bit, so these are the entries the later blocks would build.
+    With a cache, which maps a column to its whole term matrix between a and
+    b, each column is read from it, or built whole (column_terms) and added
+    to it, so the caller keeps it.  Without one, each column is built by
+    feature_terms per block into one reused buffer and not kept.
     """
     rows = block_rows(len(b))
-    if rows >= len(a):
-        return accumulate(kind, (column_terms(a, b, j, key, scale, cache) for j in columns),
-                          factors, (len(a), len(b)))
     out = np.zeros((len(a), len(b)))
-    product, built = np.empty(rows * len(b)), np.empty(rows * len(b))
+    product = np.empty(min(rows, len(a)) * len(b))  # a short matrix is one short block
+    built = np.empty(product.size) if cache is None else None
     symmetric = a is b
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
@@ -342,11 +337,9 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
     return out
 
 
-def column_terms(a, b, j: int, key: str, scale: float, cache: dict | None = None) -> np.ndarray:
+def column_terms(a, b, j: int, key: str, scale: float, cache: dict) -> np.ndarray:
     """Column j's whole term matrix between rows of a and b: read from cache,
-    or built, and kept in cache when there is one."""
-    if cache is None:
-        return feature_terms(a[:, j], b[:, j], key, scale)
+    or built and kept in it."""
     if j not in cache:
         cache[j] = feature_terms(a[:, j], b[:, j], key, scale)
     return cache[j]

@@ -4,14 +4,14 @@ EvalContext keeps training-side per-feature term matrices, stored at the
 training set's distance.term_scale, so that the optimization channels can
 score thousands of leave-one-out candidates without recomputing |x-y|
 terms.  It keeps every whole training column it builds.  When the n x n
-matrix is one block of distance.distance_sums (distance.block_rows), its
-columns are built whole anyway, so each is kept the first time a scored
-model uses it.  A larger matrix is built block by block, keeping nothing,
-in the context's first leave-one-out scoring; from the second scoring on,
-every full sum and every delta (below) reads its columns whole and keeps
-them.  So a one-shot context (metaknn eval, leave_one_out, evaluate) on
-data larger than one block keeps no term matrix, and a search keeps its
-columns at any size.  Test-side terms are never kept: they are built
+matrix is one block of distance.distance_sums (distance.block_rows), a
+whole column is no larger than that block, so each is kept the first time
+a scored model uses it.  A larger matrix is built block by block, keeping
+nothing, in the context's first leave-one-out scoring; from the second
+scoring on, every full sum and every delta (below) reads its columns whole
+and keeps them.  So a one-shot context (metaknn eval, leave_one_out,
+evaluate) on data larger than one block keeps no term matrix, and a search
+keeps its columns at any size.  Test-side terms are never kept: they are built
 afresh per scoring, at the training scale.  Every matrix is summed by
 distance.distance_sums, per feature in index order, which keeps the matrix
 path bitwise identical to classifying each vector independently with
@@ -162,7 +162,7 @@ class EvalContext:
             if den and last.den and kind != CHEBYSHEV:
                 dist = self._delta(last, full, den, len(columns))
         if dist is None:
-            # whole columns cost nothing extra in one block, and pay once the context scores again
+            # a whole column is no larger than one block, and pays once the context scores again
             keep = self.evaluations or block_rows(len(train)) >= len(train)
             dist = distance_sums(kind, key, self._scale(key), train, train, columns, factors,
                                  self._terms.setdefault(key, {}) if keep else None)

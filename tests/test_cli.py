@@ -152,6 +152,16 @@ class TestExitCodes:
         assert code == 1
         assert "not allowed with argument --test" in err and out == ""
 
+    @pytest.mark.parametrize("command, option", [("eval", ["--k", "500"]),
+                                                 ("search", ["--k-range", "0:3"]),
+                                                 ("sequence", ["--step", "0.3"])])
+    def test_split_note_waits_for_the_checks(self, capsys, command, option):
+        # the note on rows a --split leaves unused once reached stdout before
+        # the command's checks failed
+        code, out, _ = run(capsys, [command, "--train", str(DATA_DIR / "ionosphere.data"),
+                                    "--split", "200:150", *option])
+        assert code == 1 and out == ""
+
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
                                       "--split=-10:5"])

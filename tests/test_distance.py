@@ -230,6 +230,33 @@ class TestDistanceSums:
         assert got.tobytes() == accumulate(MINKOWSKI, (whole[1], whole[3]), np.ones(2),
                                            (12, 12)).tobytes()
 
+    def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch):
+        # a matrix of one block is the loop's single block: without a cache,
+        # every column is built into one buffer of the matrix's shape
+        b, a = monks1.train.vectors, monks1.test.vectors[:3]
+        assert distance.block_rows(len(b)) >= len(a)
+        scale = term_scale("sq", b, queries=a)
+        columns = range(b.shape[1])
+        factors = np.ones(len(columns))
+        one = accumulate(MINKOWSKI, (feature_terms(a[:, j], b[:, j], "sq", scale)
+                                     for j in columns), factors, (3, len(b))).tobytes()
+        outs = []
+
+        def spy(x, y, key, scale, out=None):
+            outs.append(out)
+            return feature_terms(x, y, key, scale, out)
+
+        monkeypatch.setattr(distance, "feature_terms", spy)
+        got = distance_sums(MINKOWSKI, "sq", scale, a, b, columns, factors)
+        assert got.tobytes() == one
+        assert len(outs) == len(columns)
+        assert all(out is not None and out.shape == (3, len(b)) for out in outs)
+        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        outs.clear()  # a cache takes each column whole, built with no buffer
+        got = distance_sums(MINKOWSKI, "sq", scale, a, b, columns, factors, {})
+        assert got.tobytes() == one
+        assert outs == [None] * len(columns)
+
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_blocked_cross_matrix_matches_scalar(self, monkeypatch, kind, alpha):
         rng = np.random.default_rng([9, ALL_KINDS.index((kind, alpha))])

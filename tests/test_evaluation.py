@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, rule,
+                                 run_state_machine_as_test)
 
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
                      confusion_of, distance, evaluate, evaluation, leave_one_out, load_csv,
@@ -527,3 +529,116 @@ def test_delta_scoring_equals_fresh_scoring_in_row_blocks(ionosphere, steps):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "BLOCK_BYTES", 8 * 60 * 7)
         _walk(first_rows(ionosphere.train, 60), steps)
+
+
+VARIED = 6
+COLUMN = st.integers(0, VARIED - 1)  # the first Ionosphere features: steps meet on them
+
+
+class ContextMachine(RuleBasedStateMachine):
+    """One EvalContext through interleaved model changes and scorings on both
+    sides; every count and report must equal a fresh context's, and sampled
+    rows the scalar oracle's.  The rules change the first VARIED features;
+    the others stay as initialize leaves them, all active at unit weight or
+    all off."""
+
+    def __init__(self, train: Dataset, test: Dataset):
+        super().__init__()
+        self.train, self.test = train, test
+        self.ctx = EvalContext(train, test)
+        self.requested = 0
+        n = train.n_features
+        self.mask, self.w, self.k, self.kind = np.ones(n, dtype=bool), np.ones(n), 1, ALL_KINDS[1]
+        self.fine = 0, 1 / 1000  # the last fine_weight column and value
+
+    @initialize(rest=st.booleans())
+    def start(self, rest):
+        self.mask[VARIED:] = rest
+
+    def model(self) -> ModelSpec:
+        kind, alpha = self.kind
+        return ModelSpec(self.k, DistanceSpec(kind, alpha, self.w[self.mask].copy()),
+                         self.mask.copy())
+
+    @rule(j=COLUMN)
+    def drop(self, j):
+        if self.mask.sum() > 1:
+            self.mask[j] = False
+
+    @rule(j=COLUMN)
+    def restore(self, j):
+        self.mask[j] = True
+
+    @rule(j=COLUMN, step=st.sampled_from([-1, 1]))
+    def grid_step(self, j, step):
+        self.w[j] = min(max(round(self.w[j] * 10) + step, 0), 10) / 10
+
+    @rule(j=COLUMN, p=st.integers(1, 996))
+    def off_grid(self, j, p):
+        self.w[j] = p / 997 + 1e-7  # no p/L within the tolerance
+
+    @rule(j=COLUMN)
+    def fine_weight(self, j):
+        # 1/990 and 1/1000 in turn, on one column at a time: each is exact
+        # with tenths, and a delta between the two works at their lcm 99000,
+        # past the headroom, so it is refused
+        last, value = self.fine
+        if self.w[last] == value:
+            self.w[last] = 1.0
+        value = 1 / 1000 if value == 1 / 990 else 1 / 990
+        self.w[j], self.fine = value, (j, value)
+
+    @rule(k=st.integers(1, 5))
+    def set_k(self, k):
+        self.k = k
+
+    @rule(kind=st.sampled_from(ALL_KINDS))
+    def set_kind(self, kind):
+        self.kind = kind
+
+    @rule()
+    def loo_count(self):
+        model = self.model()
+        self.requested += 1
+        assert self.ctx.loo_count(model) == EvalContext(self.train).loo_count(model)
+
+    @rule(i=st.integers(0, 59))
+    def loo_report(self, i):
+        model = self.model()
+        got = self.ctx.loo_report(model)
+        self.same_report(got, EvalContext(self.train).loo_report(model))
+        oracle = classify(model, self.train, self.train.vectors[i], exclude=i)
+        assert oracle.winner == got.winners[i]
+
+    @rule()
+    def test_count(self):
+        model = self.model()
+        assert self.ctx.test_count(model) == EvalContext(self.train, self.test).test_count(model)
+
+    @rule(i=st.integers(0, 39))
+    def test_report(self, i):
+        model = self.model()
+        got = self.ctx.test_report(model)
+        self.same_report(got, EvalContext(self.train, self.test).test_report(model))
+        assert classify(model, self.train, self.test.vectors[i]).winner == got.winners[i]
+
+    @staticmethod
+    def same_report(got, fresh):
+        assert got.to_dict() == fresh.to_dict()
+        assert np.array_equal(got.class_probs, fresh.class_probs)
+
+    @invariant()
+    def every_request_is_counted(self):
+        assert self.ctx.requested == self.requested
+
+
+def test_context_state_machine(ionosphere):
+    # blocks of 7 rows cut the 60 training rows into 9 and the 40 test rows
+    # into 6, each ending ragged; 100 walks of up to 30 steps take about 5 s
+    # and usually reach the delta's headroom refusal and knn's exhausted shells
+    train, test = first_rows(ionosphere.train, 60), first_rows(ionosphere.test, 40)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "BLOCK_BYTES", 8 * 60 * 7)
+        run_state_machine_as_test(lambda: ContextMachine(train, test),
+                                  settings=settings(max_examples=100, stateful_step_count=30,
+                                                    deadline=None))
