@@ -109,11 +109,10 @@ def build_parser() -> _Parser:
 def _load(args) -> tuple[Dataset, Dataset | None, int]:
     """Training set, test set (or None) and the rows a --split leaves unused."""
     label = args.label_column
-    if isinstance(label, str):
-        try:
-            label = int(label)
-        except ValueError:
-            pass
+    try:
+        label = int(label)
+    except ValueError:
+        pass
     if args.format == "monks":
         loaders = {"fmt": "monks"}
         single = lambda path: load_monks(path)

@@ -31,20 +31,22 @@ distance_sums() is the one matrix kernel.  It builds a distance matrix one
 block of rows at a time (block_rows): a block's terms, product and sum take
 BLOCK_BYTES each, so the block stays in L2 through all of its passes.
 Within a block it combines per-feature term matrices one feature at a time,
-in index order, with the same per-term operations as the scalar loop
-pair_sum, so matrix entries are bitwise equal to pair_sum on the
-corresponding rows at the same scale, and to accumulate() over whole term
-matrices.  A matrix of rows against themselves (a is b: a leave-one-out
-matrix, pairwise_matrix) is symmetric term by term, since x - y is exactly
--(y - x) and |x| + |y| is |y| + |x|, so each block's rows are built and
-summed against its own and later rows only (the upper trapezoid) and the
-rest is mirrored: each unordered pair of blocks once.  Given a cache of
-whole term matrices, it reads each column from there, building a missing
-one whole (column_terms) and adding it.  Given none, it keeps nothing:
-feature_terms builds each column per block into one reused buffer.
-pairwise_matrix and cross_matrix pass no cache.  evaluation.EvalContext
-passes its training terms when it keeps them (it decides when), and updates
-its last matrix in place when a model changes a few exact multipliers.
+in index order, through sum_into, the one combine loop, with the same
+per-term operations as the scalar loop pair_sum (a factor of 1 combines the
+term matrix itself, as t * 1 is t), so matrix entries are bitwise equal to
+pair_sum on the corresponding rows at the same scale, and to accumulate()
+over whole term matrices.  A matrix of rows against themselves (a is b: a
+leave-one-out matrix, pairwise_matrix) is symmetric term by term, since
+x - y is exactly -(y - x) and |x| + |y| is |y| + |x|, so each block's rows
+are built and summed against its own and later rows only (the upper
+trapezoid) and the rest is mirrored: each unordered pair of blocks once.
+Given a cache of whole term matrices, it reads each column from there,
+building a missing one whole (column_terms) and adding it.  Given none, it
+keeps nothing: feature_terms builds each column per block into one reused
+buffer.  pairwise_matrix and cross_matrix pass no cache.
+evaluation.EvalContext passes its training terms when it keeps them (it
+decides when), and updates its last matrix in place when a model changes a
+few exact multipliers, stepping the changed columns through sum_into.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -283,17 +285,25 @@ def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
     callers keep ascending by column to mirror the scalar loop exactly.
     It is the whole-matrix reference that distance_sums is tested against.
     """
-    return _sum_into(np.zeros(shape), np.empty(shape), kind, terms, factors)
+    return sum_into(np.zeros(shape), np.empty(shape), kind, terms, factors)
 
 
-def _sum_into(out: np.ndarray, product: np.ndarray, kind: str, terms, factors) -> np.ndarray:
-    """accumulate's loop: each term matrix times its factor, combined into out."""
+def sum_into(out: np.ndarray, product: np.ndarray | None, kind: str, terms, factors) -> np.ndarray:
+    """The one combine loop: each term matrix times its factor, combined into out.
+
+    A factor of 1 combines the term matrix itself, and a factor of -1 (a
+    delta's step down, never Chebyshev) subtracts it; any other factor is
+    multiplied into product first, or into a fresh array when product is None.
+    """
     for f, t in zip(factors, terms):
-        np.multiply(t, f, out=product)
+        if abs(f) != 1:
+            t = np.multiply(t, f, out=product)
         if kind == CHEBYSHEV:
-            np.maximum(out, product, out=out)
+            np.maximum(out, t, out=out)
+        elif f == -1:
+            out -= t
         else:
-            out += product
+            out += t
     return out
 
 
@@ -307,11 +317,13 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
     """Distance sums (before division by scale and unit) from each row of a to
     each row of b, over columns with the matching factors.
 
-    The matrix is built one block of rows at a time, every entry bitwise the
-    one accumulate gives on whole term matrices.  When a is b, the block of
-    rows r:r+m is built against columns r: only, and its entries right of
-    the diagonal block are copied below it, transposed: terms are symmetric
-    bit for bit, so these are the entries the later blocks would build.
+    The matrix is built one block of rows at a time, each block's columns
+    combined by sum_into (a unit factor adds the terms themselves, with no
+    product pass), every entry bitwise the one accumulate gives on whole
+    term matrices.  When a is b, the block of rows r:r+m is built against
+    columns r: only, and its entries right of the diagonal block are copied
+    below it, transposed: terms are symmetric bit for bit, so these are the
+    entries the later blocks would build.
     With a cache, which maps a column to its whole term matrix between a and
     b, each column is read from it, or built whole (column_terms) and added
     to it, so the caller keeps it.  Without one, each column is built by
@@ -331,7 +343,7 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
                      for j in columns)
         else:
             terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
-        _sum_into(out[r:r + m, c:], product[:size].reshape(m, -1), kind, terms, factors)
+        sum_into(out[r:r + m, c:], product[:size].reshape(m, -1), kind, terms, factors)
         if symmetric:
             out[r + m:, r:r + m] = out[r:r + m, r + m:].T
     return out

@@ -32,15 +32,15 @@ multipliers (a k candidate) reuses it untouched.  An exact model of the same
 kind and term key that changes fewer columns than it has active (a feature
 drop, a coordinate-descent move) updates it in place: both models are
 brought to the lcm of their denominators, (n_new - n_old) * T_j is added for
-each changed column, and the result is divided back to the model's own
-denominator.  A step of +1 or -1 (such as a unit column restored or
-dropped) adds or subtracts the cached column itself, in place, with no
-step * T_j temporary.  With every numerator at the lcm below
-2**HEADROOM_BITS, all of that is integer arithmetic below 2**53
-(term_scale), so the matrix is bitwise the one a full accumulation gives.
-Chebyshev, inexact and other models are accumulated in full.  A test-side
-scoring releases the matrix.  The multipliers of a weight vector are
-memoised (distance.multipliers), so a candidate whose weights were seen
+each changed column, through distance.sum_into, and the result is divided
+back to the model's own denominator.  As in every sum, a step of +1 or -1
+(such as a unit column restored or dropped) adds or subtracts the cached
+column itself, in place, with no step * T_j temporary.  With every numerator
+at the lcm below 2**HEADROOM_BITS, all of that is integer arithmetic below
+2**53 (term_scale), so the matrix is bitwise the one a full accumulation
+gives.  Chebyshev, inexact and other models are accumulated in full.  A
+test-side scoring releases the matrix.  The multipliers of a weight vector
+are memoised (distance.multipliers), so a candidate whose weights were seen
 before skips their derivation.
 
 loo_count and test_count remember each count they compute, keyed on the
@@ -60,7 +60,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, column_terms, distance_sums,
-                       multipliers, term_key, term_scale)
+                       multipliers, sum_into, term_key, term_scale)
 from .knn import ModelSpec, shell_votes
 
 
@@ -186,15 +186,8 @@ class EvalContext:
         dist = last.dist
         if up_old != 1:
             dist *= up_old
-        for j in changed:
-            step, column = new[j] - old[j], self._column(last.key, j)
-            # a unit column restored or dropped needs no step * column temporary
-            if step == 1:
-                np.add(dist, column, out=dist)
-            elif step == -1:
-                np.subtract(dist, column, out=dist)
-            else:
-                dist += step * column
+        sum_into(dist, None, last.kind, (self._column(last.key, j) for j in changed),
+                 new[changed] - old[changed])
         if up_new != 1:
             dist /= up_new  # exact: every entry is a multiple of up_new
         return dist

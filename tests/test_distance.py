@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from metaknn import (DistanceSpec, ModelSpec, cross_matrix, dissimilarity, distance, neighbors,
                      pairwise_matrix)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
-                              feature_terms, multipliers, pair_sum, term_key, term_scale)
+                              feature_terms, multipliers, pair_sum, sum_into, term_key,
+                              term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
@@ -142,25 +143,51 @@ class TestPairwiseMatrix:
             assert np.all(m >= 0.0)
 
 
-def random_factors(rng, width: int, exact: bool):
-    """Random active columns of a width and their multipliers: grid or off-grid."""
+DRAWS = [False, True, "unit"]  # random_factors' draws; a draw's index seeds its tests
+
+
+def random_factors(rng, width: int, exact):
+    """Random active columns of a width and their multipliers: on the tenths
+    grid (exact True), off-grid (False) or all 1 ("unit")."""
     mask = rng.random(width) < 0.7
     mask[rng.choice(width, 2, replace=False)] = True  # two off-grid weights stay off-grid
     columns = np.flatnonzero(mask)
-    w = rng.integers(0, 11, len(columns)) / 10 if exact else rng.random(len(columns))
+    if exact == "unit":
+        w = np.ones(len(columns))
+    else:
+        w = rng.integers(0, 11, len(columns)) / 10 if exact else rng.random(len(columns))
     factors, den, _ = multipliers(w)
-    assert (den is not None) == exact
+    assert (den is not None) == bool(exact)
     return columns, factors
 
 
 class TestDistanceSums:
     """The row-blocked kernel, with blocks of a few rows: ragged and many."""
 
+    @pytest.mark.parametrize("kind, factors", [(MINKOWSKI, [1, -1, 3, 1]), (CHEBYSHEV, [1, 2])])
+    def test_sum_into_multiplies_only_other_factors(self, kind, factors):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(6, len(factors)))
+        scale = term_scale("abs", a)
+        terms = [feature_terms(a[:, j], a[:, j], "abs", scale) for j in range(len(factors))]
+        start = rng.integers(0, 2 ** 20, (6, 6)).astype(float)  # as a delta's last matrix
+        ref = start
+        for f, t in zip(factors, terms):
+            ref = np.maximum(ref, f * t) if kind == CHEBYSHEV else ref + f * t
+        # a factor of 1 or -1 combines the term matrix itself: a NaN product never shows
+        product = np.full((6, 6), np.nan)
+        assert sum_into(start.copy(), product, kind, terms, factors).tobytes() == ref.tobytes()
+        assert sum_into(start.copy(), None, kind, terms, factors).tobytes() == ref.tobytes()
+        product = np.full((6, 6), np.nan)
+        unit = [i for i, f in enumerate(factors) if abs(f) == 1]
+        sum_into(start.copy(), product, kind, [terms[i] for i in unit], [factors[i] for i in unit])
+        assert np.isnan(product).all()
+
     @pytest.mark.parametrize("rows", [1, 3, 7])
-    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("exact", DRAWS)
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_blocks_match_one_accumulate(self, monkeypatch, rows, exact, kind, alpha):
-        rng = np.random.default_rng([rows, exact, ALL_KINDS.index((kind, alpha))])
+        rng = np.random.default_rng([rows, DRAWS.index(exact), ALL_KINDS.index((kind, alpha))])
         key = term_key(kind, alpha)
         for _ in range(5):
             width = int(rng.integers(2, 9))
@@ -184,11 +211,11 @@ class TestDistanceSums:
                                              b[q, columns].tolist(), scale, factors.tolist())
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
-    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("exact", DRAWS)
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_rows_against_themselves_build_one_triangle(self, monkeypatch, rows, exact, kind,
                                                         alpha):
-        rng = np.random.default_rng([rows, exact, ALL_KINDS.index((kind, alpha)), 1])
+        rng = np.random.default_rng([rows, DRAWS.index(exact), ALL_KINDS.index((kind, alpha)), 1])
         key = term_key(kind, alpha)
         for _ in range(5):
             width = int(rng.integers(2, 9))
