@@ -199,18 +199,18 @@ def _model_line(model: ModelSpec, n_features: int) -> str:
 def cmd_eval(args) -> int:
     train, test, unused = _load(args)
     model = _model_from_args(args, train)
+    ctx = EvalContext(train, test)
+    loo = ctx.loo_report(model)
+    rep = ctx.test_report(model) if test is not None else None
     config = _config_echo(args)
     _print_config(config, unused)
     print("model: " + _model_line(model, train.n_features))
-    ctx = EvalContext(train, test)
-    loo = ctx.loo_report(model)
     print(f"train loo: {_fmt(loo.correct_count, loo.total)}")
     print(f"train confusion: {loo.confusion.tolist()}")
     records = [{"type": "config", **config},
                {"type": "model", **model.describe(train.n_features)},
                {"type": "train", **loo.to_dict()}]
-    if test is not None:
-        rep = ctx.test_report(model)
+    if rep is not None:
         print(f"test: {_fmt(rep.correct_count, rep.total)}")
         print(f"test confusion: {rep.confusion.tolist()}")
         records.append({"type": "test", **rep.to_dict()})
@@ -258,10 +258,11 @@ def cmd_search(args) -> int:
 def cmd_sequence(args) -> int:
     train, test, unused = _load(args)
     _, trace = meta_search(train, **_search_kwargs(args))  # the test set scores only the sequence
-    config = _config_echo(args)
-    _print_config(config, unused)
     pool, truths = build_pool(train, trace)
     seq = select_model_sequence(pool, truths, epsilon=args.epsilon)
+    scored = evaluate_sequence(seq, train, test) if test is not None else None
+    config = _config_echo(args)
+    _print_config(config, unused)
     print(f"pool size: {len(pool)}")
     records = [{"type": "config", **config}]
     for i, member in enumerate(seq.members, 1):
@@ -274,8 +275,8 @@ def cmd_sequence(args) -> int:
     print(f"combined train {_fmt(seq.combined_correct, seq.total)}")
     summary = {"type": "sequence", "members": len(seq.members),
                "train_correct": seq.combined_correct, "train_total": seq.total}
-    if test is not None:
-        test_correct, test_total = evaluate_sequence(seq, train, test)
+    if scored is not None:
+        test_correct, test_total = scored
         print(f"combined test {_fmt(test_correct, test_total)}")
         summary["test_correct"], summary["test_total"] = test_correct, test_total
     records.append(summary)

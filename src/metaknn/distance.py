@@ -28,8 +28,10 @@ the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
 distance_sums() is the one matrix kernel.  It builds a distance matrix one
-block of rows at a time (block_rows): a block's terms, product and sum take
-BLOCK_BYTES each, so the block stays in L2 through all of its passes.
+block of rows at a time (block_rows): a block's terms and its sum take
+BLOCK_BYTES each, and so does the product of cached terms (terms built for
+the block are multiplied in place), so the block stays in L2 through all of
+its passes.
 Within a block it combines per-feature term matrices one feature at a time,
 in index order, through sum_into, the one combine loop, with the same
 per-term operations as the scalar loop pair_sum (a factor of 1 combines the
@@ -43,7 +45,8 @@ trapezoid) and the rest is mirrored: each unordered pair of blocks once.
 Given a cache of whole term matrices, it reads each column from there,
 building a missing one whole (column_terms) and adding it.  Given none, it
 keeps nothing: feature_terms builds each column per block into one reused
-buffer.  pairwise_matrix and cross_matrix pass no cache.
+buffer, which sum_into then multiplies in place.  pairwise_matrix and
+cross_matrix pass no cache.
 evaluation.EvalContext passes its training terms when it keeps them (it
 decides when), and updates its last matrix in place when a model changes a
 few exact multipliers, stepping the changed columns through sum_into.
@@ -70,7 +73,7 @@ KINDS = (MINKOWSKI, CAMBERRA, CHEBYSHEV)
 HEADROOM_BITS = 16  # bits of a distance sum left to weight numerators
 MAX_DENOMINATOR = 1000  # largest weight denominator L carried exactly
 GRID_TOLERANCE = 1e-9  # how far a weight may sit from p/L and still be p/L
-BLOCK_BYTES = 2 ** 19  # a row block's terms, its product and its sum: 1.5 MB fit a 2 MB L2
+BLOCK_BYTES = 2 ** 19  # per row block: terms, sum and (cached terms only) product fit a 2 MB L2
 
 
 @dataclass
@@ -158,14 +161,25 @@ def _require_finite(bounds: np.ndarray, names) -> None:
 def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Scaled per-feature term matrix rint(T[p, q] * scale) between rows of a and b,
-    written into out when given."""
-    t = np.subtract.outer(a, b, out=out)
-    np.abs(t, out=t)
+    written into out when given.
+
+    Each row is filled with its entry of a and b is subtracted in place: the
+    same fl(x - y) as the scalar loop.  A square needs no abs first, as
+    (-d) * (-d) is d * d bit for bit.
+    """
+    t = np.empty((len(a), len(b))) if out is None else out
+    t[...] = a[:, None]
+    t -= b
     if key == "sq":
         np.multiply(t, t, out=t)
-    elif key == "cam":
-        s = np.add.outer(np.abs(a), np.abs(b))
-        np.divide(t, s, out=t, where=s != 0)  # s == 0 only where a = b = 0, and t is 0
+    else:
+        np.abs(t, out=t)
+    if key == "cam":
+        s = np.empty_like(t)
+        s[...] = np.abs(a)[:, None]
+        s += np.abs(b)
+        # |x| + |y| is 0 only where t is 0: 0 over the smallest subnormal is 0
+        t /= np.maximum(s, math.ulp(0.0), out=s)
     t *= scale
     return np.rint(t, out=t)
 
@@ -294,6 +308,8 @@ def sum_into(out: np.ndarray, product: np.ndarray | None, kind: str, terms, fact
     A factor of 1 combines the term matrix itself, and a factor of -1 (a
     delta's step down, never Chebyshev) subtracts it; any other factor is
     multiplied into product first, or into a fresh array when product is None.
+    product may be the term matrices' own buffer, which is then multiplied in
+    place.
     """
     for f, t in zip(factors, terms):
         if abs(f) != 1:
@@ -324,26 +340,27 @@ def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarra
     columns r: only, and its entries right of the diagonal block are copied
     below it, transposed: terms are symmetric bit for bit, so these are the
     entries the later blocks would build.
+    One buffer of a block's size serves every block.  Without a cache, each
+    column is built by feature_terms per block into it and not kept, and it
+    is also the product: a factor other than 1 multiplies the terms in place.
     With a cache, which maps a column to its whole term matrix between a and
     b, each column is read from it, or built whole (column_terms) and added
-    to it, so the caller keeps it.  Without one, each column is built by
-    feature_terms per block into one reused buffer and not kept.
+    to it, so the caller keeps it; the cached terms are multiplied into the
+    buffer and never written.
     """
     rows = block_rows(len(b))
     out = np.zeros((len(a), len(b)))
-    product = np.empty(min(rows, len(a)) * len(b))  # a short matrix is one short block
-    built = np.empty(product.size) if cache is None else None
+    buffer = np.empty(min(rows, len(a)) * len(b))  # a short matrix is one short block
     symmetric = a is b
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
         c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
-        size = m * (len(b) - c)
-        if cache is None:
-            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, built[:size].reshape(m, -1))
-                     for j in columns)
-        else:
+        block = buffer[:m * (len(b) - c)].reshape(m, -1)
+        if cache is None:  # the block's terms, multiplied in place
+            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, block) for j in columns)
+        else:  # the cache's terms, multiplied into the block
             terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
-        sum_into(out[r:r + m, c:], product[:size].reshape(m, -1), kind, terms, factors)
+        sum_into(out[r:r + m, c:], block, kind, terms, factors)
         if symmetric:
             out[r + m:, r:r + m] = out[r:r + m, r + m:].T
     return out

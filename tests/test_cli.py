@@ -210,6 +210,17 @@ class TestExitCodes:
         assert "column 'big'" in err and "Traceback" not in err
         assert "train loo" not in out
 
+    @pytest.mark.parametrize("command", ["eval", "sequence"])
+    def test_overflowing_test_value_prints_nothing(self, capsys, tmp_path, command):
+        # the training terms are fine; a test value overflows only the test
+        # scoring, which once ran after the first lines were printed
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        train.write_text("a,b,class\n0,1,x\n1,0,y\n0.5,0.5,x\n2,2,y\n")
+        test.write_text("a,b,class\n1e300,1,x\n1,0,y\n")
+        code, out, err = run(capsys, [command, "--train", str(train), "--test", str(test)])
+        assert "column 'a'" in err and "Traceback" not in err
+        assert code == 2 and out == ""
+
     def test_tiny_weight_keeps_its_column(self, capsys, tmp_path):
         # column y only breaks column x's ties; a weight of 1e-10 once
         # matched 0/1 and dropped the column

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from metaknn import (DistanceSpec, ModelSpec, cross_matrix, dissimilarity, distance, neighbors,
                      pairwise_matrix)
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
-                              feature_terms, multipliers, pair_sum, sum_into, term_key,
-                              term_scale)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, _scaled_term, accumulate,
+                              distance_sums, feature_terms, multipliers, pair_sum, sum_into,
+                              term_key, term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
@@ -143,6 +144,38 @@ class TestPairwiseMatrix:
             assert np.all(m >= 0.0)
 
 
+# the largest magnitude whose terms stay finite, to a power of two: a span
+# of 2**1023 (2 * |x| for Camberra), or a span of 2**511 squared to 2**1022
+TERM_LIMITS = {"abs": 2.0 ** 1022, "sq": 2.0 ** 510, "cam": 2.0 ** 1022}
+
+
+@st.composite
+def term_operands(draw, limit):
+    """Two vectors of values up to limit, with zeros of both signs, subnormals,
+    the limit itself and entries of the first vector in the second."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, limit, -limit])
+    values = st.one_of(special, st.floats(-limit, limit), st.floats(-10, 10))
+    a = draw(st.lists(values, min_size=1, max_size=6))
+    b = draw(st.lists(st.one_of(values, st.sampled_from(a)), min_size=1, max_size=6))
+    return np.array(a), np.array(b)
+
+
+class TestFeatureTerms:
+    @pytest.mark.parametrize("key", list(TERM_LIMITS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_entry_is_the_scalar_term(self, key, data):
+        a, b = data.draw(term_operands(TERM_LIMITS[key]))
+        scale = term_scale(key, np.concatenate([a, b])[:, None])
+        want = b"".join(np.float64(_scaled_term(x, y, key, scale)).tobytes()
+                        for x in a.tolist() for y in b.tolist())
+        assert feature_terms(a, b, key, scale).tobytes() == want
+        out = np.full((len(a), len(b)), np.nan)
+        for _ in range(2):  # into a NaN-filled buffer, then into the same buffer again
+            assert feature_terms(a, b, key, scale, out) is out
+            assert out.tobytes() == want
+
+
 DRAWS = [False, True, "unit"]  # random_factors' draws; a draw's index seeds its tests
 
 
@@ -257,32 +290,55 @@ class TestDistanceSums:
         assert got.tobytes() == accumulate(MINKOWSKI, (whole[1], whole[3]), np.ones(2),
                                            (12, 12)).tobytes()
 
-    def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch):
+    @pytest.mark.parametrize("weights", ["unit", "tenths"])
+    @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
+    def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch, kind, alpha,
+                                                  weights):
         # a matrix of one block is the loop's single block: without a cache,
-        # every column is built into one buffer of the matrix's shape
-        b, a = monks1.train.vectors, monks1.test.vectors[:3]
+        # every column is built into one buffer of the matrix's shape, which
+        # is also the product, so a factor other than 1 multiplies it in place
+        b, a = monks1.train.vectors, monks1.test.vectors
         assert distance.block_rows(len(b)) >= len(a)
-        scale = term_scale("sq", b, queries=a)
+        key = term_key(kind, alpha)
+        scale = term_scale(key, b, queries=a)
         columns = range(b.shape[1])
-        factors = np.ones(len(columns))
-        one = accumulate(MINKOWSKI, (feature_terms(a[:, j], b[:, j], "sq", scale)
-                                     for j in columns), factors, (3, len(b))).tobytes()
-        outs = []
+        w = np.ones(len(columns)) if weights == "unit" else np.array([0.1, 0.3, 1, 0.7, 0.5, 0.9])
+        factors, den, _ = multipliers(w)
+        assert den == {"unit": 1, "tenths": 10}[weights]
+        one = accumulate(kind, (feature_terms(a[:, j], b[:, j], key, scale) for j in columns),
+                         factors, (len(a), len(b))).tobytes()
+        outs, products = [], []
 
-        def spy(x, y, key, scale, out=None):
+        def spy_terms(x, y, key, scale, out=None):
             outs.append(out)
             return feature_terms(x, y, key, scale, out)
 
-        monkeypatch.setattr(distance, "feature_terms", spy)
-        got = distance_sums(MINKOWSKI, "sq", scale, a, b, columns, factors)
+        def spy_sum(out, product, *args):
+            products.append(product)
+            return sum_into(out, product, *args)
+
+        monkeypatch.setattr(distance, "feature_terms", spy_terms)
+        monkeypatch.setattr(distance, "sum_into", spy_sum)
+        tracemalloc.start()
+        try:
+            got = distance_sums(kind, key, scale, a, b, columns, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert got.tobytes() == one
-        assert len(outs) == len(columns)
-        assert all(out is not None and out.shape == (3, len(b)) for out in outs)
-        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        assert len(outs) == len(columns) and len(products) == 1
+        assert products[0].shape == (len(a), len(b))
+        assert all(out is products[0] for out in outs)
+        # the sum and the term buffer, and Camberra's denominator: no product buffer
+        assert peak < (2.5 + (key == "cam")) * got.nbytes
         outs.clear()  # a cache takes each column whole, built with no buffer
-        got = distance_sums(MINKOWSKI, "sq", scale, a, b, columns, factors, {})
+        products.clear()
+        cache = {}
+        got = distance_sums(kind, key, scale, a, b, columns, factors, cache)
         assert got.tobytes() == one
         assert outs == [None] * len(columns)
+        # and its terms are multiplied into a buffer of their own, never into the cache
+        assert not any(np.shares_memory(products[0], t) for t in cache.values())
 
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_blocked_cross_matrix_matches_scalar(self, monkeypatch, kind, alpha):
