@@ -183,8 +183,8 @@ def _fmt(correct: int, total: int) -> str:
 
 def _print_config(config: dict, unused: int):
     """The config line, after the note on rows a --split leaves unused.  Each
-    command prints it only once its checks have passed, so a failing command
-    prints nothing to stdout."""
+    command prints it only once its checks have passed and its --output file
+    is written, so a failing command prints nothing to stdout."""
     if unused:
         print(f"note: {unused} rows beyond the split are unused")
     print("config: " + json.dumps(config, sort_keys=True))
@@ -203,18 +203,19 @@ def cmd_eval(args) -> int:
     loo = ctx.loo_report(model)
     rep = ctx.test_report(model) if test is not None else None
     config = _config_echo(args)
-    _print_config(config, unused)
-    print("model: " + _model_line(model, train.n_features))
-    print(f"train loo: {_fmt(loo.correct_count, loo.total)}")
-    print(f"train confusion: {loo.confusion.tolist()}")
     records = [{"type": "config", **config},
                {"type": "model", **model.describe(train.n_features)},
                {"type": "train", **loo.to_dict()}]
     if rep is not None:
-        print(f"test: {_fmt(rep.correct_count, rep.total)}")
-        print(f"test confusion: {rep.confusion.tolist()}")
         records.append({"type": "test", **rep.to_dict()})
     _emit(args, records)
+    _print_config(config, unused)
+    print("model: " + _model_line(model, train.n_features))
+    print(f"train loo: {_fmt(loo.correct_count, loo.total)}")
+    print(f"train confusion: {loo.confusion.tolist()}")
+    if rep is not None:
+        print(f"test: {_fmt(rep.correct_count, rep.total)}")
+        print(f"test confusion: {rep.confusion.tolist()}")
     return 0
 
 
@@ -232,6 +233,8 @@ def cmd_search(args) -> int:
     train, test, unused = _load(args)
     model, trace = meta_search(train, test=test, **_search_kwargs(args))
     config = _config_echo(args)
+    _emit(args, [{"type": "config", **config}] + trace.to_records()
+          + [{"type": "final", "model": model.describe(train.n_features)}])
     _print_config(config, unused)
     ref = trace.initial
     print(f"reference: {_model_line(ref.model, train.n_features)}")
@@ -250,8 +253,6 @@ def cmd_search(args) -> int:
     final = trace.final
     print(f"final train {_fmt(final.train_correct, final.train_total)}"
           + (f"  test {_fmt(final.test_correct, final.test_total)}" if test is not None else ""))
-    _emit(args, [{"type": "config", **config}] + trace.to_records()
-          + [{"type": "final", "model": model.describe(train.n_features)}])
     return 0
 
 
@@ -262,25 +263,25 @@ def cmd_sequence(args) -> int:
     seq = select_model_sequence(pool, truths, epsilon=args.epsilon)
     scored = evaluate_sequence(seq, train, test) if test is not None else None
     config = _config_echo(args)
-    _print_config(config, unused)
-    print(f"pool size: {len(pool)}")
     records = [{"type": "config", **config}]
     for i, member in enumerate(seq.members, 1):
-        correct = int(np.sum(member.predictions == truths))
-        print(f"member {i}: {_model_line(member.model, train.n_features)}"
-              f"  train {_fmt(correct, len(truths))}")
         records.append({"type": "member", "position": i,
-                        "train_correct": correct, "train_total": len(truths),
+                        "train_correct": int(np.sum(member.predictions == truths)),
+                        "train_total": len(truths),
                         "model": member.model.describe(train.n_features)})
-    print(f"combined train {_fmt(seq.combined_correct, seq.total)}")
     summary = {"type": "sequence", "members": len(seq.members),
                "train_correct": seq.combined_correct, "train_total": seq.total}
     if scored is not None:
-        test_correct, test_total = scored
-        print(f"combined test {_fmt(test_correct, test_total)}")
-        summary["test_correct"], summary["test_total"] = test_correct, test_total
-    records.append(summary)
-    _emit(args, records)
+        summary["test_correct"], summary["test_total"] = scored
+    _emit(args, records + [summary])
+    _print_config(config, unused)
+    print(f"pool size: {len(pool)}")
+    for member, record in zip(seq.members, records[1:]):
+        print(f"member {record['position']}: {_model_line(member.model, train.n_features)}"
+              f"  train {_fmt(record['train_correct'], len(truths))}")
+    print(f"combined train {_fmt(seq.combined_correct, seq.total)}")
+    if scored is not None:
+        print(f"combined test {_fmt(*scored)}")
     return 0
 
 

@@ -49,7 +49,10 @@ buffer, which sum_into then multiplies in place.  pairwise_matrix and
 cross_matrix pass no cache.
 evaluation.EvalContext passes its training terms when it keeps them (it
 decides when), and updates its last matrix in place when a model changes a
-few exact multipliers, stepping the changed columns through sum_into.
+few exact multipliers, stepping the changed columns through sum_into.  It
+also keeps the multipliers of each weight vector it scores: multipliers()
+keeps nothing between calls, and only _fraction's per-weight fractions are
+cached for the process.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -228,18 +231,10 @@ def multipliers(weights: np.ndarray) -> tuple[np.ndarray, int | None, float]:
     factors are the weights divided by a power of two that puts the largest
     at most 1, and L is None: the inexact path.
 
-    Memoised on the bytes of the float64 weights (a search asks for the
-    same few hundred vectors thousands of times), so the factors returned
-    are shared and read-only; -0.0 and 0.0 are separate keys with equal
-    results.
+    Each call derives the factors afresh, in a new array the caller may
+    keep; an EvalContext keeps them per weight vector it scores.
     """
-    return _multipliers(np.asarray(weights, dtype=float).tobytes())
-
-
-@functools.lru_cache(maxsize=4096)
-def _multipliers(raw: bytes) -> tuple[np.ndarray, int | None, float]:
-    """multipliers of the float64 vector whose bytes are raw."""
-    weights = np.frombuffer(raw)
+    weights = np.asarray(weights, dtype=float)
     exact = _numerators(weights.tolist())
     if exact is not None:
         factors, den, unit = exact[0], exact[1], float(exact[1])
@@ -251,7 +246,6 @@ def _multipliers(raw: bytes) -> tuple[np.ndarray, int | None, float]:
         else:
             shift = math.frexp(top)[1] if top > 1 else 0  # exact: comparisons are unchanged
             factors, den, unit = np.ldexp(weights, -shift), None, math.ldexp(1.0, -shift)
-    factors.flags.writeable = False
     return factors, den, unit
 
 

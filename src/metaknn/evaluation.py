@@ -25,23 +25,32 @@ context checks once that the two sides agree: widths, class tables,
 feature kinds, and each test symbol's code, which must be its training
 code (a test table may lack symbols).
 
+Resolution by key.  Each request resolves its model once, to model_key
+(k, the distance kind and alpha, and the bytes of the resolved feature mask
+and weights); everything below reads that key and never the ModelSpec.  The
+context keeps the distance.multipliers of each weight vector it scores,
+keyed on the weight bytes, so a candidate whose weights it has seen skips
+their derivation; the memo lives and dies with the context.
+
 Delta scoring.  The context keeps the last leave-one-out matrix it computed
-(+inf diagonal included), with the distance kind, term key, denominator and
-per-column multipliers it was summed with.  A model with the same
-multipliers (a k candidate) reuses it untouched.  An exact model of the same
-kind and term key that changes fewer columns than it has active (a feature
-drop, a coordinate-descent move) updates it in place: both models are
-brought to the lcm of their denominators, (n_new - n_old) * T_j is added for
-each changed column, through distance.sum_into, and the result is divided
-back to the model's own denominator.  As in every sum, a step of +1 or -1
-(such as a unit column restored or dropped) adds or subtracts the cached
-column itself, in place, with no step * T_j temporary.  With every numerator
-at the lcm below 2**HEADROOM_BITS, all of that is integer arithmetic below
-2**53 (term_scale), so the matrix is bitwise the one a full accumulation
-gives.  Chebyshev, inexact and other models are accumulated in full.  A
-test-side scoring releases the matrix.  The multipliers of a weight vector
-are memoised (distance.multipliers), so a candidate whose weights were seen
-before skips their derivation.
+(+inf diagonal included), with the distance part of its key (kind, alpha,
+mask and weight bytes), its denominator and the per-column multipliers it
+was summed with.  A model with the same distance part (a k candidate)
+reuses it untouched after one tuple comparison, before its multipliers are
+looked up or a full-width factor vector is built.  An exact model of the
+same kind and alpha that changes fewer columns than it has active (a
+feature drop, a coordinate-descent move) updates it in place: both models
+are brought to the lcm of their denominators, (n_new - n_old) * T_j is
+added for each changed column, through distance.sum_into, and the result is
+divided back to the model's own denominator.  As in every sum, a step of +1
+or -1 (such as a unit column restored or dropped) adds or subtracts the
+cached column itself, in place, with no step * T_j temporary.  With every
+numerator at the lcm below 2**HEADROOM_BITS, all of that is integer
+arithmetic below 2**53 (term_scale), so the matrix is bitwise the one a
+full accumulation gives.  Chebyshev, inexact and other models are
+accumulated in full.  Other bytes for the same multipliers (-0.0 for 0.0)
+are thus a delta that steps no column, or a full sum: the same matrix
+either way.  A test-side scoring releases the matrix.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -92,10 +101,10 @@ def confusion_of(truths: np.ndarray, winners: np.ndarray, n_classes: int) -> np.
 
 @dataclass
 class _Matrix:
-    """A leave-one-out distance matrix and the multipliers it was summed with."""
+    """A leave-one-out distance matrix, the distance part of the model_key it
+    was summed for, and the multipliers it was summed with."""
     dist: np.ndarray
-    kind: str
-    key: str
+    model: tuple  # kind, alpha, mask bytes, weight bytes: the key without k
     den: int | None  # None: inexact float multipliers
     factors: np.ndarray  # one per training column, 0 where inactive
 
@@ -103,8 +112,8 @@ class _Matrix:
 class EvalContext:
     """Scores models on one training set (and optional test set).
 
-    Caches training terms, the last leave-one-out distance matrix, and the
-    correct count of each model scored.
+    Caches training terms, the multipliers of each weight vector, the last
+    leave-one-out distance matrix, and the correct count of each model scored.
     """
 
     def __init__(self, train: Dataset, test: Dataset | None = None):
@@ -123,6 +132,7 @@ class EvalContext:
         self.n_classes = train.n_classes
         self._scales: dict[str, float] = {}  # training term scale per key
         self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
+        self._multipliers: dict[bytes, tuple] = {}  # distance.multipliers per weight bytes
         self._last: _Matrix | None = None  # the last leave-one-out matrix computed
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
         self.requested = 0  # loo_count calls, repeats included
@@ -142,32 +152,35 @@ class EvalContext:
         train = self.train.vectors
         return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}))
 
-    def _distances(self, model: ModelSpec, side: str) -> np.ndarray:
-        kind = model.distance.kind
-        key = term_key(kind, model.distance.alpha)
-        columns = np.flatnonzero(model.mask_for(self.n_features))
-        factors, den, _ = multipliers(model.active_weights(self.n_features))
+    def _distances(self, key: tuple, side: str) -> np.ndarray:
+        """The distance matrix on side of the model whose model_key is key."""
+        _, kind, alpha, mask, weights = key
+        if side == "train" and self._last and self._last.model == key[1:]:
+            return self._last.dist  # a k candidate
+        if weights not in self._multipliers:
+            self._multipliers[weights] = multipliers(np.frombuffer(weights))
+        factors, den, _ = self._multipliers[weights]
+        terms = term_key(kind, alpha)
+        columns = np.flatnonzero(np.frombuffer(mask, dtype=bool))
         train = self.train.vectors
         if side == "test":
             # test terms are streamed, not cached: each test scoring is one model
-            self._last = None  # and the leave-one-out matrix is not held across it
-            return distance_sums(kind, key, self._scale(key), self.test.vectors, train,
+            self._last = None  # and the leave-one-out matrix, held by no local, is freed first
+            return distance_sums(kind, terms, self._scale(terms), self.test.vectors, train,
                                  columns, factors)
         full = np.zeros(self.n_features)
         full[columns] = factors
         last, dist = self._last, None
-        if last is not None and (last.kind, last.key) == (kind, key):
-            if last.den == den and np.array_equal(last.factors, full):
-                return last.dist
-            if den and last.den and kind != CHEBYSHEV:
-                dist = self._delta(last, full, den, len(columns))
+        # equal factors under other bytes (-0.0 for 0.0) are a delta that steps no column
+        if den and last and last.den and kind != CHEBYSHEV and last.model[:2] == (kind, alpha):
+            dist = self._delta(last, full, den, len(columns))
         if dist is None:
             # a whole column is no larger than one block, and pays once the context scores again
             keep = self.evaluations or block_rows(len(train)) >= len(train)
-            dist = distance_sums(kind, key, self._scale(key), train, train, columns, factors,
-                                 self._terms.setdefault(key, {}) if keep else None)
+            dist = distance_sums(kind, terms, self._scale(terms), train, train, columns, factors,
+                                 self._terms.setdefault(terms, {}) if keep else None)
             np.fill_diagonal(dist, np.inf)
-        self._last = _Matrix(dist, kind, key, den, full)
+        self._last = _Matrix(dist, key[1:], den, full)
         return dist
 
     def _delta(self, last: _Matrix, factors: np.ndarray, den: int, active: int):
@@ -183,27 +196,29 @@ class EvalContext:
         # numerators inside the headroom keep every partial sum below 2**53
         if max(old.max(), new.max()) >= 2 ** HEADROOM_BITS:
             return None
+        kind, alpha = last.model[:2]
         dist = last.dist
         if up_old != 1:
             dist *= up_old
-        sum_into(dist, None, last.kind, (self._column(last.key, j) for j in changed),
+        sum_into(dist, None, kind, (self._column(term_key(kind, alpha), j) for j in changed),
                  new[changed] - old[changed])
         if up_new != 1:
             dist /= up_new  # exact: every entry is a multiple of up_new
         return dist
 
-    def _score(self, model: ModelSpec, side: str, report: bool):
-        """Leave-one-out on "train", else the test set, through one shell_votes call.
+    def _score(self, key: tuple, side: str, report: bool):
+        """Leave-one-out on "train", else the test set, of the model whose
+        model_key is key, through one shell_votes call.
 
         Returns the correct count, or the full EvalReport when report is set.
         """
         if side == "test" and self.test is None:
             raise ValueError("context has no test set")
         data = self.train if side == "train" else self.test
-        dist = self._distances(model, side)
+        dist = self._distances(key, side)
         if side == "train":
             self.evaluations += 1
-        winners, votes, sizes = shell_votes(dist, self.train.labels, model.k, self.n_classes)
+        winners, votes, sizes = shell_votes(dist, self.train.labels, key[0], self.n_classes)
         correct = int(np.count_nonzero(winners == data.labels))
         if not report:
             return correct
@@ -218,10 +233,10 @@ class EvalContext:
 
     def _count(self, model: ModelSpec, side: str) -> int:
         """Correct count on side, scored once per distinct resolved model."""
-        key = (side, *self.model_key(model))
-        if key not in self._counts:
-            self._counts[key] = self._score(model, side, report=False)
-        return self._counts[key]
+        key = self.model_key(model)
+        if (side, key) not in self._counts:
+            self._counts[side, key] = self._score(key, side, report=False)
+        return self._counts[side, key]
 
     def loo_count(self, model: ModelSpec) -> int:
         """Leave-one-out correct count; the fast path used by the search channels."""
@@ -229,13 +244,13 @@ class EvalContext:
         return self._count(model, "train")
 
     def loo_report(self, model: ModelSpec) -> EvalReport:
-        return self._score(model, "train", report=True)
+        return self._score(self.model_key(model), "train", report=True)
 
     def test_count(self, model: ModelSpec) -> int:
         return self._count(model, "test")
 
     def test_report(self, model: ModelSpec) -> EvalReport:
-        return self._score(model, "test", report=True)
+        return self._score(self.model_key(model), "test", report=True)
 
 
 def leave_one_out(model: ModelSpec, train: Dataset) -> EvalReport:

@@ -147,7 +147,7 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
 
 # -------------------------------------------------- quantized weight search
 
-def _grid(step: float) -> np.ndarray:
+def check_step(step: float) -> np.ndarray:
     """The weight grid 0, step, ..., 1; ValueError unless step divides 1 evenly
     into at most MAX_DENOMINATOR intervals (finest step 0.001), so every grid
     weight is an exact distance multiplier (distance.multipliers)."""
@@ -158,11 +158,6 @@ def _grid(step: float) -> np.ndarray:
     if levels < 1 or abs(levels * step - 1.0) > GRID_TOLERANCE:
         raise ValueError(f"step {step} must divide 1 evenly")
     return np.round(np.arange(levels + 1) * step, 10)
-
-
-def check_step(step: float) -> None:
-    """Raise ValueError unless _grid accepts step."""
-    _grid(step)
 
 
 def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
@@ -211,7 +206,7 @@ def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,
     nearest-value moves, and sideways moves toward zero); the better final
     score wins, and equal scores prefer the sparser weight vector.
     """
-    grid = _grid(step)
+    grid = check_step(step)
     m1, c1 = _cd_pass(ctx, ref, grid, "near")
     m2, c2 = _cd_pass(ctx, ref, grid, "low")
     nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))

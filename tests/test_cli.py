@@ -162,6 +162,16 @@ class TestExitCodes:
                                     "--split", "200:150", *option])
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("command, option", [("eval", []),
+                                                 ("search", ["--channels", "k"]),
+                                                 ("sequence", ["--channels", "k"])])
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path, command, option):
+        # the results once reached stdout before the --output file failed to open
+        out_path = tmp_path / "missing" / "out.jsonl"
+        code, out, err = run(capsys, [command, *MONKS, *option, "--output", str(out_path)])
+        assert code == 2 and out == ""
+        assert "data error" in err
+
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
                                       "--split=-10:5"])

@@ -330,6 +330,23 @@ class TestCountMemo:
         ctx.loo_report(model)  # a report is not a request, and is not remembered
         assert ctx.requested == 2 and ctx._counts == memo
 
+    @pytest.mark.parametrize("kind, alpha", [(MINKOWSKI, 2), (CHEBYSHEV, None)])
+    def test_spellings_score_as_in_a_fresh_context(self, monks1, kind, alpha):
+        # -0.0 misses the last matrix's key and falls through to a delta that
+        # steps no column (Chebyshev: a full sum); the explicit mask is the
+        # same key as None
+        zero, minus_zero = np.ones(6), np.ones(6)
+        zero[2], minus_zero[2] = 0.0, -0.0
+        spellings = [(zero, None), (minus_zero, None), (None, None),
+                     (None, np.ones(6, dtype=bool))]
+        ctx = EvalContext(monks1.train)
+        for weights, mask in spellings:
+            for k in (1, 3):
+                model = ModelSpec(k, DistanceSpec(kind, alpha, weights), mask)
+                fresh = EvalContext(monks1.train)
+                assert ctx.loo_count(model) == fresh.loo_count(model)
+                assert ctx._last.dist.tobytes() == fresh._last.dist.tobytes()
+
     def test_counts_match_reports(self, monks1):
         ctx = EvalContext(monks1.train, monks1.test)
         rng = np.random.default_rng(44)
@@ -630,6 +647,13 @@ class ContextMachine(RuleBasedStateMachine):
     @invariant()
     def every_request_is_counted(self):
         assert self.ctx.requested == self.requested
+
+    @invariant()
+    def memo_is_multipliers(self):
+        for w, (factors, den, unit) in self.ctx._multipliers.items():
+            fresh_factors, fresh_den, fresh_unit = multipliers(np.frombuffer(w))
+            assert factors.tobytes() == fresh_factors.tobytes() and den == fresh_den
+            assert np.float64(unit).tobytes() == np.float64(fresh_unit).tobytes()
 
 
 def test_context_state_machine(ionosphere):

@@ -7,7 +7,7 @@ from metaknn import (DistanceSpec, EvalContext, ModelSpec, optimize_distance,
                      optimize_k, select_features, weight_search_quantized,
                      weight_search_simplex)
 from metaknn.distance import CAMBERRA, MINKOWSKI, multipliers
-from metaknn.optimize import DISTANCE_CANDIDATES, _grid, check_step
+from metaknn.optimize import DISTANCE_CANDIDATES, check_step
 
 from conftest import make_dataset, random_dataset, random_model
 
@@ -179,7 +179,7 @@ class TestQuantizedWeights:
     @pytest.mark.parametrize("step", [0.001, 0.1, 0.25, 1 / 3, 1.0])
     def test_grid_weights_are_exact_multipliers(self, step):
         # any vector of grid weights is scored with integer numerators over one denominator
-        grid = _grid(step)
+        grid = check_step(step)
         factors, den, unit = multipliers(grid)
         assert den is not None and den <= 1000 and unit == den
         assert np.array_equal(factors, np.rint(factors))
