@@ -10,6 +10,12 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data error, 3 reproduction rows
 outside tolerance.  All output is deterministic: rerunning a command on the
 same inputs produces byte-identical stdout and output files.
+
+Each cmd_* function does no I/O: it returns its --output records, its stdout
+lines and its exit code, and main alone writes the --output file and then
+prints the lines.  So a command that fails, in its checks, its data or its
+--output path, prints nothing to stdout; reproduce included, which prints
+once all its suites have run.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .dataset import DataError, Dataset, load_csv, load_monks, load_partition, m
 from .distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec
-from .metasearch import (build_pool, evaluate_sequence, meta_search,
+from .metasearch import (DEFAULT_CHANNELS, build_pool, evaluate_sequence, meta_search,
                          select_model_sequence)
 from .optimize import BUDGET, K_RANGE, STEP, WEIGHT_METHOD, WEIGHT_METHODS
 from .reproduce import SUITE_NAMES, run_suite
@@ -73,7 +78,7 @@ def _add_model_args(p: _Parser):
 
 
 def _add_search_args(p: _Parser):
-    p.add_argument("--channels", default="k,distance,features,weights",
+    p.add_argument("--channels", default=",".join(DEFAULT_CHANNELS),
                    help="comma-separated channel order")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="minimum accuracy gain to accept a level")
@@ -166,28 +171,18 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
     return model
 
 
-def _config_echo(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_ECHOED}
-
-
-def _emit(args, records: list[dict]):
-    if args.output:
-        with open(args.output, "w") as f:
-            for record in records:
-                f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _fmt(correct: int, total: int) -> str:
     return f"{correct}/{total} ({100.0 * correct / total:.1f}%)"
 
 
-def _print_config(config: dict, unused: int):
-    """The config line, after the note on rows a --split leaves unused.  Each
-    command prints it only once its checks have passed and its --output file
-    is written, so a failing command prints nothing to stdout."""
-    if unused:
-        print(f"note: {unused} rows beyond the split are unused")
-    print("config: " + json.dumps(config, sort_keys=True))
+def _with_config(args, unused: int, records: list[dict],
+                 lines: list[str]) -> tuple[list[dict], list[str], int]:
+    """A passing command's records behind its config record, its lines behind
+    the config line (and the note on rows a --split leaves unused), exit 0."""
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in _NOT_ECHOED}
+    note = [f"note: {unused} rows beyond the split are unused"] if unused else []
+    return ([{"type": "config", **config}, *records],
+            [*note, "config: " + json.dumps(config, sort_keys=True), *lines], 0)
 
 
 def _model_line(model: ModelSpec, n_features: int) -> str:
@@ -196,27 +191,22 @@ def _model_line(model: ModelSpec, n_features: int) -> str:
             f"weights={[round(w, 10) for w in d['weights']]}")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[list[dict], list[str], int]:
     train, test, unused = _load(args)
     model = _model_from_args(args, train)
     ctx = EvalContext(train, test)
     loo = ctx.loo_report(model)
-    rep = ctx.test_report(model) if test is not None else None
-    config = _config_echo(args)
-    records = [{"type": "config", **config},
-               {"type": "model", **model.describe(train.n_features)},
+    records = [{"type": "model", **model.describe(train.n_features)},
                {"type": "train", **loo.to_dict()}]
-    if rep is not None:
+    lines = ["model: " + _model_line(model, train.n_features),
+             f"train loo: {_fmt(loo.correct_count, loo.total)}",
+             f"train confusion: {loo.confusion.tolist()}"]
+    if test is not None:
+        rep = ctx.test_report(model)
         records.append({"type": "test", **rep.to_dict()})
-    _emit(args, records)
-    _print_config(config, unused)
-    print("model: " + _model_line(model, train.n_features))
-    print(f"train loo: {_fmt(loo.correct_count, loo.total)}")
-    print(f"train confusion: {loo.confusion.tolist()}")
-    if rep is not None:
-        print(f"test: {_fmt(rep.correct_count, rep.total)}")
-        print(f"test confusion: {rep.confusion.tolist()}")
-    return 0
+        lines += [f"test: {_fmt(rep.correct_count, rep.total)}",
+                  f"test confusion: {rep.confusion.tolist()}"]
+    return _with_config(args, unused, records, lines)
 
 
 def _search_kwargs(args):
@@ -229,77 +219,61 @@ def _search_kwargs(args):
                 weight_method=args.weight_method, step=args.step, budget=args.budget)
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[list[dict], list[str], int]:
     train, test, unused = _load(args)
     model, trace = meta_search(train, test=test, **_search_kwargs(args))
-    config = _config_echo(args)
-    _emit(args, [{"type": "config", **config}] + trace.to_records()
-          + [{"type": "final", "model": model.describe(train.n_features)}])
-    _print_config(config, unused)
-    ref = trace.initial
-    print(f"reference: {_model_line(ref.model, train.n_features)}")
-    print(f"  train {_fmt(ref.train_correct, ref.train_total)}"
-          + (f"  test {_fmt(ref.test_correct, ref.test_total)}" if test is not None else ""))
+    n = train.n_features
+
+    def scores(r) -> str:
+        return (f"train {_fmt(r.train_correct, r.train_total)}"
+                + (f"  test {_fmt(r.test_correct, r.test_total)}" if test is not None else ""))
+
+    lines = [f"reference: {_model_line(trace.initial.model, n)}", "  " + scores(trace.initial)]
     for level in trace.levels:
-        print(f"level {level.level}:")
-        for c in level.candidates:
-            line = (f"  {c.channel:<9} train {_fmt(c.train_correct, c.train_total)}"
-                    + (f"  test {_fmt(c.test_correct, c.test_total)}" if test is not None else "")
-                    + f"  [{_model_line(c.model, train.n_features)}]")
-            print(line)
-        print(f"  accepted: {level.accepted if level.accepted else 'none'}")
-    print(f"stop: {trace.stop_reason}")
-    print("final model: " + _model_line(model, train.n_features))
-    final = trace.final
-    print(f"final train {_fmt(final.train_correct, final.train_total)}"
-          + (f"  test {_fmt(final.test_correct, final.test_total)}" if test is not None else ""))
-    return 0
+        lines.append(f"level {level.level}:")
+        lines += [f"  {c.channel:<9} {scores(c)}  [{_model_line(c.model, n)}]"
+                  for c in level.candidates]
+        lines.append(f"  accepted: {level.accepted if level.accepted else 'none'}")
+    lines += [f"stop: {trace.stop_reason}", "final model: " + _model_line(model, n),
+              "final " + scores(trace.final)]
+    records = trace.to_records() + [{"type": "final", "model": model.describe(n)}]
+    return _with_config(args, unused, records, lines)
 
 
-def cmd_sequence(args) -> int:
+def cmd_sequence(args) -> tuple[list[dict], list[str], int]:
     train, test, unused = _load(args)
     _, trace = meta_search(train, **_search_kwargs(args))  # the test set scores only the sequence
     pool, truths = build_pool(train, trace)
     seq = select_model_sequence(pool, truths, epsilon=args.epsilon)
-    scored = evaluate_sequence(seq, train, test) if test is not None else None
-    config = _config_echo(args)
-    records = [{"type": "config", **config}]
+    records, lines = [], [f"pool size: {len(pool)}"]
     for i, member in enumerate(seq.members, 1):
-        records.append({"type": "member", "position": i,
-                        "train_correct": int(np.sum(member.predictions == truths)),
+        correct = int(np.sum(member.predictions == truths))
+        records.append({"type": "member", "position": i, "train_correct": correct,
                         "train_total": len(truths),
                         "model": member.model.describe(train.n_features)})
+        lines.append(f"member {i}: {_model_line(member.model, train.n_features)}"
+                     f"  train {_fmt(correct, len(truths))}")
     summary = {"type": "sequence", "members": len(seq.members),
                "train_correct": seq.combined_correct, "train_total": seq.total}
-    if scored is not None:
+    lines.append(f"combined train {_fmt(seq.combined_correct, seq.total)}")
+    if test is not None:
+        scored = evaluate_sequence(seq, train, test)
         summary["test_correct"], summary["test_total"] = scored
-    _emit(args, records + [summary])
-    _print_config(config, unused)
-    print(f"pool size: {len(pool)}")
-    for member, record in zip(seq.members, records[1:]):
-        print(f"member {record['position']}: {_model_line(member.model, train.n_features)}"
-              f"  train {_fmt(record['train_correct'], len(truths))}")
-    print(f"combined train {_fmt(seq.combined_correct, seq.total)}")
-    if scored is not None:
-        print(f"combined test {_fmt(*scored)}")
-    return 0
+        lines.append(f"combined test {_fmt(*scored)}")
+    return _with_config(args, unused, records + [summary], lines)
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[list[dict], list[str], int]:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    records = []
-    failed = False
-    for name in names:
-        result = run_suite(name, args.data_dir)
-        print(f"suite {name}:")
-        for row in result.rows:
-            mark = "PASS" if row.passed else "FAIL"
-            print(f"  [{mark}] {row.label}: expected {row.expected}; observed {row.observed}")
-        print(f"  result: {'PASS' if result.passed else 'FAIL'}")
-        records.append(result.to_dict())
-        failed = failed or not result.passed
-    _emit(args, records)
-    return 3 if failed else 0
+    results = [run_suite(name, args.data_dir) for name in names]
+    lines = []
+    for result in results:
+        lines.append(f"suite {result.suite}:")
+        lines += [f"  [{'PASS' if row.passed else 'FAIL'}] {row.label}: "
+                  f"expected {row.expected}; observed {row.observed}" for row in result.rows]
+        lines.append(f"  result: {'PASS' if result.passed else 'FAIL'}")
+    code = 0 if all(result.passed for result in results) else 3
+    return [result.to_dict() for result in results], lines, code
 
 
 def main(argv=None) -> int:
@@ -311,7 +285,12 @@ def main(argv=None) -> int:
     handlers = {"eval": cmd_eval, "search": cmd_search,
                 "sequence": cmd_sequence, "reproduce": cmd_reproduce}
     try:
-        return handlers[args.command](args)
+        records, lines, code = handlers[args.command](args)
+        if args.output:
+            with open(args.output, "w") as f:
+                f.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        print("\n".join(lines))
+        return code
     except (DataError, OSError) as exc:
         print(f"metaknn: data error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,9 @@ arithmetic below 2**53 (term_scale), so the matrix is bitwise the one a
 full accumulation gives.  Chebyshev, inexact and other models are
 accumulated in full.  Other bytes for the same multipliers (-0.0 for 0.0)
 are thus a delta that steps no column, or a full sum: the same matrix
-either way.  A test-side scoring releases the matrix.
+either way.  A test-side scoring releases the matrix, and so does a full
+sum before it allocates the new one: no scoring holds the old matrix
+while it sums the new one.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -175,6 +177,7 @@ class EvalContext:
         if den and last and last.den and kind != CHEBYSHEV and last.model[:2] == (kind, alpha):
             dist = self._delta(last, full, den, len(columns))
         if dist is None:
+            self._last = last = None  # the old matrix is freed before the new one is allocated
             # a whole column is no larger than one block, and pays once the context scores again
             keep = self.evaluations or block_rows(len(train)) >= len(train)
             dist = distance_sums(kind, terms, self._scale(terms), train, train, columns, factors,

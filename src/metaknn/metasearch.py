@@ -27,7 +27,7 @@ from .knn import ModelSpec, Prediction, classify
 from .optimize import (BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, check_budget,
                        check_k_range, check_step, check_weight_method)
 
-DEFAULT_CHANNELS = ("k", "distance", "features", "weights")
+DEFAULT_CHANNELS = tuple(CHANNELS)
 
 
 @dataclass

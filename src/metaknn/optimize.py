@@ -167,8 +167,8 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     one; tie='low' also moves sideways to the lowest equal-scoring value,
     walking plateaus toward zero.
     """
-    w = ref.active_weights(ctx.n_features).copy()
-    model = _with_weights(ref, w)
+    model = _with_weights(ref, ref.active_weights(ctx.n_features).copy())
+    w = model.distance.weights  # stepped in place: every candidate is this one model
     count = ctx.loo_count(model)
     changed = True
     while changed:
@@ -181,7 +181,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
                     scores.append(count)
                     continue
                 w[pos] = g
-                scores.append(ctx.loo_count(_with_weights(model, w)))
+                scores.append(ctx.loo_count(model))
             w[pos] = cur
             top = max(scores)
             if top < count:
@@ -195,7 +195,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
                 w[pos] = grid[pick]
                 count = top
                 changed = True
-    return _with_weights(model, w), count
+    return model, count
 
 
 def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,

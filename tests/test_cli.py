@@ -162,15 +162,25 @@ class TestExitCodes:
                                     "--split", "200:150", *option])
         assert code == 1 and out == ""
 
-    @pytest.mark.parametrize("command, option", [("eval", []),
-                                                 ("search", ["--channels", "k"]),
-                                                 ("sequence", ["--channels", "k"])])
+    @pytest.mark.parametrize("command, option", [("eval", MONKS),
+                                                 ("search", [*MONKS, "--channels", "k"]),
+                                                 ("sequence", [*MONKS, "--channels", "k"]),
+                                                 ("reproduce", ["monks1", "--data-dir",
+                                                                str(DATA_DIR)])])
     def test_unwritable_output_prints_nothing(self, capsys, tmp_path, command, option):
         # the results once reached stdout before the --output file failed to open
         out_path = tmp_path / "missing" / "out.jsonl"
-        code, out, err = run(capsys, [command, *MONKS, *option, "--output", str(out_path)])
+        code, out, err = run(capsys, [command, *option, "--output", str(out_path)])
         assert code == 2 and out == ""
         assert "data error" in err
+
+    def test_reproduce_missing_later_suite_prints_nothing(self, capsys, tmp_path):
+        # monks1 runs and passes; monks2's files are missing, so no suite is printed
+        for name in ("monks-1.train", "monks-1.test"):
+            (tmp_path / name).write_text((DATA_DIR / name).read_text())
+        code, out, err = run(capsys, ["reproduce", "all", "--data-dir", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert "monks-2.train, monks-2.test" in err
 
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),

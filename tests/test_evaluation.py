@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,25 @@ class TestCountMemo:
         for model in models + models:
             assert ctx.loo_count(model) == ctx.loo_report(model).correct_count
             assert ctx.test_count(model) == ctx.test_report(model).correct_count
+
+
+def test_full_sum_frees_the_old_matrix_first():
+    # a change of kind sums in full; the old matrix is gone before the new one exists
+    rng = np.random.default_rng(12)
+    n = 200
+    ds = make_dataset(rng.normal(size=(n, 12)), rng.integers(0, 2, size=n))
+    weights = np.round(rng.integers(1, 11, size=12) / 10, 10)
+    tracemalloc.start()
+    try:
+        ctx = EvalContext(ds)
+        ctx.loo_count(ModelSpec(distance=DistanceSpec(CHEBYSHEV, None, weights)))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ctx.loo_count(ModelSpec(distance=DistanceSpec(MINKOWSKI, 1, weights)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * n * n * 8
 
 
 KINDS_BY_NAME = {"euclidean": (MINKOWSKI, 2), "camberra": (CAMBERRA, None),

@@ -4,8 +4,9 @@ Each command's stdout and --output JSONL are stored under tests/golden/.
 The config line echoes --train verbatim, so commands run from the repository
 root with relative data paths.  Each reproduction suite's SuiteResult is
 stored there too, as reproduce_<suite>.json, and the stdout of
-`metaknn reproduce all --data-dir data` as reproduce_all.stdout, which the CI
-workflow diffs against the installed entry point's output.  After an
+`metaknn reproduce all --data-dir data` as reproduce_all.stdout, which
+test_golden_reproduce_all checks in process and the CI workflow diffs against
+the installed entry point's output.  After an
 intended output change, regenerate all of these files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from metaknn import cli
 from metaknn.cli import main
 from metaknn.reproduce import SUITE_NAMES, run_suite
 
@@ -69,6 +71,19 @@ def test_golden_reproduce(suite, request):
     # the session fixtures share each suite run with the acceptance gates
     result = request.getfixturevalue(f"suite_{suite}")
     assert suite_json(result) == (GOLDEN / f"reproduce_{suite}.json").read_text()
+
+
+def test_golden_reproduce_all(request, tmp_path, monkeypatch):
+    # the session fixtures stand in for the suites, so none runs twice
+    monkeypatch.setattr(cli, "run_suite", lambda name, _: request.getfixturevalue(f"suite_{name}"))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["reproduce", "all", "--data-dir", "data", "--output", str(tmp_path / "out")])
+    assert code == 0
+    assert stdout.getvalue() == (GOLDEN / "reproduce_all.stdout").read_text()
+    records = [json.loads(line) for line in (tmp_path / "out").read_text().splitlines()]
+    assert records == [json.loads((GOLDEN / f"reproduce_{suite}.json").read_text())
+                       for suite in SUITE_NAMES]
 
 
 if __name__ == "__main__":

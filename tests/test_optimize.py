@@ -198,6 +198,19 @@ class TestQuantizedWeights:
             res = weight_search_quantized(EvalContext(ds), ref)
             assert res.correct_count >= loo_count(ds, ref)
 
+    def test_passes_leave_the_reference_weights_alone(self):
+        # a pass steps its own model's weights in place, never the reference's
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            ds = random_dataset(rng, max_n=18, max_features=4)
+            ref = ModelSpec(k=int(rng.integers(1, 3)), distance=DistanceSpec(
+                MINKOWSKI, 1, np.round(rng.integers(0, 11, ds.n_features) / 10, 10)))
+            before = ref.distance.weights.tobytes()
+            res = weight_search_quantized(EvalContext(ds), ref)
+            assert ref.distance.weights.tobytes() == before
+            assert not np.shares_memory(res.model.distance.weights, ref.distance.weights)
+            assert res.correct_count == loo_count(ds, res.model)
+
 
 class TestSimplexWeights:
     def test_budget_initial_simplex_only(self):
