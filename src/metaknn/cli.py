@@ -33,7 +33,7 @@ from .knn import ModelSpec
 from .metasearch import (DEFAULT_CHANNELS, build_pool, evaluate_sequence, meta_search,
                          select_model_sequence)
 from .optimize import BUDGET, K_RANGE, STEP, WEIGHT_METHOD, WEIGHT_METHODS
-from .reproduce import SUITE_NAMES, run_suite
+from .reproduce import SUITE_NAMES, _fmt, run_suite
 
 DISTANCE_NAMES = {
     "euclidean": (MINKOWSKI, 2),
@@ -150,11 +150,14 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         alpha = args.alpha
     if not 1 <= args.k < train.n:  # leave-one-out votes over the other n - 1 rows
         raise ValueError(f"--k must be in 1..{train.n - 1} on {train.n} training rows")
+    for flag, value in (("--weights", args.weights), ("--features", args.features)):
+        if value is not None and not value.strip():
+            raise ValueError(f"{flag} is empty")
     weights = None
-    if args.weights:
+    if args.weights is not None:
         weights = np.array([float(t) for t in args.weights.split(",")])
     mask = None
-    if args.features:
+    if args.features is not None:
         indices = [int(t) for t in args.features.split(",")]
         if min(indices) < 1 or max(indices) > train.n_features:
             raise ValueError(f"--features indices must be in 1..{train.n_features}")
@@ -169,10 +172,6 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
     model = ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
     model.active_weights(train.n_features)  # a weight count that does not fit fails here
     return model
-
-
-def _fmt(correct: int, total: int) -> str:
-    return f"{correct}/{total} ({100.0 * correct / total:.1f}%)"
 
 
 def _with_config(args, unused: int, records: list[dict],

@@ -290,6 +290,9 @@ def minmax_rescale(data: Dataset, reference: Dataset | None = None) -> Dataset:
     the data's own, which maps it onto [0,1].
     """
     source = data if reference is None else reference
+    if source.n_features != data.n_features:
+        raise DataError(f"cannot rescale {data.n_features} features by the bounds "
+                        f"of a reference with {source.n_features}")
     lo = source.vectors.min(axis=0)
     span = source.vectors.max(axis=0) - lo
     span[span == 0] = 1.0

@@ -7,20 +7,34 @@ gated where the reference run's generalization is part of the claim.
 
 Count tolerances are in vectors (a +-1 band absorbs implementation-level
 tie handling); percentage tolerances are in points of accuracy.
+
+Each gate's reference values are written in one place: a row is built from
+checks, each of which formats its part of the row's expected text from the
+same values it compares (`_count`, `_at_least` and `_accuracy` for scores,
+`_k`, `_distance`, `_features`, `_feature_count` and `_accepts` for the
+model), so the printed expectation cannot drift from its gate.  A count's
+total is the size of the loaded data, so no total is written here.  `_fmt` is
+the one `correct/total (percent%)` score text, which the CLI prints too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataError, load_csv, load_partition, split_rows
-from .distance import CAMBERRA, MINKOWSKI, DistanceSpec
+from .dataset import DataError, Partition, load_csv, load_partition, split_rows
+from .distance import MINKOWSKI, DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec
-from .metasearch import CandidateRecord, meta_search
+from .metasearch import CandidateRecord, SearchTrace, meta_search
+
+_TIES = 1  # the count band, in vectors, that absorbs tie handling
+
+_Check = tuple[str, bool]  # a part of a row's expected text, and whether it holds
+
 
 @dataclass
 class RowResult:
@@ -39,172 +53,178 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def add(self, label: str, expected: str, observed: str, ok: bool):
-        self.rows.append(RowResult(label, expected, observed, bool(ok)))
-
     def to_dict(self) -> dict:
         return {"suite": self.suite, "passed": self.passed,
                 "rows": [vars(r) for r in self.rows]}
 
 
-def _pct(correct: int, total: int) -> float:
-    return 100.0 * correct / total
+def _fmt(correct: int, total: int) -> str:
+    return f"{correct}/{total} ({100.0 * correct / total:.1f}%)"
 
 
 def _scores(record: CandidateRecord) -> str:
-    out = f"train {record.train_correct}/{record.train_total} ({_pct(record.train_correct, record.train_total):.1f}%)"
+    out = f"train {_fmt(record.train_correct, record.train_total)}"
     if record.test_correct is not None:
-        out += f", test {record.test_correct}/{record.test_total} ({_pct(record.test_correct, record.test_total):.1f}%)"
+        out += f", test {_fmt(record.test_correct, record.test_total)}"
     return out
 
 
-def _within_pp(record: CandidateRecord, expected_pct: float, tol: float) -> bool:
-    got = _pct(record.train_correct, record.train_total)
-    return abs(got - expected_pct) <= tol + 1e-9
+def _side(record: CandidateRecord, side: str) -> tuple[int, int]:
+    return getattr(record, f"{side}_correct"), getattr(record, f"{side}_total")
 
 
-def _level1(trace) -> dict:
-    return {c.channel: c for c in trace.levels[0].candidates}
+def _count(record: CandidateRecord, side: str, ref: int, tol: int = 0) -> _Check:
+    """`side`'s correct count within `tol` vectors of `ref`; 0 is exact."""
+    correct, total = _side(record, side)
+    return f"{side} {ref}/{total}" + (f" +-{tol}" if tol else ""), abs(correct - ref) <= tol
 
 
-def run_monks1(train_file: Path, test_file: Path) -> SuiteResult:
-    part = load_partition(train_file, test_file, fmt="monks")
-    result = SuiteResult("monks1")
-    model, trace = meta_search(part.train, part.test)
-    level1 = _level1(trace)
-    nfeat = part.train.n_features
+def _at_least(record: CandidateRecord, side: str, ref: int) -> _Check:
+    correct, total = _side(record, side)
+    return f"{side} >= {ref}/{total}", correct >= ref
 
-    ref = trace.initial
-    result.add("reference k=1 euclidean",
-               "train 95/124 +-1, test 371/432 +-1", _scores(ref),
-               abs(ref.train_correct - 95) <= 1 and abs(ref.test_correct - 371) <= 1)
 
-    r = level1["k"]
-    result.add("k channel", "k=3, train 102/124 +-1, test 348/432 +-1",
-               f"k={r.model.k}, " + _scores(r),
-               r.model.k == 3 and abs(r.train_correct - 102) <= 1
-               and abs(r.test_correct - 348) <= 1)
+def _accuracy(record: CandidateRecord, side: str, ref: float, tol: float) -> _Check:
+    """`side`'s accuracy within `tol` percentage points of `ref` percent."""
+    correct, total = _side(record, side)
+    return (f"{side} {ref:.1f}% +-{tol}pp",
+            abs(100.0 * correct / total - ref) <= tol + 1e-9)
 
-    r = level1["distance"]
-    result.add("distance channel", "camberra, train 99/124 +-1, test 382/432 +-1",
-               f"{r.model.distance.describe()}, " + _scores(r),
-               r.model.distance.kind == CAMBERRA and abs(r.train_correct - 99) <= 1
-               and abs(r.test_correct - 382) <= 1)
 
-    r = level1["features"]
-    features = r.model.describe(nfeat)["features"]
-    result.add("feature selection channel",
-               "features {1,2,5}, train 120/124, test 432/432",
-               f"features {features}, " + _scores(r),
-               features == [1, 2, 5] and r.train_correct == 120 and r.test_correct == 432)
+def _k(record: CandidateRecord, k: int) -> _Check:
+    return f"k={k}", record.model.k == k
 
-    r = level1["weights"]
-    result.add("weight channel", "train >= 123/124, test 432/432", _scores(r),
-               r.train_correct >= 123 and r.test_correct == 432)
 
-    accepted = trace.accepted_records()
+def _distance(record: CandidateRecord, name: str) -> _Check:
+    return name, record.model.distance.describe() == name
+
+
+def _features(record: CandidateRecord, n_features: int, ref: tuple[int, ...]) -> _Check:
+    return ("features {" + ",".join(map(str, ref)) + "}",
+            record.model.describe(n_features)["features"] == list(ref))
+
+
+def _feature_count(record: CandidateRecord, n_features: int, lo: int, hi: int) -> _Check:
+    return f"{lo}-{hi} features", lo <= len(record.model.describe(n_features)["features"]) <= hi
+
+
+def _accepts(trace: SearchTrace, levels: int, distance: str, reweighted: bool = False) -> _Check:
+    """`levels` accepted levels, the last of which accepts `distance`; when
+    reweighted, through the distance channel, over weights that are not all 1."""
+    last = trace.final
+    ok = trace.levels_accepted() == levels and last.model.distance.describe() == distance
+    if reweighted:
+        ok = ok and last.channel == "distance" and bool(
+            np.any(last.model.active_weights(trace.n_features) != 1.0))
+    return f"{levels} levels, level {levels} accepts {'reweighted ' * reweighted}{distance}", ok
+
+
+def _row(label: str, observed: str, *checks: _Check) -> RowResult:
+    return RowResult(label, ", ".join(text for text, _ in checks), observed,
+                     all(ok for _, ok in checks))
+
+
+def _searched(trace: SearchTrace) -> str:
     final = trace.final
-    two_levels = (trace.levels_accepted() == 2 and len(accepted) == 2
-                  and accepted[1].model.distance.kind == CAMBERRA)
-    result.add("meta-search", "2 levels, level 2 accepts camberra, train 124/124, test 432/432",
-               f"{trace.levels_accepted()} levels, final {final.model.distance.describe()}, "
-               + _scores(final),
-               two_levels and final.train_correct == 124 and final.test_correct == 432)
-    return result
+    return (f"{trace.levels_accepted()} levels, final {final.model.distance.describe()}, "
+            + _scores(final))
 
 
-def run_monks2(train_file: Path, test_file: Path) -> SuiteResult:
-    part = load_partition(train_file, test_file, fmt="monks")
-    result = SuiteResult("monks2")
+def _level1(trace: SearchTrace, *channels: str) -> list[CandidateRecord]:
+    """The first level's candidates of the named channels, in that order."""
+    by_channel = {c.channel: c for c in trace.levels[0].candidates}
+    return [by_channel[name] for name in channels]
+
+
+def run_monks1(part: Partition) -> list[RowResult]:
     _, trace = meta_search(part.train, part.test)
-    r = _level1(trace)["distance"]
-    result.add("distance channel", "camberra, train 152/169 +-1, test 392/432 +-1",
-               f"{r.model.distance.describe()}, " + _scores(r),
-               r.model.distance.kind == CAMBERRA and abs(r.train_correct - 152) <= 1
-               and abs(r.test_correct - 392) <= 1)
-    return result
+    k, dist, feats, weights = _level1(trace, "k", "distance", "features", "weights")
+    ref, final, nfeat = trace.initial, trace.final, part.train.n_features
+    return [
+        _row("reference k=1 euclidean", _scores(ref),
+             _count(ref, "train", 95, _TIES), _count(ref, "test", 371, _TIES)),
+        _row("k channel", f"k={k.model.k}, " + _scores(k),
+             _k(k, 3), _count(k, "train", 102, _TIES), _count(k, "test", 348, _TIES)),
+        _row("distance channel", f"{dist.model.distance.describe()}, " + _scores(dist),
+             _distance(dist, "camberra"),
+             _count(dist, "train", 99, _TIES), _count(dist, "test", 382, _TIES)),
+        _row("feature selection channel",
+             f"features {feats.model.describe(nfeat)['features']}, " + _scores(feats),
+             _features(feats, nfeat, (1, 2, 5)),
+             _count(feats, "train", 120), _count(feats, "test", 432)),
+        _row("weight channel", _scores(weights),
+             _at_least(weights, "train", 123), _count(weights, "test", 432)),
+        _row("meta-search", _searched(trace), _accepts(trace, 2, "camberra"),
+             _count(final, "train", 124), _count(final, "test", 432)),
+    ]
 
 
-def run_monks3(train_file: Path, test_file: Path) -> SuiteResult:
-    part = load_partition(train_file, test_file, fmt="monks")
-    result = SuiteResult("monks3")
+def run_monks2(part: Partition) -> list[RowResult]:
+    _, trace = meta_search(part.train, part.test)
+    [dist] = _level1(trace, "distance")
+    return [_row("distance channel", f"{dist.model.distance.describe()}, " + _scores(dist),
+                 _distance(dist, "camberra"),
+                 _count(dist, "train", 152, _TIES), _count(dist, "test", 392, _TIES))]
+
+
+def run_monks3(part: Partition) -> list[RowResult]:
+    nfeat = part.train.n_features
+    test_pp = (97.2, 0.5)  # the published run's test accuracy, and its band
+    weights = np.array([0, 1, 0, 0, 1, 0.0])
+    model = ModelSpec(k=1, distance=DistanceSpec(MINKOWSKI, 2, weights))
     ctx = EvalContext(part.train, part.test)
+    published = CandidateRecord(0, "published", model, ctx.loo_count(model), part.train.n, 1,
+                                ctx.test_count(model), part.test.n)
 
-    published = ModelSpec(k=1, distance=DistanceSpec(MINKOWSKI, 2, np.array([0, 1, 0, 0, 1, 0.0])))
-    train_c = ctx.loo_count(published)
-    test_c = ctx.test_count(published)
-    result.add("published weights (0,1,0,0,1,0)", "test 97.2% +-0.5pp",
-               f"train {train_c}/{part.train.n} ({_pct(train_c, part.train.n):.1f}%), "
-               f"test {test_c}/{part.test.n} ({_pct(test_c, part.test.n):.1f}%)",
-               abs(_pct(test_c, part.test.n) - 97.2) <= 0.5 + 1e-9)
-
-    model, trace = meta_search(part.train, part.test)
+    _, trace = meta_search(part.train, part.test)
     final = trace.final
-    nnz = int(np.count_nonzero(model.active_weights(part.train.n_features)))
-    if nnz == 2:
-        ok = (final.train_correct >= train_c
-              and abs(_pct(final.test_correct, part.test.n) - 97.2) <= 0.5 + 1e-9)
-        expected = "2 active features, train >= published, test 97.2% +-0.5pp"
+    support = int(np.count_nonzero(weights))
+    nnz = int(np.count_nonzero(final.model.active_weights(nfeat)))
+    train_holds = final.train_correct >= published.train_correct
+    if nnz == support:
+        checks = [(f"{support} active features", True), ("train >= published", train_holds),
+                  _accuracy(final, "test", *test_pp)]
     else:
         # a different support is acceptable when training accuracy holds up
-        ok = final.train_correct >= train_c
-        expected = "train >= published (support differs from published run)"
-    result.add("meta-search", expected,
-               f"{nnz} active features {model.describe(part.train.n_features)['features']}, "
-               + _scores(final), ok)
-    return result
+        checks = [("train >= published (support differs from published run)", train_holds)]
+    return [
+        _row(f"published weights ({','.join(f'{w:g}' for w in weights)})",
+             _scores(published), _accuracy(published, "test", *test_pp)),
+        _row("meta-search", f"{nnz} active features "
+             f"{final.model.describe(nfeat)['features']}, " + _scores(final), *checks),
+    ]
 
 
-def run_ionosphere(data_file: Path) -> SuiteResult:
-    data = load_csv(data_file, label_column=-1)
-    part = split_rows(data, 200, 150)
-    result = SuiteResult("ionosphere")
+def run_ionosphere(part: Partition) -> list[RowResult]:
     _, trace = meta_search(part.train, part.test)
-    level1 = _level1(trace)
+    k, dist, feats, weights = _level1(trace, "k", "distance", "features", "weights")
     nfeat = part.train.n_features
-
-    r = level1["k"]
-    result.add("k channel", "train 86.0% +-1.5pp",
-               f"k={r.model.k}, " + _scores(r), _within_pp(r, 86.0, 1.5))
-
-    r = level1["distance"]
-    result.add("distance channel", "minkowski(alpha=1), train 87.5% +-1.5pp",
-               f"{r.model.distance.describe()}, " + _scores(r),
-               r.model.distance.kind == MINKOWSKI and r.model.distance.alpha == 1
-               and _within_pp(r, 87.5, 1.5))
-
-    r = level1["features"]
-    n_active = len(r.model.describe(nfeat)["features"])
-    result.add("feature selection channel", "8-12 features, train 92.5% +-1.5pp",
-               f"{n_active} features, " + _scores(r),
-               8 <= n_active <= 12 and _within_pp(r, 92.5, 1.5))
-
-    r = level1["weights"]
-    result.add("weight channel", "train 94.0% +-1.5pp", _scores(r),
-               _within_pp(r, 94.0, 1.5))
-
-    accepted = trace.accepted_records()
-    final = trace.final
-    weights_ok = bool(np.any(final.model.active_weights(nfeat) != 1.0))
-    structure = (trace.levels_accepted() == 2 and len(accepted) == 2
-                 and accepted[1].channel == "distance"
-                 and accepted[1].model.distance.kind == MINKOWSKI
-                 and accepted[1].model.distance.alpha == 1
-                 and weights_ok)
-    result.add("meta-search",
-               "2 levels, level 2 accepts reweighted minkowski(alpha=1), train 95.0% +-1.5pp",
-               f"{trace.levels_accepted()} levels, final {final.model.distance.describe()}, "
-               + _scores(final),
-               structure and _within_pp(final, 95.0, 1.5))
-    return result
+    pp = 1.5  # every row's band, in percentage points
+    return [
+        _row("k channel", f"k={k.model.k}, " + _scores(k), _accuracy(k, "train", 86.0, pp)),
+        _row("distance channel", f"{dist.model.distance.describe()}, " + _scores(dist),
+             _distance(dist, "minkowski(alpha=1)"), _accuracy(dist, "train", 87.5, pp)),
+        _row("feature selection channel",
+             f"{len(feats.model.describe(nfeat)['features'])} features, " + _scores(feats),
+             _feature_count(feats, nfeat, 8, 12), _accuracy(feats, "train", 92.5, pp)),
+        _row("weight channel", _scores(weights), _accuracy(weights, "train", 94.0, pp)),
+        _row("meta-search", _searched(trace),
+             _accepts(trace, 2, "minkowski(alpha=1)", reweighted=True),
+             _accuracy(trace.final, "train", 95.0, pp)),
+    ]
 
 
-# suite name -> (data files in the data directory, runner taking their paths)
+_monks = partial(load_partition, fmt="monks")
+
+# suite name -> (data files in the data directory, loader taking their paths,
+# runner taking the loaded partition)
 SUITES = {
-    "monks1": (("monks-1.train", "monks-1.test"), run_monks1),
-    "monks2": (("monks-2.train", "monks-2.test"), run_monks2),
-    "monks3": (("monks-3.train", "monks-3.test"), run_monks3),
-    "ionosphere": (("ionosphere.data",), run_ionosphere),
+    "monks1": (("monks-1.train", "monks-1.test"), _monks, run_monks1),
+    "monks2": (("monks-2.train", "monks-2.test"), _monks, run_monks2),
+    "monks3": (("monks-3.train", "monks-3.test"), _monks, run_monks3),
+    "ionosphere": (("ionosphere.data",),
+                   lambda path: split_rows(load_csv(path, label_column=-1), 200, 150),
+                   run_ionosphere),
 }
 SUITE_NAMES = tuple(SUITES)
 
@@ -213,11 +233,11 @@ def run_suite(name: str, data_dir) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     data_dir = Path(data_dir)
-    files, runner = SUITES[name]
+    files, load, runner = SUITES[name]
     missing = [f for f in files if not (data_dir / f).is_file()]
     if missing:
         raise DataError(
             f"missing data files in {data_dir}: {', '.join(missing)} "
             "(bundled under data/ in the source tree; originals available "
             "from the UCI Machine Learning Repository)")
-    return runner(*(data_dir / f for f in files))
+    return SuiteResult(name, runner(load(*(data_dir / f for f in files))))

@@ -182,6 +182,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "monks-2.train, monks-2.test" in err
 
+    @pytest.mark.parametrize("option", [["--features", "1,2", "--weights", ""],
+                                        ["--features", "", "--weights", "1,0.5"],
+                                        ["--weights", " "]],
+                             ids=["empty-weights", "empty-features", "blank-weights"])
+    def test_empty_list_is_1(self, capsys, option):
+        # an empty list must not fall back to unit weights or to all features
+        code, out, err = run(capsys, ["eval", *MONKS, *option])
+        assert code == 1 and out == ""
+        assert "is empty" in err
+
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
                                       "--split=-10:5"])

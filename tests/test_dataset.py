@@ -238,6 +238,10 @@ class TestPartitionHelpers:
         assert np.array_equal(minmax_rescale(test, reference=train).vectors, [[0.5], [2.0]])
         assert np.array_equal(minmax_rescale(test).vectors, [[0.0], [1.0]])
 
+    def test_rescale_reference_of_another_width(self, ionosphere, monks1):
+        with pytest.raises(DataError, match="rescale 6 features .* reference with 34"):
+            minmax_rescale(monks1.train, reference=ionosphere.train)
+
 
 class TestOutsideInput:
     @pytest.mark.parametrize("loader", [load_csv, load_monks])
