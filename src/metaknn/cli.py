@@ -16,6 +16,12 @@ lines and its exit code, and main alone writes the --output file and then
 prints the lines.  So a command that fails, in its checks, its data or its
 --output path, prints nothing to stdout; reproduce included, which prints
 once all its suites have run.
+
+Input has one path too.  --format's choices are the loaders of
+`dataset.FORMATS`, and `_load` reads --train, --test and --split through
+them.  The list flags --features, --weights, --k-range and --split are parsed
+by `_entries` alone; a blank or malformed entry, or a wrong count, is a usage
+error that names the flag.  (--channels skips blank entries instead.)
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .dataset import DataError, Dataset, load_csv, load_monks, load_partition, minmax_rescale, split_rows
+from .dataset import FORMATS, DataError, Dataset, load_partition, minmax_rescale, split_rows
 from .distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, DistanceSpec
 from .evaluation import EvalContext
 from .knn import ModelSpec
@@ -58,7 +64,7 @@ def _add_data_args(p: _Parser):
     p.add_argument("--train", required=True, help="training data file")
     held_out = p.add_mutually_exclusive_group()
     held_out.add_argument("--test", help="test data file (encoded with the training tables)")
-    p.add_argument("--format", choices=("csv", "monks"), default="csv")
+    p.add_argument("--format", choices=tuple(FORMATS), default="csv")
     p.add_argument("--label-column", default="-1",
                    help="CSV label column name or position (default: last)")
     held_out.add_argument("--split", metavar="TRAIN:TEST",
@@ -111,6 +117,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _entries(flag: str, text: str, kind: type, pair: str | None = None) -> list:
+    """The entries of a list flag, each parsed by `kind`: comma-separated, or
+    the two halves of a `pair` such as LO:HI.  A blank flag, a blank or
+    malformed entry, or a pair of another length is a ValueError naming the
+    flag."""
+    if not text.strip():
+        raise ValueError(f"{flag} is empty")
+    try:
+        values = [kind(t) for t in text.split(":" if pair else ",")]
+    except ValueError:
+        values = []
+    if not values or pair and len(values) != 2:
+        raise ValueError(f"{flag} expects {pair or 'a comma-separated list'}, got {text!r}")
+    return values
+
+
 def _load(args) -> tuple[Dataset, Dataset | None, int]:
     """Training set, test set (or None) and the rows a --split leaves unused."""
     label = args.label_column
@@ -118,24 +140,16 @@ def _load(args) -> tuple[Dataset, Dataset | None, int]:
         label = int(label)
     except ValueError:
         pass
-    if args.format == "monks":
-        loaders = {"fmt": "monks"}
-        single = lambda path: load_monks(path)
-    else:
-        loaders = {"fmt": "csv", "label_column": label}
-        single = lambda path: load_csv(path, label_column=label)
+    options = {"label_column": label} if args.format == "csv" else {}
     if args.test:
-        part = load_partition(args.train, args.test, **loaders)
+        part = load_partition(args.train, args.test, args.format, **options)
         train, test, unused = part.train, part.test, 0
     elif args.split:
-        try:
-            n_train, n_test = (int(t) for t in args.split.split(":"))
-        except ValueError:
-            raise ValueError("--split expects TRAIN:TEST row counts") from None
-        part = split_rows(single(args.train), n_train, n_test)
+        n_train, n_test = _entries("--split", args.split, int, "TRAIN:TEST row counts")
+        part = split_rows(FORMATS[args.format](args.train, **options), n_train, n_test)
         train, test, unused = part.train, part.test, part.unused_rows
     else:
-        train, test, unused = single(args.train), None, 0
+        train, test, unused = FORMATS[args.format](args.train, **options), None, 0
     if args.rescale:  # the test set takes the training set's min and max
         test = minmax_rescale(test, reference=train) if test is not None else None
         train = minmax_rescale(train)
@@ -150,15 +164,12 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         alpha = args.alpha
     if not 1 <= args.k < train.n:  # leave-one-out votes over the other n - 1 rows
         raise ValueError(f"--k must be in 1..{train.n - 1} on {train.n} training rows")
-    for flag, value in (("--weights", args.weights), ("--features", args.features)):
-        if value is not None and not value.strip():
-            raise ValueError(f"{flag} is empty")
     weights = None
     if args.weights is not None:
-        weights = np.array([float(t) for t in args.weights.split(",")])
+        weights = np.array(_entries("--weights", args.weights, float))
     mask = None
     if args.features is not None:
-        indices = [int(t) for t in args.features.split(",")]
+        indices = _entries("--features", args.features, int)
         if min(indices) < 1 or max(indices) > train.n_features:
             raise ValueError(f"--features indices must be in 1..{train.n_features}")
         if len(set(indices)) < len(indices):
@@ -209,10 +220,7 @@ def cmd_eval(args) -> tuple[list[dict], list[str], int]:
 
 
 def _search_kwargs(args):
-    try:
-        lo, hi = (int(t) for t in args.k_range.split(":"))
-    except ValueError:
-        raise ValueError("--k-range expects LO:HI")
+    lo, hi = _entries("--k-range", args.k_range, int, "LO:HI")
     return dict(channels=tuple(t.strip() for t in args.channels.split(",") if t.strip()),
                 epsilon=args.epsilon, k_range=(lo, hi),
                 weight_method=args.weight_method, step=args.step, budget=args.budget)

@@ -2,14 +2,16 @@
 
 Two on-disk formats are supported: generic CSV (optional header, comma
 separated, "." decimal point) and the UCI Monk layout (whitespace separated:
-class, six attributes, trailing case identifier).
+class, six attributes, trailing case identifier).  `FORMATS` maps each format
+name to its loader; `load_partition` and the CLI's --format both read it.
 
 Symbolic features are encoded as ordinal integers and treated as continuous
 by the distance functions.  Native integer attribute values are kept as-is;
 free-text symbols are coded by first occurrence in the training data.  Both
-formats share one encoder: a test file takes every code table and its class
-names from the training file, so a test symbol or label that the training
-file lacks is a DataError.
+formats share one encoder, `_encode`, which alone holds the rule that a test
+file is encoded as its training file: the test file takes the training file's
+feature kinds, code tables and class names, so a test symbol or label that
+the training file lacks is a DataError.
 """
 
 from __future__ import annotations
@@ -145,13 +147,15 @@ def _encode(path, names: list[str], kinds: list[str | None], columns: list[list[
 
     A kind of None is detected: CONTINUOUS when every token parses as a
     number, else SYMBOLIC.  With a reference dataset, the column count must
-    match it, and its symbol codes and class names are reused, so test rows
-    are encoded as the training rows were.  first_row is the file's row
-    number of the first token.
+    match it, and its feature kinds, symbol codes and class names replace
+    `kinds` and the detected tables, so test rows are encoded as the training
+    rows were.  first_row is the file's row number of the first token.
     """
-    if reference is not None and len(columns) != reference.n_features:
-        raise DataError(f"{path}: {len(columns)} feature columns, "
-                        f"expected {reference.n_features} as in the training data")
+    if reference is not None:
+        if len(columns) != reference.n_features:
+            raise DataError(f"{path}: {len(columns)} feature columns, "
+                            f"expected {reference.n_features} as in the training data")
+        kinds = [f.kind for f in reference.features]
     features: list[FeatureSpec] = []
     vectors: list[list[float]] = []
     for j, (name, kind, raw) in enumerate(zip(names, kinds, columns)):
@@ -187,9 +191,8 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
     column is non-numeric in row 0 but numeric in row 1; otherwise columns
     are named a1, a2, ...  label_column is a column name or integer position
     (negative counts from the end).  schema maps column name/position to a feature
-    kind, overriding numeric auto-detection.  With a reference dataset, its
-    feature kinds, symbol codes, and class names are reused so test rows are
-    encoded identically to the training rows.
+    kind, overriding numeric auto-detection.  With a reference dataset, the
+    rows are encoded as the reference's were (see `_encode`).
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -221,11 +224,8 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
         label_idx = label_column % width
 
     feat_cols = [j for j in range(width) if j != label_idx]
-    if reference is not None:
-        kinds = [f.kind for f in reference.features]
-    else:
-        schema = schema or {}
-        kinds = [schema.get(names[j], schema.get(j)) for j in feat_cols]
+    schema = schema or {}
+    kinds = [schema.get(names[j], schema.get(j)) for j in feat_cols]
     return _encode(path, [names[j] for j in feat_cols], kinds,
                    [[row[j] for row in body] for j in feat_cols],
                    [row[label_idx] for row in body], reference, first_row=2 if header else 1)
@@ -258,9 +258,15 @@ def load_monks(path, reference: Dataset | None = None) -> Dataset:
                    [row[0] for row in rows], reference)
 
 
+# format name -> loader taking a path, the format's options and a reference
+FORMATS = {"csv": load_csv, "monks": load_monks}
+
+
 def load_partition(train_path, test_path, fmt="csv", **kwargs) -> Partition:
     """Load a train/test pair; the test file reuses the training encodings."""
-    loader = load_monks if fmt == "monks" else load_csv
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
+    loader = FORMATS[fmt]
     train = loader(train_path, **kwargs)
     test = loader(test_path, reference=train, **kwargs)
     return Partition(train, test)
@@ -274,6 +280,9 @@ def split_rows(data: Dataset, n_train: int, n_test: int) -> Partition:
     """
     if n_train < 0 or n_test < 0:
         raise DataError(f"split {n_train}:{n_test} has a negative row count")
+    if not n_train or not n_test:
+        raise DataError(f"split {n_train}:{n_test} leaves the "
+                        f"{'test' if n_train else 'training'} side empty")
     if n_train + n_test > data.n:
         raise DataError(f"split {n_train}+{n_test} exceeds {data.n} rows")
     take = lambda lo, hi: Dataset(data.features, data.vectors[lo:hi],

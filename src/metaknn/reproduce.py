@@ -15,6 +15,10 @@ same values it compares (`_count`, `_at_least` and `_accuracy` for scores,
 model), so the printed expectation cannot drift from its gate.  A count's
 total is the size of the loaded data, so no total is written here.  `_fmt` is
 the one `correct/total (percent%)` score text, which the CLI prints too.
+
+`SUITES` holds each suite's data files, how to load them and its runner.
+`load_suite` is the one way to read a suite's partition: `run_suite` runs the
+suite on it, and the test fixtures for the bundled datasets load through it.
 """
 
 from __future__ import annotations
@@ -229,15 +233,21 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, data_dir) -> SuiteResult:
+def load_suite(name: str, data_dir) -> Partition:
+    """The train/test partition suite `name` runs on, read from `data_dir`."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     data_dir = Path(data_dir)
-    files, load, runner = SUITES[name]
+    files, load, _ = SUITES[name]
     missing = [f for f in files if not (data_dir / f).is_file()]
     if missing:
         raise DataError(
             f"missing data files in {data_dir}: {', '.join(missing)} "
             "(bundled under data/ in the source tree; originals available "
             "from the UCI Machine Learning Repository)")
-    return SuiteResult(name, runner(load(*(data_dir / f for f in files))))
+    return load(*(data_dir / f for f in files))
+
+
+def run_suite(name: str, data_dir) -> SuiteResult:
+    part = load_suite(name, data_dir)  # checks the name before SUITES is read
+    return SuiteResult(name, SUITES[name][2](part))

@@ -3,10 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaknn import (CONTINUOUS, Dataset, DistanceSpec, FeatureSpec,
-                     ModelSpec, load_csv, load_partition, split_rows)
+from metaknn import CONTINUOUS, Dataset, DistanceSpec, FeatureSpec, ModelSpec
 from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
-from metaknn.reproduce import run_suite
+from metaknn.reproduce import load_suite, run_suite
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -51,25 +50,25 @@ def random_model(rng, n_features: int) -> ModelSpec:
     return ModelSpec(k=k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
 
 
+# the bundled datasets as the reproduction suites load them
 @pytest.fixture(scope="session")
 def monks1():
-    return load_partition(DATA_DIR / "monks-1.train", DATA_DIR / "monks-1.test", fmt="monks")
+    return load_suite("monks1", DATA_DIR)
 
 
 @pytest.fixture(scope="session")
 def monks2():
-    return load_partition(DATA_DIR / "monks-2.train", DATA_DIR / "monks-2.test", fmt="monks")
+    return load_suite("monks2", DATA_DIR)
 
 
 @pytest.fixture(scope="session")
 def monks3():
-    return load_partition(DATA_DIR / "monks-3.train", DATA_DIR / "monks-3.test", fmt="monks")
+    return load_suite("monks3", DATA_DIR)
 
 
 @pytest.fixture(scope="session")
 def ionosphere():
-    data = load_csv(DATA_DIR / "ionosphere.data", label_column=-1)
-    return split_rows(data, 200, 150)
+    return load_suite("ionosphere", DATA_DIR)
 
 
 # each reproduction suite runs once per session; the acceptance gates and the

@@ -192,6 +192,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "is empty" in err
 
+    @pytest.mark.parametrize("command, flag, value", [("eval", "--features", "1,,2"),
+                                                      ("eval", "--weights", "1,x,1,1,1,1"),
+                                                      ("search", "--k-range", "1:x"),
+                                                      ("eval", "--split", "200:150:1")])
+    def test_malformed_list_is_1(self, capsys, command, flag, value):
+        # the message names the flag and its value, not int()'s or float()'s own
+        data = ["--train", str(DATA_DIR / "ionosphere.data")] if flag == "--split" else MONKS
+        code, out, err = run(capsys, [command, *data, flag, value])
+        assert code == 1 and out == ""
+        assert f"{flag} expects" in err and repr(value) in err
+
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),
                                       "--split=-10:5"])

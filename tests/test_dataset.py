@@ -221,6 +221,21 @@ class TestPartitionHelpers:
         with pytest.raises(DataError, match="negative"):
             split_rows(data, *counts)
 
+    @pytest.mark.parametrize("counts, side", [((0, 150), "training"), ((200, 0), "test")])
+    def test_split_empty_side_rejected(self, counts, side):
+        data = load_csv(DATA_DIR / "ionosphere.data", label_column=-1)
+        with pytest.raises(DataError, match=f"split {counts[0]}:{counts[1]} leaves the {side} "
+                                            "side empty"):
+            split_rows(data, *counts)
+
+    @pytest.mark.parametrize("train, test", [("monks-1.train", "monks-1.test"),
+                                             ("ionosphere.data", "ionosphere.data")],
+                             ids=["monk-files", "csv-file"])
+    def test_unknown_format_rejected(self, train, test):
+        # no fallback to CSV, which would load a comma-separated file silently
+        with pytest.raises(ValueError, match="unknown format 'monk'; choose from csv, monks"):
+            load_partition(DATA_DIR / train, DATA_DIR / test, fmt="monk")
+
     def test_schema_mismatch_rejected(self, monks1, ionosphere):
         with pytest.raises(DataError, match="schemas differ"):
             Partition(monks1.train, ionosphere.test)

@@ -1,4 +1,4 @@
-"""The reproduction gates at their band edges.
+"""The reproduction gates at their band edges, and the suite names.
 
 Each check returns its part of a row's expected text together with its
 verdict, formatted from the same reference values it compares.
@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from metaknn.reproduce import _accuracy, _count
+from metaknn.reproduce import _accuracy, _count, load_suite, run_suite
+
+from conftest import DATA_DIR
 
 
 def scored(train_correct, train_total):
@@ -36,3 +38,10 @@ class TestAccuracyBand:
     def test_slack_absorbs_rounding(self):
         # 97.0 - 97.2 rounds to 0.20000000000000284; the 1e-9 slack keeps that edge in
         assert _accuracy(scored(97, 100), "train", 97.2, 0.2) == ("train 97.2% +-0.2pp", True)
+
+
+@pytest.mark.parametrize("entry", [load_suite, run_suite])
+def test_unknown_suite_lists_the_suites(entry):
+    with pytest.raises(ValueError, match="unknown suite 'monks4'; "
+                                         "choose from monks1, monks2, monks3, ionosphere"):
+        entry("monks4", DATA_DIR)
