@@ -21,7 +21,10 @@ Input has one path too.  --format's choices are the loaders of
 `dataset.FORMATS`, and `_load` reads --train, --test and --split through
 them.  The list flags --features, --weights, --k-range and --split are parsed
 by `_entries` alone; a blank or malformed entry, or a wrong count, is a usage
-error that names the flag.  (--channels skips blank entries instead.)
+error that names the flag, and so is a --weights count that does not fit the
+active features.  (--channels skips blank entries instead.)  --label-column
+applies to CSV only: with --format monks any value but its default is a
+usage error, not a setting echoed as if it had been applied.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ DISTANCE_NAMES = {
     "camberra": (CAMBERRA, None),
 }
 _NOT_ECHOED = ("func", "command", "output")  # arguments the config line leaves out
+LABEL_COLUMN = "-1"  # --label-column's default: the last CSV column
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +69,7 @@ def _add_data_args(p: _Parser):
     held_out = p.add_mutually_exclusive_group()
     held_out.add_argument("--test", help="test data file (encoded with the training tables)")
     p.add_argument("--format", choices=tuple(FORMATS), default="csv")
-    p.add_argument("--label-column", default="-1",
+    p.add_argument("--label-column", default=LABEL_COLUMN,
                    help="CSV label column name or position (default: last)")
     held_out.add_argument("--split", metavar="TRAIN:TEST",
                           help="carve a train/test partition out of --train by row counts")
@@ -136,6 +140,8 @@ def _entries(flag: str, text: str, kind: type, pair: str | None = None) -> list:
 def _load(args) -> tuple[Dataset, Dataset | None, int]:
     """Training set, test set (or None) and the rows a --split leaves unused."""
     label = args.label_column
+    if args.format != "csv" and label != LABEL_COLUMN:  # the Monk label is always first
+        raise ValueError(f"--label-column only applies to --format csv, got {label!r}")
     try:
         label = int(label)
     except ValueError:
@@ -176,13 +182,15 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
             raise ValueError(f"--features repeats an index: {args.features}")
         mask = np.zeros(train.n_features, dtype=bool)
         mask[[i - 1 for i in indices]] = True
-        if weights is not None and len(weights) == len(indices):
-            # each weight belongs to the feature written at its place; the model
-            # holds the weights of the active features in ascending order
-            weights = weights[np.argsort(indices)]
-    model = ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
-    model.active_weights(train.n_features)  # a weight count that does not fit fails here
-    return model
+    active = train.n_features if mask is None else int(mask.sum())
+    if weights is not None and len(weights) != active:
+        raise ValueError(f"--weights expects one weight per active feature, got "
+                         f"{args.weights!r}: {len(weights)} weights for {active} features")
+    if weights is not None and mask is not None:
+        # each weight belongs to the feature written at its place; the model
+        # holds the weights of the active features in ascending order
+        weights = weights[np.argsort(indices)]
+    return ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
 
 
 def _with_config(args, unused: int, records: list[dict],

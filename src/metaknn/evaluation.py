@@ -19,8 +19,9 @@ knn.classify.  A leave-one-out matrix is the training rows against
 themselves, so a full sum of several blocks builds and sums each unordered
 pair of row blocks once and mirrors it (distance_sums), whether it streams
 its terms or reads kept columns.  Every row of a scoring is voted by one
-knn.shell_votes call, and a report keeps its arrays: the winner of each
-row, and each row's vote fractions over its deciding neighborhood.  The
+knn.shell_votes call (a count filled by a one-column batch, below, is voted
+there instead), and a report keeps its arrays: the winner of each row, and
+each row's vote fractions over its deciding neighborhood.  The
 context checks once that the two sides agree: widths, class tables,
 feature kinds, and each test symbol's code, which must be its training
 code (a test table may lack symbols).
@@ -53,6 +54,27 @@ are thus a delta that steps no column, or a full sum: the same matrix
 either way.  A test-side scoring releases the matrix, and so does a full
 sum before it allocates the new one: no scoring holds the old matrix
 while it sums the new one.
+
+One-column batches.  A channel whose candidates each change one column of a
+base model (backward elimination's drops, one coordinate's weight grid) hands
+their keys to fill_one_column first, and then asks loo_count for each as
+before, so every filled count is a memo hit.  With D the base's matrix and
+every factor at the lcm of the batch's denominators, candidate c's matrix is
+E_c = D + (new_j - old_j) * T_j.  Its row minimum is at most its entry at D's
+row argmin, and every entry is at least D - M, M the elementwise largest
+step down times T_j over the batch, so only the pairs where D - M reaches
+the largest such entry of their row are summed, for every candidate at
+once.  Each row's minimum is the entry at D's argmin lowered by the few
+entries below it, and its first shell, the entries at that minimum, is
+voted there; only a row whose vote is tied, and would widen past the pairs
+summed, is voted by shell_votes on its row of E_c.  The batch takes k=1,
+non-Chebyshev models with exact multipliers whose numerators at the lcm
+stay inside the headroom (as a delta's), and at least two candidates not
+yet counted; it fills nothing when more than _BATCH_TIE_SHARE of the
+base's rows hold their minimum twice, which the last k=1 vote (of a
+neighbour of the base) can tell before the base's matrix is made.  Each
+filled count adds one to ctx.evaluations, ctx.requested is unchanged, and
+the base's matrix is left as the last one.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -109,6 +131,26 @@ class _Matrix:
     model: tuple  # kind, alpha, mask bytes, weight bytes: the key without k
     den: int | None  # None: inexact float multipliers
     factors: np.ndarray  # one per training column, 0 where inactive
+    shared: int = 0  # rows whose first shell held two or more points, once voted at k=1
+
+
+# a one-column batch fills nothing when more than this share of its base's rows
+# hold their minimum twice: shared minima keep many pairs in the batch and tie
+# many votes, and past this share a batch scored slower than its candidates
+# one by one
+_BATCH_TIE_SHARE = 0.2
+
+
+def _tie_heavy(dist: np.ndarray):
+    """Whether more than _BATCH_TIE_SHARE of dist's rows hold their minimum
+    twice, and each row's first argmin.  The runner-up is found with each
+    minimum overwritten by +inf and then restored, so dist is unchanged."""
+    every, nearest = np.arange(len(dist)), dist.argmin(axis=1)
+    lowest = dist[every, nearest]
+    dist[every, nearest] = np.inf
+    shared = np.count_nonzero(dist.min(axis=1) == lowest)
+    dist[every, nearest] = lowest
+    return shared > _BATCH_TIE_SHARE * len(dist), nearest
 
 
 class EvalContext:
@@ -154,14 +196,25 @@ class EvalContext:
         train = self.train.vectors
         return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}))
 
+    def _factors(self, weights: bytes) -> tuple[np.ndarray, int | None]:
+        """The multipliers of weight bytes and their denominator, derived once per context."""
+        if weights not in self._multipliers:
+            self._multipliers[weights] = multipliers(np.frombuffer(weights))
+        factors, den, _ = self._multipliers[weights]
+        return factors, den
+
+    def _full(self, mask: bytes, factors: np.ndarray) -> np.ndarray:
+        """One factor per training column: factors on the mask's columns, 0 elsewhere."""
+        full = np.zeros(self.n_features)
+        full[np.frombuffer(mask, dtype=bool)] = factors
+        return full
+
     def _distances(self, key: tuple, side: str) -> np.ndarray:
         """The distance matrix on side of the model whose model_key is key."""
         _, kind, alpha, mask, weights = key
         if side == "train" and self._last and self._last.model == key[1:]:
             return self._last.dist  # a k candidate
-        if weights not in self._multipliers:
-            self._multipliers[weights] = multipliers(np.frombuffer(weights))
-        factors, den, _ = self._multipliers[weights]
+        factors, den = self._factors(weights)
         terms = term_key(kind, alpha)
         columns = np.flatnonzero(np.frombuffer(mask, dtype=bool))
         train = self.train.vectors
@@ -170,8 +223,7 @@ class EvalContext:
             self._last = None  # and the leave-one-out matrix, held by no local, is freed first
             return distance_sums(kind, terms, self._scale(terms), self.test.vectors, train,
                                  columns, factors)
-        full = np.zeros(self.n_features)
-        full[columns] = factors
+        full = self._full(mask, factors)
         last, dist = self._last, None
         # equal factors under other bytes (-0.0 for 0.0) are a delta that steps no column
         if den and last and last.den and kind != CHEBYSHEV and last.model[:2] == (kind, alpha):
@@ -222,11 +274,127 @@ class EvalContext:
         if side == "train":
             self.evaluations += 1
         winners, votes, sizes = shell_votes(dist, self.train.labels, key[0], self.n_classes)
+        if side == "train" and key[0] == 1:
+            self._last.shared = int(np.count_nonzero(sizes > 1))
         correct = int(np.count_nonzero(winners == data.labels))
         if not report:
             return correct
         return EvalReport(correct / data.n, correct, data.n, winners, votes / sizes[:, None],
                           data.labels, confusion_of(data.labels, winners, self.n_classes))
+
+    def fill_one_column(self, base: ModelSpec, keys) -> None:
+        """Fill the count memo for the models among keys (model_keys) that each
+        change one exact column factor of base, at k=1, all from base's
+        leave-one-out matrix at once; see the module docstring.  The others are
+        left to loo_count, and base's matrix is left as the last one.  keys is
+        iterated once, and not at all when the batch is refused before it.
+        """
+        last = self._last
+        if base.k != 1 or base.distance.kind == CHEBYSHEV:
+            return
+        # the last k=1 vote, on a neighbour of base, refuses a tie-heavy batch cheaply
+        if last and last.model[:2] == (base.distance.kind, base.distance.alpha) and \
+                last.shared > _BATCH_TIE_SHARE * self.train.n:
+            return
+        base_key = self.model_key(base)
+        old, den = self._factors(base_key[4])
+        if den is None:
+            return
+        old = self._full(base_key[3], old)
+        batch = {}  # model_key -> its changed column, new factor and denominator
+        for key in keys:
+            if key[:3] != base_key[:3] or ("train", key) in self._counts or key in batch:
+                continue
+            new, new_den = self._factors(key[4])
+            if new_den is None:
+                continue
+            new = self._full(key[3], new)
+            changed = np.flatnonzero(old * new_den != new * den)  # exact integers
+            if len(changed) == 1:
+                batch[key] = int(changed[0]), new[changed[0]], new_den
+        if len(batch) < 2:
+            return
+        common = math.lcm(den, *(new_den for _, _, new_den in batch.values()))
+        columns = np.array([j for j, _, _ in batch.values()])
+        ups = np.array([common // new_den for _, _, new_den in batch.values()])
+        new = np.array([f for _, f, _ in batch.values()]) * ups
+        old *= common // den
+        # numerators inside the headroom keep every sum below 2**53, as in _delta
+        if max(old.max(), new.max()) >= 2 ** HEADROOM_BITS:
+            return
+        dist = self._distances(base_key, "train")
+        heavy, nearest = _tie_heavy(dist)
+        if heavy:
+            return
+        counts = self._one_column_counts(term_key(*base_key[1:3]), dist, common // den, nearest,
+                                         columns, new - old[columns], ups)
+        for key, count in zip(batch, counts.tolist()):
+            self._counts["train", key] = count
+        self.evaluations += len(batch)
+
+    def _one_column_counts(self, terms, dist, up, nearest, columns, steps, ups) -> np.ndarray:
+        """k=1 leave-one-out counts of the candidates whose matrices, at the batch's
+        denominator, are dist * up + steps[c] * T_j, j = columns[c], divided by
+        ups[c].  Each is summed only on the pairs that can hold some candidate's
+        row minimum, and the first shell of each row is voted here; a tied vote,
+        which would widen past those pairs, goes to shell_votes.
+        """
+        n, labels, classes = len(dist), self.train.labels, self.n_classes
+        distinct = np.array(sorted(set(columns.tolist())))  # np.unique imports numpy.ma, 1.7 MB
+        index = np.searchsorted(distinct, columns)
+        cached = [self._column(terms, j).reshape(-1) for j in distinct]
+        rise, fall = np.zeros(len(distinct)), np.zeros(len(distinct))
+        np.maximum.at(rise, index, steps)  # per column, the largest step up
+        np.maximum.at(fall, index, -steps)  # and down
+        # every candidate's row minimum is at most its entry at the base's nearest
+        # point, and each of its entries at least dist * up - max_j fall_j * T_j
+        near = np.arange(n) * n + nearest
+        upper = dist.reshape(-1)[near] * up
+        upper += np.max([r * t[near] for r, t in zip(rise, cached) if r > 0], axis=0, initial=0.0)
+        reach = np.zeros(n * n)
+        for f, t in zip(fall, cached):
+            if f > 0:
+                np.maximum(reach, t if f == 1 else t * f, out=reach)
+        np.subtract(dist.reshape(-1) * up if up != 1 else dist.reshape(-1), reach, out=reach)
+        pairs = np.flatnonzero(reach.reshape(n, n) <= upper[:, None])
+        del reach
+        rows, cols = np.divmod(pairs, n)
+        at_base = dist.reshape(-1)[pairs] * up
+        gathered = np.stack([t.take(pairs) for t in cached])
+        near, width = np.searchsorted(pairs, near), len(pairs)
+        del pairs
+        counts = np.zeros(len(steps), dtype=np.intp)
+        per = block_rows(width)  # candidates summed at once
+        for first in range(0, len(steps), per):
+            m = min(per, len(steps) - first)
+            sums = gathered[index[first:first + m]] * steps[first:first + m, None]
+            sums += at_base
+            # each row's minimum: the entry at the base's nearest point, lowered
+            # by the few entries below it
+            low = sums[:, near].reshape(-1)  # flat, so that it is updated in place
+            below = np.flatnonzero(sums < low.reshape(m, n)[:, rows])
+            np.minimum.at(low, below // width * n + rows[below % width], sums.reshape(-1)[below])
+            at_min = np.flatnonzero(sums == low.reshape(m, n)[:, rows])
+            del sums, low, below
+            # votes per class and (candidate, row) cell over each first shell
+            cells = m * n
+            votes = np.bincount(labels[cols[at_min % width]] * cells
+                                + at_min // width * n + rows[at_min % width],
+                                minlength=classes * cells).reshape(classes, cells)
+            top = votes.max(axis=0)
+            tied = np.count_nonzero(votes == top, axis=0) > 1
+            right = (votes[np.tile(labels, m), np.arange(cells)] == top) & ~tied
+            counts[first:first + m] = np.count_nonzero(right.reshape(m, n), axis=1)
+            owner, at = np.divmod(np.flatnonzero(tied), n)
+            if len(at):  # every tied row of the chunk, each its candidate's own, in one vote
+                owner += first
+                sub = np.concatenate([steps[c] * cached[index[c]].reshape(n, n)[at[owner == c]]
+                                      for c in dict.fromkeys(owner.tolist())])
+                sub += dist[at] * up
+                sub /= ups[owner, None]
+                hits = shell_votes(sub, labels, 1, classes)[0] == labels[at]
+                counts += np.bincount(owner, hits, minlength=len(counts)).astype(np.intp)
+        return counts
 
     def model_key(self, model: ModelSpec) -> tuple:
         """k, distance, resolved mask and weights: models with equal keys score alike."""

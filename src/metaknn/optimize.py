@@ -132,10 +132,10 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     current, current_mask = ref, ref.mask_for(ctx.n_features)
     # march all the way down to one feature, keeping the best subset seen
     while current_mask.sum() > 1:
-        candidates = []
-        for j in np.flatnonzero(current_mask):
-            cand = _drop_feature(current, current_mask, int(j))
-            candidates.append((ctx.loo_count(cand), int(j), cand))
+        drops = [(int(j), _drop_feature(current, current_mask, int(j)))
+                 for j in np.flatnonzero(current_mask)]
+        ctx.fill_one_column(current, (ctx.model_key(cand) for _, cand in drops))
+        candidates = [(ctx.loo_count(cand), j, cand) for j, cand in drops]
         count, _, cand = max(candidates, key=lambda t: (t[0], t[1]))
         current = cand
         current_mask = current.mask_for(ctx.n_features)
@@ -160,6 +160,21 @@ def check_step(step: float) -> np.ndarray:
     return np.round(np.arange(levels + 1) * step, 10)
 
 
+def _grid_keys(ctx: EvalContext, model: ModelSpec, pos: int, grid: np.ndarray):
+    """The model_keys of model with weight pos at each other grid value, made
+    by stepping model's weights in place; the weight is restored once the
+    keys run out or are dropped."""
+    w = model.distance.weights
+    cur = w[pos]
+    try:
+        for g in grid:
+            if g != cur:
+                w[pos] = g
+                yield ctx.model_key(model)
+    finally:
+        w[pos] = cur
+
+
 def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     """One coordinate-descent run over the weight grid.
 
@@ -175,6 +190,8 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
         changed = False
         for pos in range(len(w)):
             cur = w[pos]
+            if len(grid) > 2:  # a batch needs two candidates
+                ctx.fill_one_column(model, _grid_keys(ctx, model, pos, grid))
             scores = []
             for g in grid:
                 if g == cur:

@@ -86,6 +86,17 @@ class TestEval:
         assert code == 1 and out == ""
         assert "2 weights for 6 features" in err
 
+    @pytest.mark.parametrize("option", [["--weights", "1,2"],
+                                        ["--features", "2,4", "--weights", "1,2,3"]],
+                             ids=["all-features", "active-features"])
+    def test_weights_count_names_the_flag(self, capsys, option):
+        # like every other list flag's error, a count that does not fit the
+        # active features names --weights and its value
+        code, out, err = run(capsys, ["eval", *MONKS, *option])
+        assert code == 1 and out == ""
+        assert "--weights expects one weight per active feature" in err
+        assert repr(option[-1]) in err
+
     def test_alpha_with_non_minkowski(self, capsys):
         code, _, err = run(capsys, ["eval", *MONKS, "--distance", "camberra",
                                     "--alpha", "1"])
@@ -202,6 +213,15 @@ class TestExitCodes:
         code, out, err = run(capsys, [command, *data, flag, value])
         assert code == 1 and out == ""
         assert f"{flag} expects" in err and repr(value) in err
+
+    @pytest.mark.parametrize("command", ["eval", "search", "sequence"])
+    def test_label_column_with_monks_is_1(self, capsys, command):
+        # a Monk file's label is always its first token; the flag would be
+        # ignored and then echoed as if it had been applied
+        code, out, err = run(capsys, [command, "--format", "monks", "--train",
+                                      str(DATA_DIR / "monks-1.train"), "--label-column", "3"])
+        assert code == 1 and out == ""
+        assert "--label-column" in err
 
     def test_negative_split_is_2(self, capsys):
         code, out, err = run(capsys, ["eval", "--train", str(DATA_DIR / "ionosphere.data"),

@@ -429,19 +429,34 @@ class TestExactDistances:
                 assert np.array_equal(terms, feature_terms(tiny[:, j], tiny[:, j], key, s2))
                 assert terms.max() > 2 ** 20 and np.array_equal(terms, np.rint(terms))
 
-    def test_backward_elimination_candidates_are_deltas(self, ionosphere, monkeypatch):
-        # a candidate differs from the last matrix in at most three columns
-        # (the last candidate's drop, the kept drop, its own drop), so only
-        # candidates with three or fewer features are summed in full
-        summed = []
+    def test_backward_elimination_candidates_are_deltas(self, ionosphere, monks2, monkeypatch):
+        # each round's drops are one-column batches from the round's base, which
+        # is itself a delta from the last matrix; no scoring after the first
+        # sums more than three columns in full (a refused batch's candidates are
+        # deltas that change at most three), and the requests are unchanged
+        summed, filled = [], []
         original = evaluation.distance_sums
         monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
             summed.append(len(args[6])) or original(*args)))
+        fill = EvalContext.fill_one_column
+
+        def spy(ctx, base, keys):
+            before = ctx.evaluations
+            fill(ctx, base, keys)
+            filled.append(ctx.evaluations - before)
+
+        monkeypatch.setattr(EvalContext, "fill_one_column", spy)
         ctx = EvalContext(ionosphere.train)
         select_features(ctx, ModelSpec())
         assert ctx.requested == 595 and ctx.evaluations > 500
         assert summed[0] == 34
-        assert summed[1:] and max(summed[1:]) <= 3
+        assert max(summed[1:], default=0) <= 3
+        assert sum(filled) > 500  # most of the 594 drops, from 33 rounds
+        # Monk-2's rounds are tie-heavy: the guard refuses every batch
+        filled.clear()
+        ctx = EvalContext(monks2.train)
+        select_features(ctx, ModelSpec())
+        assert ctx.evaluations > 0 and filled and sum(filled) == 0
 
     def test_delta_needs_numerators_inside_the_headroom(self, monks2, monkeypatch):
         # one column moves in both pairs; at the common denominator 4 every
@@ -568,6 +583,90 @@ def test_delta_scoring_equals_fresh_scoring_in_row_blocks(ionosphere, steps):
         _walk(first_rows(ionosphere.train, 60), steps)
 
 
+BATCHES = ("drops", "grid", "lcm", "headroom")
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(), kind=st.sampled_from(ALL_KINDS),
+       batch=st.sampled_from(BATCHES))
+@settings(max_examples=200, deadline=None)
+def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch):
+    # a batch of candidates that each change one column of the base: drops,
+    # grid steps, quarters against tenths (worked at their lcm, 20), and
+    # 1/1000ths against a 1/990 base, whose lcm 99000 puts a unit weight's
+    # numerator past the headroom, so that batch fills nothing, and neither
+    # does a Chebyshev one; the tie guard is off, so that small-integer data
+    # reaches the batch's shared minima and tied votes
+    rng = np.random.default_rng(seed)
+    n, width = int(rng.integers(8, 31)), int(rng.integers(2, 6))
+    labels = rng.integers(0, 3, n)
+    labels[:2] = 0, 1
+    vectors = rng.integers(0, 3, (n, width)) if ties else np.round(rng.normal(size=(n, width)), 3)
+    train = make_dataset(vectors, labels)
+    w, pos = rng.integers(1, 11, width) / 10, int(rng.integers(width))
+    values = {"grid": [g / 10 for g in range(11) if g / 10 != w[pos]], "lcm": [0.25, 0.75],
+              "headroom": [1 / 1000, 3 / 1000]}.get(batch, [])
+    if batch == "headroom":
+        w[pos], w[pos - 1] = 1 / 990, 1.0
+    base = ModelSpec(1, DistanceSpec(*kind, w))
+    if batch == "drops":
+        candidates = [ModelSpec(1, DistanceSpec(*kind, np.delete(w, j)), np.arange(width) != j)
+                      for j in range(width)]
+    else:
+        candidates = [ModelSpec(1, DistanceSpec(*kind, np.where(np.arange(width) == pos, v, w)))
+                      for v in values]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_BATCH_TIE_SHARE", 1.0)
+        ctx = EvalContext(train)
+        ctx.fill_one_column(base, [ctx.model_key(c) for c in candidates])
+    refused = batch == "headroom" or kind[0] == CHEBYSHEV
+    assert ctx.requested == 0
+    assert ctx.evaluations == len(ctx._counts) == (0 if refused else len(candidates))
+    if not refused:  # the base's matrix stays the last one
+        assert ctx._last.model == ctx.model_key(base)[1:]
+    for cand in candidates:
+        count = ctx._counts.get(("train", ctx.model_key(cand)))
+        assert count in (None, EvalContext(train).loo_count(cand))
+
+
+class TestFillRefusals:
+    """Batches that fill nothing, whose candidates take the scoring path."""
+
+    @staticmethod
+    def filled(train, base, candidates) -> int:
+        ctx = EvalContext(train)
+        ctx.fill_one_column(base, [ctx.model_key(c) for c in candidates])
+        assert ctx.evaluations == len(ctx._counts)
+        return ctx.evaluations
+
+    @staticmethod
+    def weighted(*weights, k=1):
+        return [ModelSpec(k, DistanceSpec(MINKOWSKI, 2, w)) for w in weights]
+
+    def test_k_above_one(self, ionosphere):
+        base, *candidates = self.weighted(*np.ones((3, 34)), k=3)
+        candidates[0].distance.weights[0], candidates[1].distance.weights[1] = 0.5, 0.5
+        assert self.filled(ionosphere.train, base, candidates) == 0
+
+    def test_inexact_candidate_and_batch_of_one(self, ionosphere):
+        base, exact, inexact = self.weighted(*np.ones((3, 34)))
+        exact.distance.weights[0], inexact.distance.weights[1] = 0.5, 1 / 997 + 1e-7
+        assert self.filled(ionosphere.train, base, [exact, inexact]) == 0
+        assert self.filled(ionosphere.train, base, [exact, exact]) == 0
+
+    def test_two_column_candidate(self, ionosphere):
+        base, one, two = self.weighted(*np.ones((3, 34)))
+        one.distance.weights[0] = 0.5
+        two.distance.weights[:2] = 0.5
+        assert self.filled(ionosphere.train, base, [one, two]) == 0
+        two.distance.weights[0] = 1.0  # now it changes column 2 alone
+        assert self.filled(ionosphere.train, base, [one, two]) == 2
+
+    def test_tie_heavy_base(self, monks2):
+        base, *candidates = self.weighted(*np.ones((3, 6)))
+        candidates[0].distance.weights[0], candidates[1].distance.weights[1] = 0.5, 0.5
+        assert self.filled(monks2.train, base, candidates) == 0
+
+
 VARIED = 6
 COLUMN = st.integers(0, VARIED - 1)  # the first Ionosphere features: steps meet on them
 
@@ -625,6 +724,29 @@ class ContextMachine(RuleBasedStateMachine):
         value = 1 / 1000 if value == 1 / 990 else 1 / 990
         self.w[j], self.fine = value, (j, value)
 
+    @rule(j=COLUMN, drops=st.booleans())
+    def fill_batch(self, j, drops):
+        # the varied columns' drops, or column j at every grid value; every
+        # count, filled or not, must equal the one a context without the
+        # batch scores
+        base, (kind, alpha) = self.model(), self.kind
+        if drops:
+            masks = [self.mask & (np.arange(len(self.mask)) != c) for c in range(VARIED)]
+            candidates = [ModelSpec(self.k, DistanceSpec(kind, alpha, self.w[m].copy()), m)
+                          for m in masks if m.any()]
+        else:
+            candidates = []
+            for g in range(11):
+                w = self.w.copy()
+                w[j] = g / 10
+                candidates.append(ModelSpec(self.k, DistanceSpec(kind, alpha, w[self.mask]),
+                                            self.mask.copy()))
+        self.ctx.fill_one_column(base, [self.ctx.model_key(c) for c in candidates])
+        unbatched = EvalContext(self.train)
+        for cand in candidates:
+            self.requested += 1
+            assert self.ctx.loo_count(cand) == unbatched.loo_count(cand)
+
     @rule(k=st.integers(1, 5))
     def set_k(self, k):
         self.k = k
@@ -678,7 +800,7 @@ class ContextMachine(RuleBasedStateMachine):
 
 def test_context_state_machine(ionosphere):
     # blocks of 7 rows cut the 60 training rows into 9 and the 40 test rows
-    # into 6, each ending ragged; 100 walks of up to 30 steps take about 5 s
+    # into 6, each ending ragged; 100 walks of up to 30 steps take about 6 s
     # and usually reach the delta's headroom refusal and knn's exhausted shells
     train, test = first_rows(ionosphere.train, 60), first_rows(ionosphere.test, 40)
     with pytest.MonkeyPatch.context() as patch:
