@@ -19,10 +19,11 @@ once all its suites have run.
 
 Input has one path too.  --format's choices are the loaders of
 `dataset.FORMATS`, and `_load` reads --train, --test and --split through
-them.  The list flags --features, --weights, --k-range and --split are parsed
-by `_entries` alone; a blank or malformed entry, or a wrong count, is a usage
+them.  The list flags --features, --weights, --channels, --k-range and
+--split are parsed by `_entries` alone; a blank or malformed entry (for
+--channels, a name not in `optimize.CHANNELS`), or a wrong count, is a usage
 error that names the flag, and so is a --weights count that does not fit the
-active features.  (--channels skips blank entries instead.)  --label-column
+active features.  --label-column
 applies to CSV only: with --format monks any value but its default is a
 usage error, not a setting echoed as if it had been applied.
 """
@@ -41,7 +42,7 @@ from .evaluation import EvalContext
 from .knn import ModelSpec
 from .metasearch import (DEFAULT_CHANNELS, build_pool, evaluate_sequence, meta_search,
                          select_model_sequence)
-from .optimize import BUDGET, K_RANGE, STEP, WEIGHT_METHOD, WEIGHT_METHODS
+from .optimize import BUDGET, CHANNELS, K_RANGE, STEP, WEIGHT_METHOD, WEIGHT_METHODS
 from .reproduce import SUITE_NAMES, _fmt, run_suite
 
 DISTANCE_NAMES = {
@@ -137,6 +138,13 @@ def _entries(flag: str, text: str, kind: type, pair: str | None = None) -> list:
     return values
 
 
+def _channel(text: str) -> str:
+    """A --channels entry: a channel name, surrounding spaces stripped."""
+    if text.strip() not in CHANNELS:
+        raise ValueError(text)
+    return text.strip()
+
+
 def _load(args) -> tuple[Dataset, Dataset | None, int]:
     """Training set, test set (or None) and the rows a --split leaves unused."""
     label = args.label_column
@@ -229,7 +237,7 @@ def cmd_eval(args) -> tuple[list[dict], list[str], int]:
 
 def _search_kwargs(args):
     lo, hi = _entries("--k-range", args.k_range, int, "LO:HI")
-    return dict(channels=tuple(t.strip() for t in args.channels.split(",") if t.strip()),
+    return dict(channels=tuple(_entries("--channels", args.channels, _channel)),
                 epsilon=args.epsilon, k_range=(lo, hi),
                 weight_method=args.weight_method, step=args.step, budget=args.budget)
 

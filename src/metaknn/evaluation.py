@@ -94,7 +94,7 @@ import numpy as np
 from .dataset import Dataset
 from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, column_terms, distance_sums,
                        multipliers, sum_into, term_key, term_scale)
-from .knn import ModelSpec, shell_votes
+from .knn import ModelSpec, shared_minima, shell_votes
 
 
 @dataclass
@@ -143,14 +143,11 @@ _BATCH_TIE_SHARE = 0.2
 
 def _tie_heavy(dist: np.ndarray):
     """Whether more than _BATCH_TIE_SHARE of dist's rows hold their minimum
-    twice, and each row's first argmin.  The runner-up is found with each
-    minimum overwritten by +inf and then restored, so dist is unchanged."""
-    every, nearest = np.arange(len(dist)), dist.argmin(axis=1)
-    lowest = dist[every, nearest]
-    dist[every, nearest] = np.inf
-    shared = np.count_nonzero(dist.min(axis=1) == lowest)
-    dist[every, nearest] = lowest
-    return shared > _BATCH_TIE_SHARE * len(dist), nearest
+    twice (knn.shared_minima, which leaves dist unchanged), and each row's
+    first argmin."""
+    nearest = dist.argmin(axis=1)
+    shared = shared_minima(dist, nearest, dist[np.arange(len(dist)), nearest])
+    return np.count_nonzero(shared) > _BATCH_TIE_SHARE * len(dist), nearest
 
 
 class EvalContext:

@@ -125,6 +125,19 @@ def _is_tied(votes: np.ndarray) -> np.ndarray:
     return np.count_nonzero(votes == votes.max(axis=1, keepdims=True), axis=1) > 1
 
 
+def shared_minima(dist: np.ndarray, first: np.ndarray, lowest: np.ndarray) -> np.ndarray:
+    """Per row of dist: is its minimum, lowest, at column first, held twice?
+    The runner-up is found with each minimum overwritten by +inf and then
+    restored; the restore writes back the very values read, so dist is left
+    bitwise unchanged.  A second argmin and a gather find it faster than a
+    row minimum does."""
+    every = np.arange(len(dist))
+    dist[every, first] = np.inf
+    second = dist[every, dist.argmin(axis=1)]
+    dist[every, first] = lowest
+    return second == lowest
+
+
 # rows whose minima shell_votes checks for ties before masking every row's:
 # on tie-heavy data one of them is nearly always tied, which ends the check
 _TIE_PROBE_ROWS = 8
@@ -136,8 +149,7 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
     The k-th shell of a row is every finite entry at or below its k-th
     smallest distance; at k=1 that threshold is the row minimum, taken at
     each row's argmin, and only k>1 runs a selection.  At k=1, unless one of
-    the first rows holds its minimum twice, a second argmin, with each row's
-    first minimum overwritten by +inf and then restored, finds the
+    the first rows holds its minimum twice, shared_minima finds each row's
     runner-up; if every row's runner-up is larger, each row's shell is its
     one nearest point, and the votes are its label with size 1.  Otherwise
     (all rows or none: counting the tied rows costs what it would save) the
@@ -158,18 +170,13 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
         every, first = np.arange(len(dist)), dist.argmin(axis=1)
         kth = dist[every, first]
         head = min(_TIE_PROBE_ROWS, len(dist))
-        if np.count_nonzero(dist[:head] == kth[:head, None]) == head:
-            # each row's runner-up, found with its minimum masked out; the
-            # restore writes back the very values read, so dist is unchanged
-            dist[every, first] = np.inf
-            second = dist[every, dist.argmin(axis=1)]
-            dist[every, first] = kth
-            # a row without finite entries has kth == second == inf: checked below
-            if np.all(second > kth):  # every first shell is one point: no vote ties
-                winners = labels[first].astype(np.intp)
-                votes = np.zeros((len(dist), n_classes), dtype=np.int64)
-                votes[every, winners] = 1
-                return winners, votes, np.ones(len(dist), dtype=np.int64)
+        # a row without finite entries holds inf twice: checked below
+        if np.count_nonzero(dist[:head] == kth[:head, None]) == head and \
+                not shared_minima(dist, first, kth).any():  # each first shell is one point
+            winners = labels[first].astype(np.intp)
+            votes = np.zeros((len(dist), n_classes), dtype=np.int64)
+            votes[every, winners] = 1
+            return winners, votes, np.ones(len(dist), dtype=np.int64)
     else:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     short = np.flatnonzero(kth == np.inf)  # rows with fewer than k finite entries

@@ -9,12 +9,24 @@ ctx.requested count that prices each channel) across all of its channels.
 Every channel scores candidates by leave-one-out accuracy on the training
 data only and never returns a model scoring below the reference.
 
+Backward elimination and the quantized weight search both change one
+parameter of the model per candidate: a feature dropped (a mask change, not
+a weight of 0, so that drops of unit weights share one weight vector, whose
+multipliers are derived once) or one weight moved to another grid value.
+Each round of such candidates goes through _round: every candidate is a
+(feature mask, weights) pair, set in turn on one private copy of the
+reference, a round of two or more is first handed to
+EvalContext.fill_one_column, and then each candidate is requested through
+loo_count, in order.  Neither channel writes into an array its reference
+holds, and neither result shares one.
+
 All search loops are fully deterministic: candidate orders are fixed, and
 every tie rule is explicit.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,17 +118,30 @@ def optimize_distance(ctx: EvalContext, ref: ModelSpec, **options) -> ChannelRes
     return ChannelResult(best_model, best_count, exhausted)
 
 
+# ------------------------------------------------- one-parameter rounds
+
+def _round(ctx: EvalContext, base: ModelSpec, model: ModelSpec, candidates: list) -> list[int]:
+    """The leave-one-out counts of model set to each (feature_mask, weights)
+    pair of candidates, requested in order, after one fill_one_column batch
+    from base when there are two or more.  Every candidate changes one
+    parameter of base, a feature dropped or a weight stepped; model is set to
+    each pair in place and left holding what it held before."""
+    held = model.feature_mask, model.distance.weights
+
+    def each():  # model as each candidate in turn, restored once they run out or are dropped
+        try:
+            for mask, weights in candidates:
+                model.feature_mask, model.distance.weights = mask, weights
+                yield model
+        finally:
+            model.feature_mask, model.distance.weights = held
+
+    if len(candidates) > 1:
+        ctx.fill_one_column(base, (ctx.model_key(m) for m in each()))
+    return [ctx.loo_count(m) for m in each()]
+
+
 # --------------------------------------------------------- feature channel
-
-def _drop_feature(model: ModelSpec, mask: np.ndarray, j: int) -> ModelSpec:
-    new_mask = mask.copy()
-    new_mask[j] = False
-    out = replace(model, feature_mask=new_mask)
-    if model.distance.weights is not None:
-        pos = int(np.searchsorted(np.flatnonzero(mask), j))
-        out = _with_weights(out, np.delete(model.distance.weights, pos))
-    return out
-
 
 def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     """Backward elimination over the active features.
@@ -126,22 +151,26 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     anywhere along the march is returned, preferring fewer features on equal
     score.
     """
-    best_model = ref
-    best_count = ctx.loo_count(ref)
-    best_size = int(ref.mask_for(ctx.n_features).sum())
-    current, current_mask = ref, ref.mask_for(ctx.n_features)
+    # every drop is set on this copy in turn; it is left holding ref's values,
+    # in arrays of its own, and stands for ref in the result
+    model = deepcopy(ref)
+    best_model, best_count = model, ctx.loo_count(model)
+    current, mask = model, model.mask_for(ctx.n_features)
+    best_size = int(mask.sum())
+    but = ~np.eye(len(mask), dtype=bool)  # but[j]: every column but j
     # march all the way down to one feature, keeping the best subset seen
-    while current_mask.sum() > 1:
-        drops = [(int(j), _drop_feature(current, current_mask, int(j)))
-                 for j in np.flatnonzero(current_mask)]
-        ctx.fill_one_column(current, (ctx.model_key(cand) for _, cand in drops))
-        candidates = [(ctx.loo_count(cand), j, cand) for j, cand in drops]
-        count, _, cand = max(candidates, key=lambda t: (t[0], t[1]))
-        current = cand
-        current_mask = current.mask_for(ctx.n_features)
-        size = int(current_mask.sum())
-        if count > best_count or (count == best_count and size < best_size):
-            best_model, best_count, best_size = current, count, size
+    while mask.sum() > 1:
+        weights = current.distance.weights
+        drops = [(mask & but[j], None if weights is None else np.delete(weights, pos))
+                 for pos, j in enumerate(np.flatnonzero(mask))]
+        counts = _round(ctx, current, model, drops)
+        pick = max(range(len(drops)), key=lambda i: (counts[i], i))
+        mask, weights = drops[pick]
+        current = replace(current, feature_mask=mask,
+                          distance=replace(current.distance, weights=weights))
+        size = int(mask.sum())
+        if counts[pick] > best_count or (counts[pick] == best_count and size < best_size):
+            best_model, best_count, best_size = current, counts[pick], size
     return ChannelResult(best_model, best_count)
 
 
@@ -160,21 +189,6 @@ def check_step(step: float) -> np.ndarray:
     return np.round(np.arange(levels + 1) * step, 10)
 
 
-def _grid_keys(ctx: EvalContext, model: ModelSpec, pos: int, grid: np.ndarray):
-    """The model_keys of model with weight pos at each other grid value, made
-    by stepping model's weights in place; the weight is restored once the
-    keys run out or are dropped."""
-    w = model.distance.weights
-    cur = w[pos]
-    try:
-        for g in grid:
-            if g != cur:
-                w[pos] = g
-                yield ctx.model_key(model)
-    finally:
-        w[pos] = cur
-
-
 def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     """One coordinate-descent run over the weight grid.
 
@@ -182,24 +196,19 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     one; tie='low' also moves sideways to the lowest equal-scoring value,
     walking plateaus toward zero.
     """
-    model = _with_weights(ref, ref.active_weights(ctx.n_features).copy())
-    w = model.distance.weights  # stepped in place: every candidate is this one model
+    model = deepcopy(ref)  # every candidate is set on this copy, never on ref
+    w = model.distance.weights = model.active_weights(ctx.n_features)  # moved in place
     count = ctx.loo_count(model)
     changed = True
     while changed:
         changed = False
         for pos in range(len(w)):
             cur = w[pos]
-            if len(grid) > 2:  # a batch needs two candidates
-                ctx.fill_one_column(model, _grid_keys(ctx, model, pos, grid))
-            scores = []
-            for g in grid:
-                if g == cur:
-                    scores.append(count)
-                    continue
-                w[pos] = g
-                scores.append(ctx.loo_count(model))
-            w[pos] = cur
+            others = grid[grid != cur]
+            steps = np.repeat(w[None], len(others), axis=0)  # row i: w with weight pos at others[i]
+            steps[:, pos] = others
+            counts = iter(_round(ctx, model, model, [(model.feature_mask, s) for s in steps]))
+            scores = [count if g == cur else next(counts) for g in grid]
             top = max(scores)
             if top < count:
                 continue

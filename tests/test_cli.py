@@ -353,6 +353,22 @@ class TestSearch:
         assert code == 0
         assert "distance " not in out.split("level 1:")[1].split("accepted")[0]
 
+    @pytest.mark.parametrize("command", ["search", "sequence"])
+    @pytest.mark.parametrize("value", ["", " ", ",", "k,,distance", "k,,bogus", "bogus", "k,"])
+    def test_bad_channels_is_1(self, capsys, command, value):
+        # a blank entry is not skipped, and an unknown name is a usage error
+        # that names the flag: neither runs a search short of a channel
+        code, out, err = run(capsys, [command, *MONKS, "--channels", value])
+        assert code == 1 and out == ""
+        assert "--channels" in err
+
+    def test_channel_names_are_stripped(self, capsys):
+        _, plain, _ = run(capsys, ["search", *MONKS, "--channels", "k,distance"])
+        code, spaced, _ = run(capsys, ["search", *MONKS, "--channels", " k , distance "])
+        assert code == 0
+        # the config line echoes --channels as written
+        assert spaced.split("\n")[1:] == plain.split("\n")[1:]
+
 
 class TestSequence:
     def test_monk1_sequence(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ from metaknn import (DistanceSpec, EvalContext, ModelSpec, optimize_distance,
                      optimize_k, select_features, weight_search_quantized,
                      weight_search_simplex)
 from metaknn.distance import CAMBERRA, MINKOWSKI, multipliers
-from metaknn.optimize import DISTANCE_CANDIDATES, check_step
+from metaknn.optimize import DISTANCE_CANDIDATES, _cd_pass, check_step
 
 from conftest import make_dataset, random_dataset, random_model
 
@@ -198,18 +198,88 @@ class TestQuantizedWeights:
             res = weight_search_quantized(EvalContext(ds), ref)
             assert res.correct_count >= loo_count(ds, ref)
 
-    def test_passes_leave_the_reference_weights_alone(self):
-        # a pass steps its own model's weights in place, never the reference's
-        rng = np.random.default_rng(43)
-        for _ in range(5):
-            ds = random_dataset(rng, max_n=18, max_features=4)
-            ref = ModelSpec(k=int(rng.integers(1, 3)), distance=DistanceSpec(
-                MINKOWSKI, 1, np.round(rng.integers(0, 11, ds.n_features) / 10, 10)))
-            before = ref.distance.weights.tobytes()
-            res = weight_search_quantized(EvalContext(ds), ref)
-            assert ref.distance.weights.tobytes() == before
-            assert not np.shares_memory(res.model.distance.weights, ref.distance.weights)
-            assert res.correct_count == loo_count(ds, res.model)
+@pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
+@pytest.mark.parametrize("channel", [weight_search_quantized, select_features])
+def test_passes_leave_the_reference_weights_alone(channel, weighted):
+    # a channel sets its candidates on a private copy, never on the reference
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        ds = random_dataset(rng, max_n=18, max_features=4)
+        mask = rng.random(ds.n_features) < 0.7
+        mask[int(rng.integers(ds.n_features))] = True
+        weights = np.round(rng.integers(0, 11, int(mask.sum())) / 10, 10) if weighted else None
+        ref = ModelSpec(k=int(rng.integers(1, 3)), feature_mask=mask,
+                        distance=DistanceSpec(MINKOWSKI, 1, weights))
+        before = ref.feature_mask.tobytes(), ref.active_weights(ds.n_features).tobytes()
+        res = channel(EvalContext(ds), ref)
+        assert (ref.feature_mask.tobytes(), ref.active_weights(ds.n_features).tobytes()) == before
+        assert (ref.distance.weights is None) == (weights is None)
+        theirs = [a for a in (ref.feature_mask, ref.distance.weights) if a is not None]
+        for a in (res.model.feature_mask, res.model.distance.weights):
+            assert a is None or not any(np.shares_memory(a, b) for b in theirs)
+        assert res.correct_count == loo_count(ds, res.model)
+
+
+class TestRequestOrder:
+    """Each round of one-parameter candidates is requested in a fixed order,
+    one loo_count per candidate: a feature drop is a mask change, a weight
+    step a change of that weight alone."""
+
+    @staticmethod
+    def requests(monkeypatch) -> list:
+        """The (model_key, count) of every loo_count request, in order."""
+        seen, loo_count = [], EvalContext.loo_count
+
+        def spy(ctx, model):
+            key = ctx.model_key(model)
+            seen.append((key, loo_count(ctx, model)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(EvalContext, "loo_count", spy)
+        return seen
+
+    @pytest.mark.parametrize("suite, ref", [
+        ("monks2", ModelSpec()),
+        ("monks2", ModelSpec(feature_mask=[1, 1, 0, 1, 1, 1], distance=DistanceSpec(
+            MINKOWSKI, 1, [0.5, 1.0, 0.2, 0.0, 0.7]))),
+        ("ionosphere", ModelSpec(distance=DistanceSpec(MINKOWSKI, 1)))],
+        ids=["monks2", "monks2-masked-weighted", "ionosphere"])
+    def test_feature_rounds_drop_each_active_column_in_order(self, request, monkeypatch,
+                                                              suite, ref):
+        train = request.getfixturevalue(suite).train
+        seen = self.requests(monkeypatch)
+        select_features(EvalContext(train), ref)
+        (k, kind, alpha, mask, weights), _ = seen[0]
+        assert seen[0][0] == EvalContext(train).model_key(ref)
+        mask, weights, at = np.frombuffer(mask, dtype=bool), np.frombuffer(weights), 1
+        while mask.sum() > 1:  # each round: current with each active column dropped
+            drops = [(np.where(np.arange(len(mask)) == j, False, mask), np.delete(weights, pos))
+                     for pos, j in enumerate(np.flatnonzero(mask))]
+            keys, counts = zip(*seen[at:at + len(drops)])
+            assert list(keys) == [(k, kind, alpha, m.tobytes(), w.tobytes()) for m, w in drops]
+            mask, weights = drops[max(range(len(drops)), key=lambda i: (counts[i], i))]
+            at += len(drops)
+        assert at == len(seen)
+
+    @pytest.mark.parametrize("tie", ["near", "low"])
+    @pytest.mark.parametrize("suite, step", [("monks2", 0.1), ("ionosphere", 0.5)])
+    def test_weight_rounds_step_each_coordinate_through_the_grid(self, request, monkeypatch,
+                                                                 suite, step, tie):
+        train, grid = request.getfixturevalue(suite).train, check_step(step)
+        seen = self.requests(monkeypatch)
+        model, _ = _cd_pass(EvalContext(train), ModelSpec(), grid, tie)
+        keys = [key for key, _ in seen]
+        assert all(key[:4] == keys[0][:4] for key in keys)
+        weights = [np.frombuffer(key[4]) for key in keys] + [model.distance.weights]
+        w, block = weights[0], len(grid) - 1
+        assert np.array_equal(w, np.ones(train.n_features))
+        assert (len(keys) - 1) % (len(w) * block) == 0  # whole sweeps
+        for b, at in enumerate(range(1, len(keys), block)):
+            pos = b % len(w)  # every other grid value of this weight, in grid order
+            steps = [np.where(np.arange(len(w)) == pos, g, w) for g in grid if g != w[pos]]
+            assert [v.tobytes() for v in weights[at:at + block]] == [v.tobytes() for v in steps]
+            # where the weight settled: the next request holds it, or the result
+            w = np.where(np.arange(len(w)) == pos, weights[at + block][pos], w)
 
 
 class TestSimplexWeights:
