@@ -20,12 +20,13 @@ once all its suites have run.
 Input has one path too.  --format's choices are the loaders of
 `dataset.FORMATS`, and `_load` reads --train, --test and --split through
 them.  The list flags --features, --weights, --channels, --k-range and
---split are parsed by `_entries` alone; a blank or malformed entry (for
---channels, a name not in `optimize.CHANNELS`), or a wrong count, is a usage
-error that names the flag, and so is a --weights count that does not fit the
-active features.  --label-column
-applies to CSV only: with --format monks any value but its default is a
-usage error, not a setting echoed as if it had been applied.
+--split are parsed by `_entries` alone; a blank or malformed entry, or a
+wrong count, is a usage error that names the flag.  So is a --channels name
+not in `optimize.CHANNELS` (the message lists them), and a --weights list
+that does not fit the active features or holds a negative, NaN or infinite
+weight.  --label-column applies to CSV only: with --format monks any value
+but its default is a usage error, not a setting echoed as if it had been
+applied.
 """
 
 from __future__ import annotations
@@ -125,24 +126,17 @@ def build_parser() -> _Parser:
 def _entries(flag: str, text: str, kind: type, pair: str | None = None) -> list:
     """The entries of a list flag, each parsed by `kind`: comma-separated, or
     the two halves of a `pair` such as LO:HI.  A blank flag, a blank or
-    malformed entry, or a pair of another length is a ValueError naming the
-    flag."""
+    malformed entry (one that `kind` rejects or parses to ""), or a pair of
+    another length is a ValueError naming the flag."""
     if not text.strip():
         raise ValueError(f"{flag} is empty")
     try:
         values = [kind(t) for t in text.split(":" if pair else ",")]
     except ValueError:
         values = []
-    if not values or pair and len(values) != 2:
+    if not values or "" in values or pair and len(values) != 2:
         raise ValueError(f"{flag} expects {pair or 'a comma-separated list'}, got {text!r}")
     return values
-
-
-def _channel(text: str) -> str:
-    """A --channels entry: a channel name, surrounding spaces stripped."""
-    if text.strip() not in CHANNELS:
-        raise ValueError(text)
-    return text.strip()
 
 
 def _load(args) -> tuple[Dataset, Dataset | None, int]:
@@ -198,7 +192,11 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         # each weight belongs to the feature written at its place; the model
         # holds the weights of the active features in ascending order
         weights = weights[np.argsort(indices)]
-    return ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
+    try:
+        distance = DistanceSpec(kind, alpha, weights)
+    except ValueError as exc:  # kind and alpha are --distance and --alpha choices
+        raise ValueError(f"--weights {args.weights!r}: {exc}") from None
+    return ModelSpec(k=args.k, distance=distance, feature_mask=mask)
 
 
 def _with_config(args, unused: int, records: list[dict],
@@ -237,8 +235,12 @@ def cmd_eval(args) -> tuple[list[dict], list[str], int]:
 
 def _search_kwargs(args):
     lo, hi = _entries("--k-range", args.k_range, int, "LO:HI")
-    return dict(channels=tuple(_entries("--channels", args.channels, _channel)),
-                epsilon=args.epsilon, k_range=(lo, hi),
+    channels = tuple(_entries("--channels", args.channels, str.strip))
+    unknown = [name for name in channels if name not in CHANNELS]
+    if unknown:
+        raise ValueError(f"--channels names an unknown channel {unknown[0]!r}; "
+                         f"the channels are {', '.join(CHANNELS)}")
+    return dict(channels=channels, epsilon=args.epsilon, k_range=(lo, hi),
                 weight_method=args.weight_method, step=args.step, budget=args.budget)
 
 

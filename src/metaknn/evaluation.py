@@ -57,8 +57,12 @@ while it sums the new one.
 
 One-column batches.  A channel whose candidates each change one column of a
 base model (backward elimination's drops, one coordinate's weight grid) hands
-their keys to fill_one_column first, and then asks loo_count for each as
-before, so every filled count is a memo hit.  With D the base's matrix and
+fill_one_column the base and the candidates' resolved (feature mask,
+weights) arrays first, and then asks loo_count for each as before, so every
+filled count is a memo hit.  The batch keys each candidate once, from the
+base's k, kind and alpha and the two arrays' bytes, the layout model_key
+spells too.  It needs no generator to stay lazy: it keys nothing until its
+early refusals have passed.  With D the base's matrix and
 every factor at the lcm of the batch's denominators, candidate c's matrix is
 E_c = D + (new_j - old_j) * T_j.  Its row minimum is at most its entry at D's
 row argmin, and every entry is at least D - M, M the elementwise largest
@@ -148,6 +152,11 @@ def _tie_heavy(dist: np.ndarray):
     nearest = dist.argmin(axis=1)
     shared = shared_minima(dist, nearest, dist[np.arange(len(dist)), nearest])
     return np.count_nonzero(shared) > _BATCH_TIE_SHARE * len(dist), nearest
+
+
+def _key(model: ModelSpec, mask: np.ndarray, weights: np.ndarray) -> tuple:
+    """The model_key of model holding this resolved feature mask and these weights."""
+    return model.k, model.distance.kind, model.distance.alpha, mask.tobytes(), weights.tobytes()
 
 
 class EvalContext:
@@ -279,28 +288,30 @@ class EvalContext:
         return EvalReport(correct / data.n, correct, data.n, winners, votes / sizes[:, None],
                           data.labels, confusion_of(data.labels, winners, self.n_classes))
 
-    def fill_one_column(self, base: ModelSpec, keys) -> None:
-        """Fill the count memo for the models among keys (model_keys) that each
-        change one exact column factor of base, at k=1, all from base's
-        leave-one-out matrix at once; see the module docstring.  The others are
-        left to loo_count, and base's matrix is left as the last one.  keys is
-        iterated once, and not at all when the batch is refused before it.
+    def fill_one_column(self, model: ModelSpec, candidates) -> None:
+        """Fill the count memo for the candidates, (feature_mask, weights) pairs
+        of resolved arrays for model to hold, that each change one exact column
+        factor of model, at k=1, all from model's leave-one-out matrix at once;
+        see the module docstring.  The others are left to loo_count, and
+        model's matrix is left as the last one.  Each candidate is keyed once,
+        and none is keyed when the batch is refused before it.
         """
-        last = self._last
-        if base.k != 1 or base.distance.kind == CHEBYSHEV:
+        last, kind, alpha = self._last, model.distance.kind, model.distance.alpha
+        if model.k != 1 or kind == CHEBYSHEV:
             return
-        # the last k=1 vote, on a neighbour of base, refuses a tie-heavy batch cheaply
-        if last and last.model[:2] == (base.distance.kind, base.distance.alpha) and \
+        # the last k=1 vote, on a neighbour of model, refuses a tie-heavy batch cheaply
+        if last and last.model[:2] == (kind, alpha) and \
                 last.shared > _BATCH_TIE_SHARE * self.train.n:
             return
-        base_key = self.model_key(base)
+        base_key = self.model_key(model)
         old, den = self._factors(base_key[4])
         if den is None:
             return
         old = self._full(base_key[3], old)
         batch = {}  # model_key -> its changed column, new factor and denominator
-        for key in keys:
-            if key[:3] != base_key[:3] or ("train", key) in self._counts or key in batch:
+        for mask, weights in candidates:
+            key = _key(model, mask, weights)
+            if ("train", key) in self._counts or key in batch:
                 continue
             new, new_den = self._factors(key[4])
             if new_den is None:
@@ -323,7 +334,7 @@ class EvalContext:
         heavy, nearest = _tie_heavy(dist)
         if heavy:
             return
-        counts = self._one_column_counts(term_key(*base_key[1:3]), dist, common // den, nearest,
+        counts = self._one_column_counts(term_key(kind, alpha), dist, common // den, nearest,
                                          columns, new - old[columns], ups)
         for key, count in zip(batch, counts.tolist()):
             self._counts["train", key] = count
@@ -395,9 +406,7 @@ class EvalContext:
 
     def model_key(self, model: ModelSpec) -> tuple:
         """k, distance, resolved mask and weights: models with equal keys score alike."""
-        n = self.n_features
-        return (model.k, model.distance.kind, model.distance.alpha,
-                model.mask_for(n).tobytes(), model.active_weights(n).tobytes())
+        return _key(model, model.mask_for(self.n_features), model.active_weights(self.n_features))
 
     def _count(self, model: ModelSpec, side: str) -> int:
         """Correct count on side, scored once per distinct resolved model."""

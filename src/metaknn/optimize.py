@@ -9,16 +9,24 @@ ctx.requested count that prices each channel) across all of its channels.
 Every channel scores candidates by leave-one-out accuracy on the training
 data only and never returns a model scoring below the reference.
 
+Every channel follows one protocol.  It deep-copies its reference once and
+sets each candidate on that private model in place (k; the kind and alpha;
+the feature mask and weights), requests it as ctx.loo_count(model), and
+returns the copy set to its best candidate (the quantized weight search
+runs two passes, each on a copy of its own, and returns the better one).
+So the copy is the only ModelSpec a channel makes: none is built per
+candidate, no channel writes into an array its reference holds, and no
+result shares one.  The distance channel returns the reference itself when
+no kind beats it, and a Minkowski re-fit's own result when that one wins.
+
 Backward elimination and the quantized weight search both change one
 parameter of the model per candidate: a feature dropped (a mask change, not
 a weight of 0, so that drops of unit weights share one weight vector, whose
 multipliers are derived once) or one weight moved to another grid value.
-Each round of such candidates goes through _round: every candidate is a
-(feature mask, weights) pair, set in turn on one private copy of the
-reference, a round of two or more is first handed to
-EvalContext.fill_one_column, and then each candidate is requested through
-loo_count, in order.  Neither channel writes into an array its reference
-holds, and neither result shares one.
+Each round of such candidates goes through _round.  Every candidate is a
+(feature mask, weights) pair of resolved arrays.  A round of two or more is
+first handed to EvalContext.fill_one_column as those arrays, and then each
+candidate is set on the model and requested through loo_count, in order.
 
 All search loops are fully deterministic: candidate orders are fixed, and
 every tie rule is explicit.
@@ -27,7 +35,7 @@ every tie rule is explicit.
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +61,6 @@ class ChannelResult:
     budget_exhausted: bool = False
 
 
-def _with_weights(model: ModelSpec, weights) -> ModelSpec:
-    return replace(model, distance=replace(model.distance, weights=np.asarray(weights, float)))
-
-
-def _with_kind(model: ModelSpec, kind: str, alpha) -> ModelSpec:
-    return replace(model, distance=replace(model.distance, kind=kind, alpha=alpha))
-
-
 # ---------------------------------------------------------------- k channel
 
 def check_k_range(k_range, n: int) -> tuple[int, int]:
@@ -76,17 +76,19 @@ def check_k_range(k_range, n: int) -> tuple[int, int]:
 def optimize_k(ctx: EvalContext, ref: ModelSpec, k_range=K_RANGE, **_) -> ChannelResult:
     """Exhaustive scan of the neighborhood size; ties keep the smallest k."""
     lo, hi = check_k_range(k_range, ctx.train.n)
-    best_model, best_count = None, -1
-    for k in range(lo, hi + 1):
-        cand = ref if k == ref.k else replace(ref, k=k)
-        count = ctx.loo_count(cand)
+    model = deepcopy(ref)  # every k is set on this copy in turn, and then the best
+    best_k, best_count = None, -1
+    for model.k in range(lo, hi + 1):
+        count = ctx.loo_count(model)
         if count > best_count:  # ties keep the smaller k
-            best_model, best_count = cand, count
+            best_k, best_count = model.k, count
     if not lo <= ref.k <= hi:  # never return a model scoring below the reference
-        ref_count = ctx.loo_count(ref)
+        model.k = ref.k
+        ref_count = ctx.loo_count(model)
         if ref_count >= best_count:
-            best_model, best_count = ref, ref_count
-    return ChannelResult(best_model, best_count)
+            best_k, best_count = ref.k, ref_count
+    model.k = best_k
+    return ChannelResult(model, best_count)
 
 
 # --------------------------------------------------------- distance channel
@@ -98,47 +100,45 @@ def optimize_distance(ctx: EvalContext, ref: ModelSpec, **options) -> ChannelRes
     channel under the search's options (budget_exhausted if any re-fit ran
     out); Chebyshev and Camberra are scored with the weights as they are.
     """
-    best_model, best_count = ref, ctx.loo_count(ref)
+    best, best_count = ref, ctx.loo_count(ref)  # a model, or a kind scored on the copy
     exhausted = False
     weighted = np.any(ref.active_weights(ctx.n_features) != 1.0)
+    model = deepcopy(ref)  # every kind is set on this copy in turn
     for kind, alpha in DISTANCE_CANDIDATES:
         if kind == ref.distance.kind and alpha == ref.distance.alpha:
             continue
-        cand = _with_kind(ref, kind, alpha)
+        model.distance.kind, model.distance.alpha = kind, alpha
         if weighted and kind == MINKOWSKI:
             # weights tuned under one exponent rarely transfer to another;
             # re-run the search's weight search under the candidate exponent
-            refit = _weight_channel(ctx, cand, **options)
+            refit = _weight_channel(ctx, model, **options)
             cand, count = refit.model, refit.correct_count
             exhausted |= refit.budget_exhausted
         else:
-            count = ctx.loo_count(cand)
+            cand, count = (kind, alpha), ctx.loo_count(model)
         if count > best_count:  # strict: ties keep the reference / earlier kind
-            best_model, best_count = cand, count
-    return ChannelResult(best_model, best_count, exhausted)
+            best, best_count = cand, count
+    if isinstance(best, tuple):  # a kind scored on the copy: the copy, set back to it
+        model.distance.kind, model.distance.alpha = best
+        best = model
+    return ChannelResult(best, best_count, exhausted)
 
 
 # ------------------------------------------------- one-parameter rounds
 
-def _round(ctx: EvalContext, base: ModelSpec, model: ModelSpec, candidates: list) -> list[int]:
+def _round(ctx: EvalContext, model: ModelSpec, candidates: list) -> list[int]:
     """The leave-one-out counts of model set to each (feature_mask, weights)
-    pair of candidates, requested in order, after one fill_one_column batch
-    from base when there are two or more.  Every candidate changes one
-    parameter of base, a feature dropped or a weight stepped; model is set to
-    each pair in place and left holding what it held before."""
-    held = model.feature_mask, model.distance.weights
-
-    def each():  # model as each candidate in turn, restored once they run out or are dropped
-        try:
-            for mask, weights in candidates:
-                model.feature_mask, model.distance.weights = mask, weights
-                yield model
-        finally:
-            model.feature_mask, model.distance.weights = held
-
+    pair of candidates, requested in order after one fill_one_column batch
+    when there are two or more.  Each pair holds resolved arrays that change
+    one parameter of model, a feature dropped or a weight stepped; model is
+    set to each pair in place and left holding what it held before."""
     if len(candidates) > 1:
-        ctx.fill_one_column(base, (ctx.model_key(m) for m in each()))
-    return [ctx.loo_count(m) for m in each()]
+        ctx.fill_one_column(model, candidates)
+    held, counts = (model.feature_mask, model.distance.weights), []
+    for model.feature_mask, model.distance.weights in candidates:
+        counts.append(ctx.loo_count(model))
+    model.feature_mask, model.distance.weights = held
+    return counts
 
 
 # --------------------------------------------------------- feature channel
@@ -151,27 +151,22 @@ def select_features(ctx: EvalContext, ref: ModelSpec, **_) -> ChannelResult:
     anywhere along the march is returned, preferring fewer features on equal
     score.
     """
-    # every drop is set on this copy in turn; it is left holding ref's values,
-    # in arrays of its own, and stands for ref in the result
-    model = deepcopy(ref)
-    best_model, best_count = model, ctx.loo_count(model)
-    current, mask = model, model.mask_for(ctx.n_features)
-    best_size = int(mask.sum())
+    model = deepcopy(ref)  # every drop is set on this copy in turn, and then the best
+    mask, weights = model.feature_mask, model.distance.weights = \
+        model.mask_for(ctx.n_features), model.active_weights(ctx.n_features)
+    best, best_count = (mask, weights), ctx.loo_count(model)
     but = ~np.eye(len(mask), dtype=bool)  # but[j]: every column but j
     # march all the way down to one feature, keeping the best subset seen
     while mask.sum() > 1:
-        weights = current.distance.weights
-        drops = [(mask & but[j], None if weights is None else np.delete(weights, pos))
+        drops = [(mask & but[j], np.delete(weights, pos))
                  for pos, j in enumerate(np.flatnonzero(mask))]
-        counts = _round(ctx, current, model, drops)
+        counts = _round(ctx, model, drops)
         pick = max(range(len(drops)), key=lambda i: (counts[i], i))
-        mask, weights = drops[pick]
-        current = replace(current, feature_mask=mask,
-                          distance=replace(current.distance, weights=weights))
-        size = int(mask.sum())
-        if counts[pick] > best_count or (counts[pick] == best_count and size < best_size):
-            best_model, best_count, best_size = current, counts[pick], size
-    return ChannelResult(best_model, best_count)
+        mask, weights = model.feature_mask, model.distance.weights = drops[pick]
+        if counts[pick] >= best_count:  # each round is smaller, so equal scores prefer it
+            best, best_count = drops[pick], counts[pick]
+    model.feature_mask, model.distance.weights = best
+    return ChannelResult(model, best_count)
 
 
 # -------------------------------------------------- quantized weight search
@@ -197,6 +192,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
     walking plateaus toward zero.
     """
     model = deepcopy(ref)  # every candidate is set on this copy, never on ref
+    mask = model.feature_mask = model.mask_for(ctx.n_features)
     w = model.distance.weights = model.active_weights(ctx.n_features)  # moved in place
     count = ctx.loo_count(model)
     changed = True
@@ -207,7 +203,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
             others = grid[grid != cur]
             steps = np.repeat(w[None], len(others), axis=0)  # row i: w with weight pos at others[i]
             steps[:, pos] = others
-            counts = iter(_round(ctx, model, model, [(model.feature_mask, s) for s in steps]))
+            counts = iter(_round(ctx, model, [(mask, s) for s in steps]))
             scores = [count if g == cur else next(counts) for g in grid]
             top = max(scores)
             if top < count:
@@ -218,9 +214,7 @@ def _cd_pass(ctx: EvalContext, ref: ModelSpec, grid: np.ndarray, tie: str):
             else:
                 pick = tied[0]
             if grid[pick] != cur and (top > count or tie == "low" or cur not in grid):
-                w[pos] = grid[pick]
-                count = top
-                changed = True
+                w[pos], count, changed = grid[pick], top, True
     return model, count
 
 
@@ -235,9 +229,8 @@ def weight_search_quantized(ctx: EvalContext, ref: ModelSpec, step=STEP,
     grid = check_step(step)
     m1, c1 = _cd_pass(ctx, ref, grid, "near")
     m2, c2 = _cd_pass(ctx, ref, grid, "low")
-    nnz1 = int(np.count_nonzero(m1.active_weights(ctx.n_features)))
-    nnz2 = int(np.count_nonzero(m2.active_weights(ctx.n_features)))
-    if c2 > c1 or (c2 == c1 and nnz2 < nnz1):
+    sparser = np.count_nonzero(m2.distance.weights) < np.count_nonzero(m1.distance.weights)
+    if c2 > c1 or (c2 == c1 and sparser):
         return ChannelResult(m2, c2)
     return ChannelResult(m1, c1)
 
@@ -263,19 +256,20 @@ def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
     check_budget(budget)
     dim = int(ref.mask_for(ctx.n_features).sum())
     stop = ctx.requested + budget  # the budget counts this search's own requests
+    model = deepcopy(ref)  # every vertex is set on this copy in turn, and then the best
     best_w, best_score = None, (-1, 0.0)
 
     def objective(w):
         # maximize correct count, then prefer small total weight; keep the best vertex
         nonlocal best_w, best_score
-        score = ctx.loo_count(_with_weights(ref, w)), -float(np.sum(w))
+        model.distance.weights = w
+        score = ctx.loo_count(model), -float(np.sum(w))
         if score > best_score:
             best_w, best_score = w.copy(), score
         return score
 
-    start = ref.active_weights(ctx.n_features).copy()
-    vertices = [start] + [start + 0.5 * np.eye(dim)[i] for i in range(dim)]
-    vertices = vertices[:budget]
+    start = model.active_weights(ctx.n_features)
+    vertices = ([start] + [start + 0.5 * np.eye(dim)[i] for i in range(dim)])[:budget]
     scores = [objective(v) for v in vertices]
 
     # stops on convergence or on the budget; ctx.requested >= stop tells which
@@ -312,7 +306,8 @@ def weight_search_simplex(ctx: EvalContext, ref: ModelSpec, budget=BUDGET,
                     vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
                     scores[i] = objective(vertices[i])
 
-    return ChannelResult(_with_weights(ref, best_w), best_score[0], ctx.requested >= stop)
+    model.distance.weights = best_w
+    return ChannelResult(model, best_score[0], ctx.requested >= stop)
 
 
 def check_weight_method(weight_method: str) -> None:

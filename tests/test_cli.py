@@ -214,6 +214,13 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert f"{flag} expects" in err and repr(value) in err
 
+    @pytest.mark.parametrize("value", ["-1,1,1,1,1,1", "nan,1,1,1,1,1", "1,inf,1,1,1,1"])
+    def test_rejected_weights_name_the_flag(self, capsys, value):
+        # a weight the distance rejects is a usage error like any other list flag's
+        code, out, err = run(capsys, ["eval", *MONKS, f"--weights={value}"])
+        assert code == 1 and out == ""
+        assert "--weights" in err and repr(value) in err
+
     @pytest.mark.parametrize("command", ["eval", "search", "sequence"])
     def test_label_column_with_monks_is_1(self, capsys, command):
         # a Monk file's label is always its first token; the flag would be
@@ -361,6 +368,15 @@ class TestSearch:
         code, out, err = run(capsys, [command, *MONKS, "--channels", value])
         assert code == 1 and out == ""
         assert "--channels" in err
+
+    @pytest.mark.parametrize("command", ["search", "sequence"])
+    @pytest.mark.parametrize("value, name", [("bogus", "bogus"), ("k,Weights", "Weights")])
+    def test_unknown_channel_lists_the_channels(self, capsys, command, value, name):
+        # an unknown name is not a malformed list: the message names it and the channels
+        code, out, err = run(capsys, [command, *MONKS, "--channels", value])
+        assert code == 1 and out == ""
+        assert "--channels" in err and repr(name) in err
+        assert "k, distance, features, weights" in err
 
     def test_channel_names_are_stripped(self, capsys):
         _, plain, _ = run(capsys, ["search", *MONKS, "--channels", "k,distance"])

@@ -617,7 +617,8 @@ def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation, "_BATCH_TIE_SHARE", 1.0)
         ctx = EvalContext(train)
-        ctx.fill_one_column(base, [ctx.model_key(c) for c in candidates])
+        ctx.fill_one_column(base, [(c.mask_for(width), c.active_weights(width))
+                                   for c in candidates])
     refused = batch == "headroom" or kind[0] == CHEBYSHEV
     assert ctx.requested == 0
     assert ctx.evaluations == len(ctx._counts) == (0 if refused else len(candidates))
@@ -633,8 +634,8 @@ class TestFillRefusals:
 
     @staticmethod
     def filled(train, base, candidates) -> int:
-        ctx = EvalContext(train)
-        ctx.fill_one_column(base, [ctx.model_key(c) for c in candidates])
+        ctx, n = EvalContext(train), train.n_features
+        ctx.fill_one_column(base, [(c.mask_for(n), c.active_weights(n)) for c in candidates])
         assert ctx.evaluations == len(ctx._counts)
         return ctx.evaluations
 
@@ -741,7 +742,8 @@ class ContextMachine(RuleBasedStateMachine):
                 w[j] = g / 10
                 candidates.append(ModelSpec(self.k, DistanceSpec(kind, alpha, w[self.mask]),
                                             self.mask.copy()))
-        self.ctx.fill_one_column(base, [self.ctx.model_key(c) for c in candidates])
+        n = len(self.mask)
+        self.ctx.fill_one_column(base, [(c.mask_for(n), c.active_weights(n)) for c in candidates])
         unbatched = EvalContext(self.train)
         for cand in candidates:
             self.requested += 1

@@ -198,32 +198,38 @@ class TestQuantizedWeights:
             res = weight_search_quantized(EvalContext(ds), ref)
             assert res.correct_count >= loo_count(ds, ref)
 
+@pytest.mark.parametrize("masked", [True, False], ids=["masked", "all-features"])
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit-weights"])
-@pytest.mark.parametrize("channel", [weight_search_quantized, select_features])
-def test_passes_leave_the_reference_weights_alone(channel, weighted):
+@pytest.mark.parametrize("channel", [optimize_k, optimize_distance, select_features,
+                                     weight_search_quantized, weight_search_simplex])
+def test_passes_leave_the_reference_weights_alone(channel, weighted, masked):
     # a channel sets its candidates on a private copy, never on the reference
     rng = np.random.default_rng(43)
     for _ in range(5):
         ds = random_dataset(rng, max_n=18, max_features=4)
         mask = rng.random(ds.n_features) < 0.7
         mask[int(rng.integers(ds.n_features))] = True
-        weights = np.round(rng.integers(0, 11, int(mask.sum())) / 10, 10) if weighted else None
+        mask = mask if masked else None
+        n_active = ds.n_features if mask is None else int(mask.sum())
+        weights = np.round(rng.integers(0, 11, n_active) / 10, 10) if weighted else None
         ref = ModelSpec(k=int(rng.integers(1, 3)), feature_mask=mask,
                         distance=DistanceSpec(MINKOWSKI, 1, weights))
-        before = ref.feature_mask.tobytes(), ref.active_weights(ds.n_features).tobytes()
+        before = EvalContext(ds).model_key(ref)
         res = channel(EvalContext(ds), ref)
-        assert (ref.feature_mask.tobytes(), ref.active_weights(ds.n_features).tobytes()) == before
-        assert (ref.distance.weights is None) == (weights is None)
+        assert EvalContext(ds).model_key(ref) == before
+        assert (ref.feature_mask is None, ref.distance.weights is None) == (not masked,
+                                                                            not weighted)
         theirs = [a for a in (ref.feature_mask, ref.distance.weights) if a is not None]
         for a in (res.model.feature_mask, res.model.distance.weights):
-            assert a is None or not any(np.shares_memory(a, b) for b in theirs)
+            assert res.model is ref or a is None or not any(np.shares_memory(a, b)
+                                                            for b in theirs)
         assert res.correct_count == loo_count(ds, res.model)
 
 
 class TestRequestOrder:
     """Each round of one-parameter candidates is requested in a fixed order,
     one loo_count per candidate: a feature drop is a mask change, a weight
-    step a change of that weight alone."""
+    step a change of that weight alone, a k candidate a change of k alone."""
 
     @staticmethod
     def requests(monkeypatch) -> list:
@@ -280,6 +286,33 @@ class TestRequestOrder:
             assert [v.tobytes() for v in weights[at:at + block]] == [v.tobytes() for v in steps]
             # where the weight settled: the next request holds it, or the result
             w = np.where(np.arange(len(w)) == pos, weights[at + block][pos], w)
+
+    @pytest.mark.parametrize("ref_k", [1, 3, 6, 8])
+    def test_k_rounds_scan_the_range_in_order(self, monks2, monkeypatch, ref_k):
+        # k = lo..hi, one request each, then the reference's own k when the range misses it
+        ref = ModelSpec(ref_k, DistanceSpec(MINKOWSKI, 1, [0.5, 1.0, 0.2, 0.0, 0.7]),
+                        [1, 1, 0, 1, 1, 1])
+        seen = self.requests(monkeypatch)
+        optimize_k(EvalContext(monks2.train), ref, k_range=(2, 6))
+        _, *rest = EvalContext(monks2.train).model_key(ref)
+        ks = [*range(2, 7)] + ([] if 2 <= ref_k <= 6 else [ref_k])
+        assert [key for key, _ in seen] == [(k, *rest) for k in ks]
+
+    @pytest.mark.parametrize("ref", [
+        ModelSpec(),
+        ModelSpec(feature_mask=[1, 1, 0, 1, 1, 1], distance=DistanceSpec(
+            MINKOWSKI, 1, [0.5, 1.0, 0.2, 0.0, 0.7]))], ids=["plain", "masked-weighted"])
+    def test_simplex_starts_at_the_reference_then_each_bump(self, monks2, monkeypatch, ref):
+        # the start vertex, then each weight raised by 0.5 in turn; every vertex
+        # after them changes the weights alone
+        seen = self.requests(monkeypatch)
+        weight_search_simplex(EvalContext(monks2.train), ref, budget=20)
+        key = EvalContext(monks2.train).model_key(ref)
+        start = np.frombuffer(key[4])
+        bumps = [start + 0.5 * np.eye(len(start))[i] for i in range(len(start))]
+        keys = [key for key, _ in seen]
+        assert keys[:len(start) + 1] == [key] + [(*key[:4], b.tobytes()) for b in bumps]
+        assert len(keys) == 20 and all(k[:4] == key[:4] for k in keys)
 
 
 class TestSimplexWeights:
