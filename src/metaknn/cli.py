@@ -24,9 +24,12 @@ them.  The list flags --features, --weights, --channels, --k-range and
 wrong count, is a usage error that names the flag.  So is a --channels name
 not in `optimize.CHANNELS` (the message lists them), and a --weights list
 that does not fit the active features or holds a negative, NaN or infinite
-weight.  --label-column applies to CSV only: with --format monks any value
-but its default is a usage error, not a setting echoed as if it had been
-applied.
+weight.  Every list flag is parsed, and the --channels names and --weights
+values are checked, before `_load` reads a file, so such a usage error
+exits 1 even when --train cannot be read; the checks against the data (a
+--features index, the --weights count) follow the load.  --label-column
+applies to CSV only: with --format monks any value but its default is a
+usage error, not a setting echoed as if it had been applied.
 """
 
 from __future__ import annotations
@@ -164,7 +167,23 @@ def _load(args) -> tuple[Dataset, Dataset | None, int]:
     return train, test, unused
 
 
-def _model_from_args(args, train: Dataset) -> ModelSpec:
+def _model_lists(args) -> tuple[np.ndarray | None, list | None]:
+    """The --weights and --features entries, parsed before any data is read,
+    and the weights checked for values a DistanceSpec rejects; the checks
+    against the data's features come after the load."""
+    weights = indices = None
+    if args.weights is not None:
+        weights = np.array(_entries("--weights", args.weights, float))
+        try:
+            DistanceSpec(weights=weights)
+        except ValueError as exc:
+            raise ValueError(f"--weights {args.weights!r}: {exc}") from None
+    if args.features is not None:
+        indices = _entries("--features", args.features, int)
+    return weights, indices
+
+
+def _model_from_args(args, train: Dataset, weights, indices) -> ModelSpec:
     kind, alpha = DISTANCE_NAMES[args.distance]
     if args.alpha is not None:
         if args.distance != "minkowski":
@@ -172,12 +191,8 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         alpha = args.alpha
     if not 1 <= args.k < train.n:  # leave-one-out votes over the other n - 1 rows
         raise ValueError(f"--k must be in 1..{train.n - 1} on {train.n} training rows")
-    weights = None
-    if args.weights is not None:
-        weights = np.array(_entries("--weights", args.weights, float))
     mask = None
-    if args.features is not None:
-        indices = _entries("--features", args.features, int)
+    if indices is not None:
         if min(indices) < 1 or max(indices) > train.n_features:
             raise ValueError(f"--features indices must be in 1..{train.n_features}")
         if len(set(indices)) < len(indices):
@@ -192,11 +207,7 @@ def _model_from_args(args, train: Dataset) -> ModelSpec:
         # each weight belongs to the feature written at its place; the model
         # holds the weights of the active features in ascending order
         weights = weights[np.argsort(indices)]
-    try:
-        distance = DistanceSpec(kind, alpha, weights)
-    except ValueError as exc:  # kind and alpha are --distance and --alpha choices
-        raise ValueError(f"--weights {args.weights!r}: {exc}") from None
-    return ModelSpec(k=args.k, distance=distance, feature_mask=mask)
+    return ModelSpec(k=args.k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
 
 
 def _with_config(args, unused: int, records: list[dict],
@@ -216,8 +227,9 @@ def _model_line(model: ModelSpec, n_features: int) -> str:
 
 
 def cmd_eval(args) -> tuple[list[dict], list[str], int]:
+    lists = _model_lists(args)
     train, test, unused = _load(args)
-    model = _model_from_args(args, train)
+    model = _model_from_args(args, train, *lists)
     ctx = EvalContext(train, test)
     loo = ctx.loo_report(model)
     records = [{"type": "model", **model.describe(train.n_features)},
@@ -245,8 +257,9 @@ def _search_kwargs(args):
 
 
 def cmd_search(args) -> tuple[list[dict], list[str], int]:
+    kwargs = _search_kwargs(args)
     train, test, unused = _load(args)
-    model, trace = meta_search(train, test=test, **_search_kwargs(args))
+    model, trace = meta_search(train, test=test, **kwargs)
     n = train.n_features
 
     def scores(r) -> str:
@@ -266,8 +279,9 @@ def cmd_search(args) -> tuple[list[dict], list[str], int]:
 
 
 def cmd_sequence(args) -> tuple[list[dict], list[str], int]:
+    kwargs = _search_kwargs(args)
     train, test, unused = _load(args)
-    _, trace = meta_search(train, **_search_kwargs(args))  # the test set scores only the sequence
+    _, trace = meta_search(train, **kwargs)  # the test set scores only the sequence
     pool, truths = build_pool(train, trace)
     seq = select_model_sequence(pool, truths, epsilon=args.epsilon)
     records, lines = [], [f"pool size: {len(pool)}"]

@@ -27,18 +27,23 @@ any positive factor, so the rescaling changes no comparison.  Other weights
 the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
-distance_sums() is the one matrix kernel.  It builds a distance matrix one
-block of rows at a time (block_rows): a block's terms and its sum take
-BLOCK_BYTES each, and so does the product of cached terms (terms built for
-the block are multiplied in place), so the block stays in L2 through all of
-its passes.
+block_sums() is the one matrix kernel.  It builds a distance matrix one
+block of rows at a time (block_rows) and yields each block once its rows
+are whole: a block's terms and its sum take BLOCK_BYTES each, and so does
+the product of cached terms (terms built for the block are multiplied in
+place), so the block stays in L2 through all of its passes.  Given the
+whole matrix it sums each block into it, as distance_sums() does; given
+none, it sums every block into one block-sized array, which the next block
+overwrites, so a caller that votes each block as it comes (a test-side
+scoring, through knn.shell_votes, whose own blocks are these) never holds
+the matrix.
 Within a block it combines per-feature term matrices one feature at a time,
 in index order, through sum_into, the one combine loop, with the same
 per-term operations as the scalar loop pair_sum (a factor of 1 combines the
 term matrix itself, as t * 1 is t), so matrix entries are bitwise equal to
 pair_sum on the corresponding rows at the same scale, and to accumulate()
-over whole term matrices.  A matrix of rows against themselves (a is b: a
-leave-one-out matrix, pairwise_matrix) is symmetric term by term, since
+over whole term matrices.  A whole matrix of rows against themselves (a is
+b: a leave-one-out matrix, pairwise_matrix) is symmetric term by term, since
 x - y is exactly -(y - x) and |x| + |y| is |y| + |x|, so each block's rows
 are built and summed against its own and later rows only (the upper
 trapezoid) and the rest is mirrored: each unordered pair of blocks once.
@@ -48,11 +53,12 @@ keeps nothing: feature_terms builds each column per block into one reused
 buffer, which sum_into then multiplies in place.  pairwise_matrix and
 cross_matrix pass no cache.
 evaluation.EvalContext passes its training terms when it keeps them (it
-decides when), and updates its last matrix in place when a model changes a
-few exact multipliers, stepping the changed columns through sum_into.  It
-also keeps the multipliers of each weight vector it scores: multipliers()
-keeps nothing between calls, and only _fraction's per-weight fractions are
-cached for the process.
+decides when; it builds them through column_terms into one store per term
+kind, and passes the columns a sum reads), and updates its last matrix in
+place when a model changes a few exact multipliers, stepping the changed
+columns through sum_into.  It also keeps the multipliers of each weight
+vector it scores: multipliers() keeps nothing between calls, and only
+_fraction's per-weight fractions are cached for the process.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
 cross_matrix report distances in data units: the sum divided by S, then by
 the weights' unit (L for grid weights), as S times the unit can overflow.
@@ -318,53 +324,74 @@ def sum_into(out: np.ndarray, product: np.ndarray | None, kind: str, terms, fact
 
 
 def block_rows(width: int) -> int:
-    """Rows in one block of distance_sums for a matrix of width columns."""
-    return max(1, BLOCK_BYTES // (8 * width))
+    """Rows in one block of a matrix of width columns (distance_sums, and
+    knn.shell_votes); a row of zero width counts as one column."""
+    return max(1, BLOCK_BYTES // (8 * max(1, width)))
 
 
 def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
                   columns, factors, cache: dict | None = None) -> np.ndarray:
     """Distance sums (before division by scale and unit) from each row of a to
-    each row of b, over columns with the matching factors.
+    each row of b, over columns with the matching factors: the whole matrix
+    that block_sums builds block by block."""
+    out = np.zeros((len(a), len(b)))
+    for _ in block_sums(kind, key, scale, a, b, columns, factors, cache, out):
+        pass
+    return out
 
-    The matrix is built one block of rows at a time, each block's columns
-    combined by sum_into (a unit factor adds the terms themselves, with no
-    product pass), every entry bitwise the one accumulate gives on whole
-    term matrices.  When a is b, the block of rows r:r+m is built against
-    columns r: only, and its entries right of the diagonal block are copied
-    below it, transposed: terms are symmetric bit for bit, so these are the
-    entries the later blocks would build.
-    One buffer of a block's size serves every block.  Without a cache, each
-    column is built by feature_terms per block into it and not kept, and it
-    is also the product: a factor other than 1 multiplies the terms in place.
-    With a cache, which maps a column to its whole term matrix between a and
-    b, each column is read from it, or built whole (column_terms) and added
-    to it, so the caller keeps it; the cached terms are multiplied into the
-    buffer and never written.
+
+def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
+               columns, factors, cache: dict | None = None, out: np.ndarray | None = None):
+    """Yield, for each block of rows of a in order, the distance sums of its
+    rows to every row of b: a view of out, the whole matrix, when given; else
+    one block-sized array that the next block overwrites, so no caller holds
+    the whole matrix.
+
+    Each block's columns are combined by sum_into (a unit factor adds the
+    terms themselves, with no product pass), every entry bitwise the one
+    accumulate gives on whole term matrices.  When a is b and out is given,
+    the block of rows r:r+m is built against columns r: only, and its
+    entries right of the diagonal block are copied below it, transposed:
+    terms are symmetric bit for bit, so these are the entries the later
+    blocks would build, and rows r:r+m are whole when the block is yielded.
+    One buffer of a block's size serves every block's terms.  Without a
+    cache, each column is built by feature_terms per block into it and not
+    kept, and it is also the product: a factor other than 1 multiplies the
+    terms in place.  With a cache, which maps a column to its whole term
+    matrix between a and b, each column is read from it, or built whole
+    (column_terms) and added to it, so the caller keeps it; the cached terms
+    are multiplied into the buffer and never written.
     """
     rows = block_rows(len(b))
-    out = np.zeros((len(a), len(b)))
-    buffer = np.empty(min(rows, len(a)) * len(b))  # a short matrix is one short block
-    symmetric = a is b
+    short = min(rows, len(a))  # a short matrix is one short block
+    buffer = np.empty(short * len(b))
+    block_out = np.empty(short * len(b)) if out is None else None
+    symmetric = a is b and out is not None
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
         c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
         block = buffer[:m * (len(b) - c)].reshape(m, -1)
+        sums = out[r:r + m] if out is not None else block_out[:m * len(b)].reshape(m, -1)
+        if out is None:
+            sums.fill(0)
         if cache is None:  # the block's terms, multiplied in place
             terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, block) for j in columns)
         else:  # the cache's terms, multiplied into the block
             terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
-        sum_into(out[r:r + m, c:], block, kind, terms, factors)
+        sum_into(sums[:, c:], block, kind, terms, factors)
         if symmetric:
             out[r + m:, r:r + m] = out[r:r + m, r + m:].T
-    return out
+        yield sums
 
 
-def column_terms(a, b, j: int, key: str, scale: float, cache: dict) -> np.ndarray:
+def column_terms(a, b, j: int, key: str, scale: float, cache: dict,
+                 store: np.ndarray | None = None) -> np.ndarray:
     """Column j's whole term matrix between rows of a and b: read from cache,
-    or built and kept in it."""
+    or built and kept in it, built into store[j] when a store of every
+    column's matrix is given."""
     if j not in cache:
-        cache[j] = feature_terms(a[:, j], b[:, j], key, scale)
+        args = (a[:, j], b[:, j], key, scale)
+        cache[j] = feature_terms(*args) if store is None else feature_terms(*args, store[j])
     return cache[j]
 
 

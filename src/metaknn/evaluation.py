@@ -3,28 +3,33 @@
 EvalContext keeps training-side per-feature term matrices, stored at the
 training set's distance.term_scale, so that the optimization channels can
 score thousands of leave-one-out candidates without recomputing |x-y|
-terms.  It keeps every whole training column it builds.  When the n x n
-matrix is one block of distance.distance_sums (distance.block_rows), a
-whole column is no larger than that block, so each is kept the first time
-a scored model uses it.  A larger matrix is built block by block, keeping
-nothing, in the context's first leave-one-out scoring; from the second
-scoring on, every full sum and every delta (below) reads its columns whole
-and keeps them.  So a one-shot context (metaknn eval, leave_one_out,
-evaluate) on data larger than one block keeps no term matrix, and a search
-keeps its columns at any size.  Test-side terms are never kept: they are built
-afresh per scoring, at the training scale.  Every matrix is summed by
-distance.distance_sums, per feature in index order, which keeps the matrix
+terms.  It keeps every whole training column it builds, each term kind's
+columns in one (n_features, n, n) store, allocated at that kind's first
+kept column and filled column by column, not one array per column.  When
+the n x n matrix is one block of distance.distance_sums
+(distance.block_rows), a whole column is no larger than that block, so each
+is kept the first time a scored model uses it.  A larger matrix is built
+block by block, keeping nothing, in the context's first leave-one-out
+scoring; from the second scoring on, every full sum and every delta (below)
+reads its columns whole and keeps them.  So a one-shot context (metaknn
+eval, leave_one_out, evaluate) on data larger than one block keeps no term
+matrix, and a search keeps its columns at any size.  Every matrix is summed
+by distance.block_sums, per feature in index order, which keeps the matrix
 path bitwise identical to classifying each vector independently with
 knn.classify.  A leave-one-out matrix is the training rows against
 themselves, so a full sum of several blocks builds and sums each unordered
 pair of row blocks once and mirrors it (distance_sums), whether it streams
-its terms or reads kept columns.  Every row of a scoring is voted by one
+its terms or reads kept columns, and its rows are voted by one
 knn.shell_votes call (a count filled by a one-column batch, below, is voted
-there instead), and a report keeps its arrays: the winner of each row, and
-each row's vote fractions over its deciding neighborhood.  The
-context checks once that the two sides agree: widths, class tables,
-feature kinds, and each test symbol's code, which must be its training
-code (a test table may lack symbols).
+there instead).  A test-side scoring never holds its test x train matrix:
+it takes the sums one row block at a time from block_sums, in one
+block-sized array, and votes each block by shell_votes while it is in L2.
+Its terms are never kept: they are built per block, at the training scale.
+A report keeps its arrays: the winner of each row, and each row's vote
+fractions over its deciding neighborhood.  The context checks once that the
+two sides agree: widths, class tables, feature kinds, and each test
+symbol's code, which must be its training code (a test table may lack
+symbols).
 
 Resolution by key.  Each request resolves its model once, to model_key
 (k, the distance kind and alpha, and the bytes of the resolved feature mask
@@ -96,8 +101,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, column_terms, distance_sums,
-                       multipliers, sum_into, term_key, term_scale)
+from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, block_sums, column_terms,
+                       distance_sums, multipliers, sum_into, term_key, term_scale)
 from .knn import ModelSpec, shared_minima, shell_votes
 
 
@@ -181,7 +186,8 @@ class EvalContext:
         self.n_features = train.n_features
         self.n_classes = train.n_classes
         self._scales: dict[str, float] = {}  # training term scale per key
-        self._terms: dict[str, dict[int, np.ndarray]] = {}  # training terms per key, per column
+        self._stores: dict[str, np.ndarray] = {}  # per key, every column's training terms
+        self._terms: dict[str, dict[int, np.ndarray]] = {}  # per key, the columns built in it
         self._multipliers: dict[bytes, tuple] = {}  # distance.multipliers per weight bytes
         self._last: _Matrix | None = None  # the last leave-one-out matrix computed
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
@@ -198,9 +204,14 @@ class EvalContext:
         return self._scales[key]
 
     def _column(self, key: str, j: int) -> np.ndarray:
-        """Column j's whole training term matrix, kept once built: a delta reads it."""
+        """Column j's whole training term matrix, kept once built in key's store,
+        which the first kept column allocates: a full sum or a delta reads it."""
+        if key not in self._stores:
+            n = self.train.n
+            self._stores[key] = np.empty((self.n_features, n, n))
         train = self.train.vectors
-        return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}))
+        return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}),
+                            self._stores[key])
 
     def _factors(self, weights: bytes) -> tuple[np.ndarray, int | None]:
         """The multipliers of weight bytes and their denominator, derived once per context."""
@@ -215,20 +226,14 @@ class EvalContext:
         full[np.frombuffer(mask, dtype=bool)] = factors
         return full
 
-    def _distances(self, key: tuple, side: str) -> np.ndarray:
-        """The distance matrix on side of the model whose model_key is key."""
+    def _distances(self, key: tuple) -> np.ndarray:
+        """The leave-one-out distance matrix of the model whose model_key is key."""
         _, kind, alpha, mask, weights = key
-        if side == "train" and self._last and self._last.model == key[1:]:
+        if self._last and self._last.model == key[1:]:
             return self._last.dist  # a k candidate
         factors, den = self._factors(weights)
         terms = term_key(kind, alpha)
         columns = np.flatnonzero(np.frombuffer(mask, dtype=bool))
-        train = self.train.vectors
-        if side == "test":
-            # test terms are streamed, not cached: each test scoring is one model
-            self._last = None  # and the leave-one-out matrix, held by no local, is freed first
-            return distance_sums(kind, terms, self._scale(terms), self.test.vectors, train,
-                                 columns, factors)
         full = self._full(mask, factors)
         last, dist = self._last, None
         # equal factors under other bytes (-0.0 for 0.0) are a delta that steps no column
@@ -236,13 +241,29 @@ class EvalContext:
             dist = self._delta(last, full, den, len(columns))
         if dist is None:
             self._last = last = None  # the old matrix is freed before the new one is allocated
+            train = self.train.vectors
             # a whole column is no larger than one block, and pays once the context scores again
             keep = self.evaluations or block_rows(len(train)) >= len(train)
+            cache = {j: self._column(terms, j) for j in columns} if keep else None
             dist = distance_sums(kind, terms, self._scale(terms), train, train, columns, factors,
-                                 self._terms.setdefault(terms, {}) if keep else None)
+                                 cache)
             np.fill_diagonal(dist, np.inf)
         self._last = _Matrix(dist, key[1:], den, full)
         return dist
+
+    def _test_votes(self, key: tuple):
+        """shell_votes of the test rows, for the model whose model_key is key,
+        one row block of test x train sums at a time: the test matrix is never
+        held, and its terms are built per block, not kept."""
+        k, kind, alpha, mask, weights = key
+        factors, _ = self._factors(weights)
+        terms = term_key(kind, alpha)
+        columns = np.flatnonzero(np.frombuffer(mask, dtype=bool))
+        self._last = None  # the leave-one-out matrix, held by no local, is freed first
+        blocks = block_sums(kind, terms, self._scale(terms), self.test.vectors,
+                            self.train.vectors, columns, factors)
+        parts = [shell_votes(sums, self.train.labels, k, self.n_classes) for sums in blocks]
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
 
     def _delta(self, last: _Matrix, factors: np.ndarray, den: int, active: int):
         """last's matrix updated in place to the exact multipliers factors / den,
@@ -269,19 +290,22 @@ class EvalContext:
 
     def _score(self, key: tuple, side: str, report: bool):
         """Leave-one-out on "train", else the test set, of the model whose
-        model_key is key, through one shell_votes call.
+        model_key is key: one shell_votes call on the leave-one-out matrix, or
+        one per row block of the test side.
 
         Returns the correct count, or the full EvalReport when report is set.
         """
         if side == "test" and self.test is None:
             raise ValueError("context has no test set")
         data = self.train if side == "train" else self.test
-        dist = self._distances(key, side)
         if side == "train":
+            dist = self._distances(key)
             self.evaluations += 1
-        winners, votes, sizes = shell_votes(dist, self.train.labels, key[0], self.n_classes)
-        if side == "train" and key[0] == 1:
-            self._last.shared = int(np.count_nonzero(sizes > 1))
+            winners, votes, sizes = shell_votes(dist, self.train.labels, key[0], self.n_classes)
+            if key[0] == 1:
+                self._last.shared = int(np.count_nonzero(sizes > 1))
+        else:
+            winners, votes, sizes = self._test_votes(key)
         correct = int(np.count_nonzero(winners == data.labels))
         if not report:
             return correct
@@ -330,7 +354,7 @@ class EvalContext:
         # numerators inside the headroom keep every sum below 2**53, as in _delta
         if max(old.max(), new.max()) >= 2 ** HEADROOM_BITS:
             return
-        dist = self._distances(base_key, "train")
+        dist = self._distances(base_key)
         heavy, nearest = _tie_heavy(dist)
         if heavy:
             return

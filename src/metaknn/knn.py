@@ -13,16 +13,20 @@ the neighborhood by one more shell and re-votes; if the shells are
 exhausted while still tied, the class with the smallest summed distance to
 the query wins, then the lowest class index.
 
-shell_votes votes every row of a distance matrix in one pass, and widens
-all tied rows together, one shell per round.  Its first threshold is each
-row's k-th smallest entry: at k=1 the row minimum, found by argmin, for k>1
-a selection (numpy partition).  At k=1, when no row's minimum is shared,
-every first shell is one point and the vote is that point's label; one
-shared minimum sends every row through the shell kernel.  shell_vote is the
-per-row form: shell_votes falls back to it only for rows whose shells run
-out while still tied, and it is the oracle shell_votes is tested against,
-as classify and dissimilarity, through the scalar loop distance.pair_sum,
-are the reference for the distance kernel.
+shell_votes votes the rows of a distance matrix one row block at a time
+(distance.block_rows, the blocks the distance kernel sums), through one
+scratch buffer of a block's size, and widens each block's tied rows
+together, one shell per round; no temporary is larger than a block, and a
+matrix of one block (every Monk and Ionosphere leave-one-out matrix) is the
+loop's single block.  Its first threshold is each row's k-th smallest
+entry: at k=1 the row minimum, found by argmin, for k>1 a selection (numpy
+partition, in the buffer).  At k=1, when no row of a block shares its
+minimum, every first shell is one point and the vote is that point's label;
+one shared minimum sends every row of the block through the shell kernel.
+shell_vote is the per-row form: shell_votes falls back to it only for rows
+whose shells run out while still tied, and it is the oracle shell_votes is
+tested against, as classify and dissimilarity, through the scalar loop
+distance.pair_sum, are the reference for the distance kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .distance import MINKOWSKI, DistanceSpec, multipliers, pair_sum, term_key, term_scale
+from .distance import (MINKOWSKI, DistanceSpec, block_rows, multipliers, pair_sum, term_key,
+                       term_scale)
 
 
 @dataclass
@@ -144,26 +149,47 @@ _TIE_PROBE_ROWS = 8
 
 
 def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
-    """shell_vote for every row of a distance matrix at once.
+    """shell_vote for every row of a distance matrix, one row block at a time.
 
-    The k-th shell of a row is every finite entry at or below its k-th
-    smallest distance; at k=1 that threshold is the row minimum, taken at
-    each row's argmin, and only k>1 runs a selection.  At k=1, unless one of
-    the first rows holds its minimum twice, shared_minima finds each row's
-    runner-up; if every row's runner-up is larger, each row's shell is its
-    one nearest point, and the votes are its label with size 1.  Otherwise
-    (all rows or none: counting the tied rows costs what it would save) the
-    shells are voted as a comparison and a matrix product.  Rows whose top
-    vote is tied there are widened together, one shell per round: each such
-    row's threshold moves to its smallest entry above the current one, and
-    only those rows are voted again, until none is tied.  A row whose shells
-    run out while still tied goes to shell_vote, which applies the
-    summed-distance rule.  Entries are never NaN (data and weights are
-    finite, and a distance that could overflow is a DataError upstream), so
-    the minimum and the selection agree.  dist must be a writable float
-    array and is left bitwise unchanged.  Returns (winners, votes, sizes)
-    with one entry (or votes row) per row.
+    The rows are voted in blocks of distance.block_rows(width) rows, through
+    one scratch buffer of a block's size, so a block stays in L2 from its
+    k-th selection to its last widening round and no temporary is larger
+    than a block; a matrix of one block goes through the loop once.  The
+    k-th shell of a row is every finite entry at or below its k-th smallest
+    distance; at k=1 that threshold is the row minimum, taken at each row's
+    argmin, and only k>1 runs a selection, in the buffer.  At k=1, unless
+    one of a block's first rows holds its minimum twice, shared_minima finds
+    each row's runner-up; if every row's runner-up is larger, each row's
+    shell is its one nearest point, and the votes are its label with size 1.
+    Otherwise (all of the block's rows or none: counting the tied rows costs
+    what it would save) the shells are voted as a comparison, written into
+    the buffer as 0.0 and 1.0, and a matrix product.  Rows whose top vote is
+    tied there are widened together, one shell per round: each such row's
+    threshold moves to its smallest entry above the current one, and the
+    entries of that next shell alone are counted onto its votes, until none
+    is tied.  A row whose shells run out while still tied goes to
+    shell_vote, which applies the summed-distance rule.  Entries are never
+    NaN (data and weights are finite, and a distance that could overflow is
+    a DataError upstream), so the minimum and the selection agree.  dist
+    must be a writable float array and is left bitwise unchanged.  Returns
+    (winners, votes, sizes) with one entry (or votes row) per row.
     """
+    n, width = dist.shape
+    winners, sizes = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.int64)
+    votes = np.empty((n, n_classes), dtype=np.int64)
+    rows = block_rows(width)
+    buffer = np.empty(min(rows, n) * width)  # a short matrix is one short block
+    for r in range(0, n, rows):
+        m = min(rows, n - r)
+        _vote_block(dist[r:r + m], labels, k, buffer[:m * width].reshape(m, width),
+                    winners[r:r + m], votes[r:r + m], sizes[r:r + m])
+    return winners, votes, sizes
+
+
+def _vote_block(dist, labels, k, buffer, winners, votes, sizes) -> None:
+    """shell_votes on one block of rows, with buffer, an array of dist's shape,
+    as its scratch space; writes each row's winner, votes and size in place."""
+    n_classes = votes.shape[1]
     if k > dist.shape[1]:  # also k=1 on zero width, where a row has no minimum
         kth = np.full(len(dist), np.inf)
     elif k == 1:
@@ -173,33 +199,38 @@ def shell_votes(dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int):
         # a row without finite entries holds inf twice: checked below
         if np.count_nonzero(dist[:head] == kth[:head, None]) == head and \
                 not shared_minima(dist, first, kth).any():  # each first shell is one point
-            winners = labels[first].astype(np.intp)
-            votes = np.zeros((len(dist), n_classes), dtype=np.int64)
+            winners[:] = labels[first]
+            votes[:] = 0
             votes[every, winners] = 1
-            return winners, votes, np.ones(len(dist), dtype=np.int64)
+            sizes[:] = 1
+            return
     else:
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        buffer[...] = dist
+        buffer.partition(k - 1, axis=1)
+        kth = buffer[:, k - 1].copy()
     short = np.flatnonzero(kth == np.inf)  # rows with fewer than k finite entries
     if len(short):
         available = np.count_nonzero(np.isfinite(dist[short[0]]))
         raise ValueError(f"k={k} but only {available} training points available")
     onehot = np.equal.outer(labels, np.arange(n_classes)).astype(float)
     # +inf entries stay outside every shell: thresholds are finite
-    votes = ((dist <= kth[:, None]) @ onehot).astype(np.int64)
-    winners = votes.argmax(axis=1)
+    votes[:] = np.less_equal(dist, kth[:, None], out=buffer) @ onehot
+    winners[:] = votes.argmax(axis=1)
     rows = np.flatnonzero(_is_tied(votes))
-    sub, thr = dist[rows], kth[rows]  # tied rows only, never the whole matrix
+    # the tied rows only: their entries, thresholds and votes
+    sub, thr, held = dist[rows], kth[rows], votes[rows].astype(float)
     while len(rows):
-        thr = np.where(sub > thr[:, None], sub, np.inf).min(axis=1)
+        np.putmask(sub, sub <= thr[:, None], np.inf)  # the shells counted so far
+        thr = sub.min(axis=1)
+        held += np.less_equal(sub, thr[:, None], out=buffer[:len(rows)]) @ onehot  # next shell
+        votes[rows], winners[rows] = held, held.argmax(axis=1)
+        # a row with no shell left (its held count is void) is still tied
         exhausted = thr == np.inf
         for i in rows[exhausted]:
             winners[i], votes[i], _ = shell_vote(dist[i], labels, k, n_classes)
-        rows, sub, thr = rows[~exhausted], sub[~exhausted], thr[~exhausted]
-        wider = ((sub <= thr[:, None]) @ onehot).astype(np.int64)
-        votes[rows], winners[rows] = wider, wider.argmax(axis=1)
-        tied = _is_tied(wider)
-        rows, sub, thr = rows[tied], sub[tied], thr[tied]
-    return winners, votes, votes.sum(axis=1)
+        tied = _is_tied(held) & ~exhausted
+        rows, sub, thr, held = rows[tied], sub[tied], thr[tied], held[tied]
+    sizes[:] = votes.sum(axis=1)
 
 
 def _distance_row(model: ModelSpec, train: Dataset, query, exclude: int | None):

@@ -221,6 +221,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "--weights" in err and repr(value) in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("search", "--channels", "bogus"), ("sequence", "--channels", "bogus"),
+        ("search", "--k-range", "1:x"), ("sequence", "--k-range", "1:x"),
+        ("eval", "--weights", "1,x"), ("eval", "--weights", "-1,1"),
+        ("eval", "--features", "1,,2")])
+    def test_flags_are_checked_before_the_data_is_read(self, capsys, tmp_path, command, flag,
+                                                       value):
+        # a usage error is reported as such, not as the data error of an unreadable file
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, [command, "--train", str(missing), f"{flag}={value}"])
+        assert code == 1 and out == ""
+        assert flag in err and "data error" not in err
+
     @pytest.mark.parametrize("command", ["eval", "search", "sequence"])
     def test_label_column_with_monks_is_1(self, capsys, command):
         # a Monk file's label is always its first token; the flag would be

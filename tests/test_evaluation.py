@@ -11,8 +11,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, r
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
                      confusion_of, distance, evaluate, evaluation, leave_one_out, load_csv,
                      load_monks, load_partition, meta_search, select_features)
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, feature_terms,
-                              multipliers, term_scale)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
+                              feature_terms, multipliers, term_key, term_scale)
+from metaknn.knn import shell_votes
 
 from conftest import ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model
 
@@ -374,6 +375,91 @@ def test_full_sum_frees_the_old_matrix_first():
     finally:
         tracemalloc.stop()
     assert peak - before < 1.5 * n * n * 8
+
+
+def traced_peak(score) -> int:
+    """Bytes that score() allocates at its peak, beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        score()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def wide_split(rng, n_train, n_test, width):
+    train = make_dataset(rng.normal(size=(n_train, width)), rng.integers(0, 3, n_train))
+    test = make_dataset(rng.normal(size=(n_test, width)), rng.integers(0, 3, n_test),
+                        n_classes=3)
+    return train, test
+
+
+def test_test_scoring_holds_no_test_matrix():
+    # 400 test rows against 800 training rows are five row blocks, each summed
+    # and voted in block-sized arrays; the whole 400 x 800 matrix is 2.56 MB
+    train, test = wide_split(np.random.default_rng(20), 800, 400, 8)
+    assert 4 * distance.BLOCK_BYTES < 8 * test.n * train.n
+    for k in (1, 3):
+        peak = traced_peak(lambda: EvalContext(train, test).test_report(ModelSpec(k=k)))
+        assert peak < 4 * distance.BLOCK_BYTES
+
+
+def test_an_eval_peaks_at_its_loo_matrix_and_four_blocks():
+    # metaknn eval's two scorings: the leave-one-out matrix is the one n x n
+    # array, and neither the vote nor the test side adds another
+    train, test = wide_split(np.random.default_rng(21), 800, 400, 8)
+    model = ModelSpec(k=3, distance=DistanceSpec(MINKOWSKI, 1, np.arange(1, 9) / 10))
+
+    def scorings():
+        ctx = EvalContext(train, test)
+        ctx.loo_report(model)
+        ctx.test_report(model)
+
+    assert traced_peak(scorings) <= 8 * train.n * train.n + 4 * distance.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_test_report_in_row_blocks_is_the_whole_matrix_vote(kind, k):
+    # blocks of 7 rows cut 45 test rows into 7, the last ragged; small integer
+    # features tie many distances, so first shells are shared and votes widen
+    rng = np.random.default_rng(k)
+    train = make_dataset(rng.integers(0, 3, size=(60, 4)).astype(float), rng.integers(0, 3, 60))
+    test = make_dataset(rng.integers(0, 3, size=(45, 4)).astype(float), rng.integers(0, 3, 45),
+                        n_classes=3)
+    model = ModelSpec(k, DistanceSpec(*kind, weights=[1.0, 0.5, 2.0, 1.0]))
+    key = term_key(*kind)
+    scale = term_scale(key, train.vectors, queries=test.vectors)
+    factors, _, _ = multipliers(model.active_weights(4))
+    whole = distance_sums(kind[0], key, scale, test.vectors, train.vectors, range(4), factors)
+    assert distance.block_rows(train.n) >= test.n  # one block: the whole matrix is voted at once
+    winners, votes, sizes = shell_votes(whole, train.labels, k, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "BLOCK_BYTES", 8 * 60 * 7)
+        report = EvalContext(train, test).test_report(model)
+    assert report.winners.tobytes() == winners.tobytes()
+    assert report.class_probs.tobytes() == (votes / sizes[:, None]).tobytes()
+    assert np.array_equal(report.confusion, confusion_of(test.labels, winners, 3))
+
+
+def test_kept_columns_share_one_store_per_term_kind(monks1):
+    # each term kind's kept columns are views of one (features, n, n) array,
+    # allocated at its first kept column and filled column by column
+    train = monks1.train
+    ctx = EvalContext(train)
+    ctx.loo_count(ModelSpec(feature_mask=[True, False, True, False, False, True]))
+    ctx.loo_count(ModelSpec(distance=DistanceSpec(MINKOWSKI, 1)))
+    assert sorted(ctx._stores) == ["abs", "sq"]
+    for key, columns in (("sq", [0, 2, 5]), ("abs", list(range(6)))):
+        store = ctx._stores[key]
+        assert store.shape == (6, train.n, train.n) and sorted(ctx._terms[key]) == columns
+        for j in columns:
+            kept = ctx._terms[key][j]
+            assert kept.base is store
+            fresh = feature_terms(train.vectors[:, j], train.vectors[:, j], key, ctx._scale(key))
+            assert kept.tobytes() == fresh.tobytes()
 
 
 KINDS_BY_NAME = {"euclidean": (MINKOWSKI, 2), "camberra": (CAMBERRA, None),

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, knn, neighbors,
+from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, distance, knn, neighbors,
                      shell_vote)
 from metaknn.distance import MINKOWSKI
 from metaknn.knn import _is_tied, shell_votes
@@ -159,9 +161,9 @@ class TestShellVote:
 
 
 @st.composite
-def vote_cases(draw):
+def vote_cases(draw, min_rows=1, max_rows=8, max_cols=12):
     """Small distance matrices over a few integer values (so ties abound), some +inf."""
-    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    n_rows, n_cols = draw(st.integers(min_rows, max_rows)), draw(st.integers(1, max_cols))
     n_classes = draw(st.integers(2, 3))
     cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
     dist = np.array(draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
@@ -173,7 +175,77 @@ def vote_cases(draw):
     return dist, labels, draw(st.integers(1, finite)), n_classes
 
 
+@st.composite
+def block_cases(draw):
+    """vote_cases with the rows per block that cut them into three or more blocks."""
+    dist, labels, k, n_classes = draw(vote_cases(min_rows=3, max_rows=24, max_cols=10))
+    return dist, labels, k, n_classes, draw(st.integers(1, len(dist) // 3))
+
+
+def votes_in_blocks(dist, labels, k, n_classes, per_block):
+    """shell_votes with distance.BLOCK_BYTES set to per_block rows of dist."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "BLOCK_BYTES", 8 * max(1, dist.shape[1]) * per_block)
+        assert distance.block_rows(dist.shape[1]) == per_block
+        return shell_votes(dist, labels, k, n_classes)
+
+
+# rows 4 and 8, in the second and third blocks, hold two equal entries of two
+# classes and nothing else, so their shells run out while still tied
+EXHAUSTED = (np.array([[0.0, 1.0, 2.0, 3.0]] * 4 + [[1.0, 1.0, np.inf, np.inf]]
+                      + [[2.0, 0.0, 0.0, 1.0]] * 3 + [[np.inf, np.inf, 3.0, 3.0]]),
+             np.array([0, 1, 0, 1]))
+
+
 class TestShellVotes:
+    @given(block_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((*EXHAUSTED, 1, 2, 3))
+    @example((*EXHAUSTED, 2, 2, 3))
+    @example((*EXHAUSTED, 1, 2, 1))
+    # k=1, every minimum unique in the first block, shared in the second
+    @example((np.array([[0.0, 1.0, 2.0]] * 3 + [[1.0, 1.0, 2.0]] * 3 + [[2.0, 0.0, 1.0]] * 3),
+              np.array([0, 1, 0]), 1, 2, 3))
+    def test_row_blocks_match_per_row_shell_vote(self, case):
+        # each block takes the k=1 shortcut, widens its tied rows and sends its
+        # exhausted rows to shell_vote on its own, through one buffer
+        dist, labels, k, n_classes, per_block = case
+        before = dist.copy()
+        winners, votes, sizes = votes_in_blocks(dist, labels, k, n_classes, per_block)
+        assert dist.tobytes() == before.tobytes()
+        for i, row in enumerate(dist):
+            winner, row_votes, size = shell_vote(row, labels, k, n_classes)
+            assert winners[i] == winner
+            assert np.array_equal(votes[i], row_votes)
+            assert sizes[i] == size
+
+    @pytest.mark.parametrize("k, short, available", [(2, 7, 1), (1, 5, 0)])
+    def test_short_row_in_a_later_block_raises(self, k, short, available):
+        dist = np.tile([0.0, 1.0, 2.0, 3.0], (9, 1))
+        dist[short, :4 - available] = np.inf
+        labels = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match=f"k={k} but only {available} training points"):
+            votes_in_blocks(dist, labels, k, 2, 3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_votes_allocate_about_three_blocks(self, k):
+        # an 800 x 800 matrix is ten blocks; the vote's scratch space is one
+        # block's buffer and the tied rows of one block, never an n x n array
+        rng = np.random.default_rng(k)
+        n = 800
+        dist = rng.integers(0, 40, size=(n, n)).astype(float)
+        labels = rng.integers(0, 3, size=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = shell_votes(dist, labels, k, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distance.block_rows(n) < n // 8
+        assert peak - before <= 3 * distance.BLOCK_BYTES + sum(a.nbytes for a in out)
+
     @given(vote_cases())
     @settings(max_examples=300, deadline=None)
     # k=1 with every row's minimum unique (the one-point shortcut): +inf
