@@ -35,6 +35,7 @@ usage error, not a setting echoed as if it had been applied.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -103,6 +104,7 @@ def _add_search_args(p: _Parser):
     p.add_argument("--budget", type=int, default=BUDGET, help="simplex evaluation budget")
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="metaknn", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

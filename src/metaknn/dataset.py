@@ -4,25 +4,49 @@ Two on-disk formats are supported: generic CSV (optional header, comma
 separated, "." decimal point) and the UCI Monk layout (whitespace separated:
 class, six attributes, trailing case identifier).  `FORMATS` maps each format
 name to its loader; `load_partition` and the CLI's --format both read it.
+Both read their files as UTF-8 with an optional byte-order mark
+("utf-8-sig"), which is not part of the first cell.
+
+CSV has one general path, `_csv_rows`: `csv.reader` tokens, encoded by
+`_encode`; it reads every CSV file, and it alone raises a malformed file's
+DataError.  A plain numeric table is read faster by numpy's C text reader
+(`_numeric_rows`, numpy 1.23 or later): no schema, quote, NUL or lone
+carriage return, every line as wide as the first, every feature cell a
+number numpy reads, and for a test file a training file with continuous
+features only.  numpy reads such a cell as float() reads it stripped, so
+both paths give the same Dataset, bit for bit; any other file, and any file
+the general path would reject, falls back to the general path.
 
 Symbolic features are encoded as ordinal integers and treated as continuous
 by the distance functions.  Native integer attribute values are kept as-is;
 free-text symbols are coded by first occurrence in the training data.  Both
-formats share one encoder, `_encode`, which alone holds the rule that a test
-file is encoded as its training file: the test file takes the training file's
+formats share one encoder, `_encode`, which holds the rule that a test file
+is encoded as its training file: the test file takes the training file's
 feature kinds, code tables and class names, so a test symbol or label that
-the training file lacks is a DataError.
+the training file lacks is a DataError.  The numpy reader takes a test file
+only when the training file has no symbolic feature, where the rule leaves
+the column count and the class names (`_encode_labels`, shared).
+
+A Dataset stores its vectors column-major (each feature's values
+contiguous), whatever array it is handed: the distance kernels read one
+feature column at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 CONTINUOUS = "continuous"
 SYMBOLIC = "symbolic-ordinal"
+
+# numpy 1.23 replaced loadtxt's pure-Python reader, which turns hex tokens
+# into floats through float.fromhex, with a C reader that parses a number
+# as float() does; `load_csv` uses loadtxt only where it is the C reader
+NUMPY_C_READER = np.lib.NumpyVersion(np.__version__) >= "1.23.0"
 
 
 class DataError(Exception):
@@ -45,12 +69,13 @@ class FeatureSpec:
 @dataclass
 class Dataset:
     features: list[FeatureSpec]
-    vectors: np.ndarray  # (n, N) float
+    vectors: np.ndarray  # (n, N) float, column-major
     labels: np.ndarray  # (n,) int in 0..K-1
     class_names: list[str]
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
+        # contiguous columns: the distance kernels read one feature at a time
+        self.vectors = np.asfortranarray(self.vectors, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         n, nfeat = self.vectors.shape
         if n < 1:
@@ -183,21 +208,42 @@ def _encode(path, names: list[str], kinds: list[str | None], columns: list[list[
     return Dataset(features, np.array(vectors, dtype=float).T, np.array(labels), class_names)
 
 
-def load_csv(path, label_column=-1, schema: dict | None = None,
-             reference: Dataset | None = None) -> Dataset:
-    """Load a CSV classification table.
+def _layout(path, rows: list[list[str]], label_column) -> tuple[list[str], bool, int]:
+    """Column names, whether row 0 is a header, and the label column's index,
+    read from a table's first two rows of stripped cells (see `load_csv`)."""
+    width = len(rows[0])
+    header = isinstance(label_column, str) or (len(rows) > 1 and any(
+        not _looks_numeric(rows[0][j]) and _looks_numeric(rows[1][j]) for j in range(width)))
+    names = rows[0] if header else [f"a{j + 1}" for j in range(width)]
+    if isinstance(label_column, str):
+        if label_column not in names:
+            raise DataError(f"{path}: label column {label_column!r} not found")
+        return names, header, names.index(label_column)
+    if not -width <= label_column < width:
+        raise DataError(f"{path}: label column {label_column} out of range")
+    return names, header, label_column % width
 
-    Row 0 is a header when label_column is a column name, or when some
-    column is non-numeric in row 0 but numeric in row 1; otherwise columns
-    are named a1, a2, ...  label_column is a column name or integer position
-    (negative counts from the end).  schema maps column name/position to a feature
-    kind, overriding numeric auto-detection.  With a reference dataset, the
-    rows are encoded as the reference's were (see `_encode`).
+
+def _csv_text(path) -> str:
+    """A CSV file's text, line ends as written, without a UTF-8 byte-order mark."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def _csv_rows(path, text: str, label_column=-1, schema: dict | None = None,
+              reference: Dataset | None = None) -> Dataset:
+    """The general CSV path: `csv.reader` tokens, encoded by `_encode`.
+
+    It reads every CSV text `load_csv` accepts, and it alone raises the
+    DataError of a malformed one.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.reader(f) if row and any(cell.strip() for cell in row)]
-    except (UnicodeDecodeError, csv.Error) as exc:
+        rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no rows")
@@ -208,21 +254,8 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
         if len(row) != width:
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
     rows = [[cell.strip() for cell in row] for row in rows]
-
-    header = isinstance(label_column, str) or (len(rows) > 1 and any(
-        not _looks_numeric(rows[0][j]) and _looks_numeric(rows[1][j]) for j in range(width)))
-    names = rows[0] if header else [f"a{j + 1}" for j in range(width)]
+    names, header, label_idx = _layout(path, rows[:2], label_column)
     body = rows[1:] if header else rows
-
-    if isinstance(label_column, str):
-        if label_column not in names:
-            raise DataError(f"{path}: label column {label_column!r} not found")
-        label_idx = names.index(label_column)
-    else:
-        if not -width <= label_column < width:
-            raise DataError(f"{path}: label column {label_column} out of range")
-        label_idx = label_column % width
-
     feat_cols = [j for j in range(width) if j != label_idx]
     schema = schema or {}
     kinds = [schema.get(names[j], schema.get(j)) for j in feat_cols]
@@ -231,11 +264,86 @@ def load_csv(path, label_column=-1, schema: dict | None = None,
                    [row[label_idx] for row in body], reference, first_row=2 if header else 1)
 
 
+def _numeric_rows(path, text: str, label_column=-1,
+                  reference: Dataset | None = None) -> Dataset | None:
+    """A plain numeric table read by numpy's C reader, or None.
+
+    Plain: no quote, NUL or lone carriage return; every line as wide as the
+    first, and no longer than the csv module's field limit; every feature
+    cell a number numpy reads; a reference, if any, with continuous features
+    only.  numpy reads a token as float() reads it stripped, or refuses it,
+    so the result is exactly `_csv_rows`' for the same text.  Every other
+    text, and every text that path would reject, is None: this path raises
+    nothing of its own.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    commas = lines[0].count(",")
+    if not commas or {line.count(",") for line in lines} != {commas}:
+        return None
+    rows = [[cell.strip() for cell in line.split(",")] for line in lines[:2]]
+    try:
+        names, header, label_idx = _layout(path, rows, label_column)
+    except DataError:
+        return None
+    # a blank header line is a row the csv path skips; a blank body line is
+    # one numpy refuses, as it refuses every blank feature cell
+    body = lines[1:] if header else lines
+    if header and not any(rows[0]) or not body:
+        return None
+    feat_cols = [j for j in range(commas + 1) if j != label_idx]
+    kinds = [CONTINUOUS] * len(feat_cols)
+    if reference is not None and [f.kind for f in reference.features] != kinds:
+        return None
+    if label_idx == commas:
+        raw_labels = [line.rsplit(",", 1)[1].strip() for line in body]
+    else:
+        raw_labels = [line.split(",", label_idx + 1)[label_idx].strip() for line in body]
+    try:
+        vectors = np.loadtxt(body, dtype=float, delimiter=",", usecols=feat_cols,
+                             comments=None, ndmin=2)
+        labels, class_names = _encode_labels(
+            raw_labels, None if reference is None else reference.class_names)
+        return Dataset([FeatureSpec(names[j], CONTINUOUS, i) for i, j in enumerate(feat_cols)],
+                       vectors, labels, class_names)
+    except (ValueError, DataError):
+        return None
+
+
+def load_csv(path, label_column=-1, schema: dict | None = None,
+             reference: Dataset | None = None) -> Dataset:
+    """Load a CSV classification table.
+
+    Row 0 is a header when label_column is a column name, or when some
+    column is non-numeric in row 0 but numeric in row 1; otherwise columns
+    are named a1, a2, ...  label_column is a column name or integer position
+    (negative counts from the end).  schema maps column name/position to a feature
+    kind, overriding numeric auto-detection.  With a reference dataset, the
+    rows are encoded as the reference's were (see `_encode`).  A table
+    without a schema goes to `_numeric_rows` first, and to `_csv_rows` when
+    that declines it.
+    """
+    text = _csv_text(path)
+    if NUMPY_C_READER and not schema:
+        data = _numeric_rows(path, text, label_column, reference)
+        if data is not None:
+            return data
+    return _csv_rows(path, text, label_column, schema, reference)
+
+
 def load_monks(path, reference: Dataset | None = None) -> Dataset:
     """Load a UCI Monk file: "class a1 a2 a3 a4 a5 a6 case-id" per line."""
     rows = []
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None

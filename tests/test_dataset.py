@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from metaknn import (CONTINUOUS, SYMBOLIC, DataError, Dataset, FeatureSpec,
                      Partition, encode_symbolic, load_csv, load_monks,
                      load_partition, minmax_rescale, split_rows)
+from metaknn import dataset
 
 from conftest import DATA_DIR
 
@@ -279,3 +280,206 @@ class TestOutsideInput:
                     loader(path)
                 except DataError:
                     pass
+
+
+def general(path, **kwargs) -> Dataset:
+    """`load_csv` through the csv.reader path alone."""
+    return dataset._csv_rows(path, dataset._csv_text(path), **kwargs)
+
+
+def identity(data: Dataset) -> tuple:
+    """Everything a loader hands on: vector bytes and layout, labels, names,
+    kinds, codes and class names."""
+    return (data.vectors.shape, data.vectors.flags.f_contiguous, data.vectors.tobytes(),
+            data.labels.dtype, data.labels.tolist(), data.class_names,
+            [(f.name, f.kind, f.index, f.codes) for f in data.features])
+
+
+def outcome(load, path, **kwargs) -> tuple:
+    try:
+        return "loaded", identity(load(path, **kwargs))
+    except DataError as exc:
+        return "error", str(exc)
+
+
+needs_c_reader = pytest.mark.skipif(not dataset.NUMPY_C_READER,
+                                    reason="numpy < 1.23 has no C text reader")
+
+
+def wide_eval_text(rng, centers, n) -> str:
+    """A table shaped like the wide-eval benchmark's: a header, 24 six-decimal
+    features and a class name last."""
+    labels = rng.integers(0, len(centers), n)
+    x = centers[labels] + rng.normal(0.0, 1.5, (n, centers.shape[1]))
+    header = ",".join(f"f{j + 1}" for j in range(centers.shape[1])) + ",class"
+    rows = [",".join(f"{v:.6f}" for v in row) + f",c{c}" for row, c in zip(x, labels)]
+    return "\n".join([header] + rows) + "\n"
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("text, rows", [
+        ("1.5,2.0,a\n2.5,3.0,b\n3.5,1.0,a\n", 3),
+        ("x,y,label\n1.5,2.0,a\n2.5,3.0,b\n3.5,1.0,a\n", 3),
+        ("red,2.0,a\ngreen,3.0,b\nred,1.0,a\n", 3),
+        ("color,y,label\nred,2.0,a\ngreen,3.0,b\n", 2),
+    ], ids=["numeric", "numeric-header", "symbolic", "symbolic-header"])
+    def test_csv_loads_as_without_it(self, tmp_path, text, rows):
+        plain = write(tmp_path, "plain.csv", text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes((BOM + text).encode())
+        assert identity(load_csv(marked)) == identity(load_csv(plain))
+        assert identity(general(marked)) == identity(general(plain))
+        assert load_csv(marked).n == rows
+
+    def test_monk_file_loads_as_without_it(self, tmp_path):
+        text = (DATA_DIR / "monks-1.train").read_text()
+        marked = tmp_path / "monks-1.train"
+        marked.write_bytes((BOM + text).encode())
+        assert identity(load_monks(marked)) == identity(load_monks(DATA_DIR / "monks-1.train"))
+        assert load_monks(marked).class_names == ["1", "0"]
+
+
+class TestColumnMajor:
+    """Every Dataset stores its vectors with contiguous columns."""
+
+    def test_every_loader_and_transform(self, tmp_path, monks1):
+        numeric = write(tmp_path, "n.csv", "1,2,A\n3,4,B\n5,6,A\n7,8,B\n")
+        symbolic = write(tmp_path, "s.csv", "red,2,A\ngreen,4,B\nred,6,A\n")
+        part = split_rows(load_csv(numeric), 2, 1)
+        data = [load_csv(numeric), general(numeric), load_csv(symbolic), general(symbolic),
+                load_csv(DATA_DIR / "ionosphere.data"), load_monks(DATA_DIR / "monks-1.train"),
+                part.train, part.test, minmax_rescale(load_csv(numeric)),
+                minmax_rescale(monks1.test, monks1.train)]
+        assert [d.vectors.strides[0] for d in data] == [8] * len(data)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_whatever_the_loader_hands_it(self, order):
+        vectors = np.asarray(np.arange(12.0).reshape(4, 3), order=order)
+        features = [FeatureSpec(f"a{j}", CONTINUOUS, j) for j in range(3)]
+        data = Dataset(features, vectors, [0, 1, 0, 1], ["A", "B"])
+        assert data.vectors.flags.f_contiguous and np.array_equal(data.vectors, vectors)
+
+
+class TestNumericReader:
+    """The numpy reader takes plain numeric tables and returns what the
+    csv.reader path returns; it declines every other text."""
+
+    @needs_c_reader
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_eval_tables_are_bit_identical(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 0])
+        centers = rng.normal(0.0, 1.0, (3, 24))
+        train = write(tmp_path, "train.csv", wide_eval_text(rng, centers, 800))
+        test = write(tmp_path, "test.csv", wide_eval_text(rng, centers, 400))
+        reference = general(train)
+        for path, kwargs in ((train, {}), (test, {"reference": reference})):
+            assert dataset._numeric_rows(path, dataset._csv_text(path), **kwargs) is not None
+            assert identity(load_csv(path, **kwargs)) == identity(general(path, **kwargs))
+
+    @needs_c_reader
+    def test_ionosphere_is_bit_identical(self):
+        path = DATA_DIR / "ionosphere.data"
+        assert dataset._numeric_rows(path, dataset._csv_text(path)) is not None
+        assert identity(load_csv(path)) == identity(general(path))
+
+    @needs_c_reader
+    @pytest.mark.parametrize("text, kwargs", [
+        ("1,2,A\r\n3,4,B\r\n", {}),
+        ("1,2,A\n3,4,B", {}),
+        ("A,1,2\nB,3,4\n", {"label_column": 0}),
+        ("x,label,y\n1,A,2\n3,B,4\n", {"label_column": "label"}),
+        ("\xa01.5\xa0, 2 ,A\n\t3,4e0,B\n", {}),
+        ("1,2, \n3,4,B\n", {}),
+    ], ids=["crlf", "no-final-newline", "label-first", "label-named", "padding", "blank-label"])
+    def test_takes_plain_numeric_tables(self, tmp_path, text, kwargs):
+        path = write(tmp_path, "t.csv", text)
+        assert dataset._numeric_rows(path, dataset._csv_text(path), **kwargs) is not None
+        assert identity(load_csv(path, **kwargs)) == identity(general(path, **kwargs))
+
+    @needs_c_reader
+    @pytest.mark.parametrize("text", [
+        '"1",2,A\n3,4,B\n', "1,2,A\r3,4,B\r", "1,2,A\n3,4\n", "1,2,A\n\n3,4,B\n",
+        "1,,A\n3,4,B\n", "1,2,A\n,,\n3,4,B\n", " , ,\n1,2,A\n3,4,B\n", "1_0,2,A\n3,4,B\n",
+        "0x1p3,2,A\n3,4,B\n", "\u0661,2,A\n3,4,B\n", "red,2,A\ngreen,4,B\n", "1\x00,2,A\n3,4,B\n",
+    ], ids=["quote", "lone-cr", "ragged", "blank-line", "blank-cell", "commas-only",
+            "blank-header", "underscore", "hex", "arabic-digit", "symbol", "nul"])
+    def test_declines_other_tables(self, tmp_path, text):
+        path = write(tmp_path, "t.csv", text)
+        assert dataset._numeric_rows(path, dataset._csv_text(path)) is None
+
+    def test_declines_a_reference_with_symbols(self, tmp_path):
+        train = load_csv(write(tmp_path, "tr.csv", "1,2,A\n3,4,B\n"), schema={0: SYMBOLIC})
+        path = write(tmp_path, "te.csv", "1,2,A\n3,4,B\n")
+        assert dataset._numeric_rows(path, dataset._csv_text(path), reference=train) is None
+        assert identity(load_csv(path, reference=train)) == identity(general(path, reference=train))
+
+    def test_without_the_c_reader_every_table_takes_the_csv_path(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "t.csv", "1,2,A\n3,4,B\n")
+        monkeypatch.setattr(dataset, "NUMPY_C_READER", False)
+        monkeypatch.setattr(dataset, "_numeric_rows", None)
+        assert identity(load_csv(path)) == identity(general(path))
+
+
+# cells the two CSV paths must read alike; numbers dominate, so that many
+# drawn tables are plain enough for the numpy reader
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.decimals(allow_nan=False, allow_infinity=False, places=6).map(str),
+    st.sampled_from(["-0", ".5", "1.", "+3", "1e5", "1E-05", " 2 ", "\t7", "1e999", "4e0"]))
+ODD_CELLS = st.sampled_from([
+    "", " ", "\t", "\xa0", "nan", "inf", "-Infinity", "1_0", "0x1p3", "\u0661", "\xa01.5\xa0",
+    "\xa0", '"1.5"', '"a,b"', '""', '"x"', "1\x00", "red", "blue", "\ufeff1"])
+LABELS = st.sampled_from(["A", "B", "c0", "1", " A ", "", "\xa0B"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw, label_first: bool) -> str:
+    width = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    odd = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))  # the share of odd cells
+    shapes = ["row"] + (["row"] * 8 + ["short", "long", "blank", "commas", "spaces"]
+                        if draw(st.booleans()) else [])
+    label_at = 0 if label_first else width - 1
+    lines = []
+    if draw(st.booleans()):
+        names = [draw(st.sampled_from(["x", "y", "1", " ", "z"])) for _ in range(width)]
+        names[label_at] = draw(st.sampled_from(["class", "class", "y", ""]))
+        lines.append(",".join(names))
+    for _ in range(n):
+        cells = [draw(LABELS) if j == label_at else
+                 draw(ODD_CELLS) if odd and draw(st.floats(0, 1)) < odd else draw(NUMBERS)
+                 for j in range(width)]
+        cells = {"short": cells[:-1], "long": cells + ["9"], "blank": [],
+                 "commas": [""] * width, "spaces": [" "] * width,
+                 }.get(draw(st.sampled_from(shapes)), cells)
+        lines.append(",".join(cells))
+    ends = draw(st.one_of(st.sampled_from(["\n", "\r\n"]).map(lambda end: [end] * len(lines)),
+                          st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines))))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(st.sampled_from([-1, 0, 1, "class"]).flatmap(
+    lambda label: st.tuples(csv_texts(label == 0), csv_texts(label == 0), st.just(label))))
+@settings(max_examples=400, deadline=None)
+def test_the_two_csv_paths_agree(texts):
+    """load_csv, which tries the numpy reader first, and the csv.reader path
+    alone give the same Dataset or the same DataError, on a training file and
+    on a test file loaded against it."""
+    train_text, test_text, label_column = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        train, test = Path(tmp) / "train.csv", Path(tmp) / "test.csv"
+        train.write_bytes(train_text.encode())
+        test.write_bytes(test_text.encode())
+        kwargs = {"label_column": label_column}
+        assert outcome(load_csv, train, **kwargs) == outcome(general, train, **kwargs)
+        try:
+            kwargs["reference"] = general(train, label_column=label_column)
+        except DataError:
+            return
+        assert outcome(load_csv, test, **kwargs) == outcome(general, test, **kwargs)
