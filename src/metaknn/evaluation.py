@@ -67,23 +67,32 @@ weights) arrays first, and then asks loo_count for each as before, so every
 filled count is a memo hit.  The batch keys each candidate once, from the
 base's k, kind and alpha and the two arrays' bytes, the layout model_key
 spells too.  It needs no generator to stay lazy: it keys nothing until its
-early refusals have passed.  With D the base's matrix and
-every factor at the lcm of the batch's denominators, candidate c's matrix is
-E_c = D + (new_j - old_j) * T_j.  Its row minimum is at most its entry at D's
-row argmin, and every entry is at least D - M, M the elementwise largest
-step down times T_j over the batch, so only the pairs where D - M reaches
-the largest such entry of their row are summed, for every candidate at
-once.  Each row's minimum is the entry at D's argmin lowered by the few
-entries below it, and its first shell, the entries at that minimum, is
-voted there; only a row whose vote is tied, and would widen past the pairs
-summed, is voted by shell_votes on its row of E_c.  The batch takes k=1,
-non-Chebyshev models with exact multipliers whose numerators at the lcm
-stay inside the headroom (as a delta's), and at least two candidates not
-yet counted; it fills nothing when more than _BATCH_TIE_SHARE of the
-base's rows hold their minimum twice, which the last k=1 vote (of a
-neighbour of the base) can tell before the base's matrix is made.  Each
-filled count adds one to ctx.evaluations, ctx.requested is unchanged, and
-the base's matrix is left as the last one.
+early refusals have passed.  With D the base's matrix and every factor at
+the lcm of the batch's denominators, candidate c's matrix is
+E_c = D + (new_j - old_j) * T_j, and a batch takes one of two routes.  On a
+base where at most _BATCH_TIE_SHARE of the rows hold their minimum twice,
+E_c's row minimum is at most its entry at D's row argmin, and every entry is
+at least D - M, M the elementwise largest step down times T_j over the
+batch, so only the pairs where D - M reaches the largest such entry of their
+row are summed, for every candidate at once.  Each row's minimum is the
+entry at D's argmin lowered by the few entries below it, and its first
+shell, the entries at that minimum, is voted there; only a row whose vote is
+tied, and would widen past the pairs summed, is voted on its row of E_c,
+stacked with the other tied rows in one shell_votes call.  On a tie-heavy
+base, where shared minima would keep many pairs and tie many votes, every
+row is such a row: whole matrices E_c are stacked, as many as fill one
+distance.block_rows block (or one, when a matrix is larger), and each stack
+is one shell_votes call.  The last matrix voted at k=1 or batched from (a
+neighbour of the base) can tell a tie-heavy base before the base's matrix is
+made; otherwise _shared_rows counts the shared minima of that matrix, and
+leaves the count there for the next batch.  Every entry is exact either
+way, as a delta's, so each count is the one the candidate's own scoring
+gives.  The batch takes k=1, non-Chebyshev models with exact multipliers
+whose numerators at the lcm stay inside the headroom (as a delta's), and at
+least two candidates not yet counted.  Each filled count adds one to
+ctx.evaluations and to ctx.filled_by_pairs or ctx.filled_by_stack (the
+route), a batch that fills nothing adds one to ctx.batches_refused,
+ctx.requested is unchanged, and the base's matrix is left as the last one.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -140,23 +149,27 @@ class _Matrix:
     model: tuple  # kind, alpha, mask bytes, weight bytes: the key without k
     den: int | None  # None: inexact float multipliers
     factors: np.ndarray  # one per training column, 0 where inactive
-    shared: int = 0  # rows whose first shell held two or more points, once voted at k=1
+    shared: int = 0  # rows holding their minimum twice, once voted at k=1 or batched from
+
+    @property
+    def tie_heavy(self) -> bool:
+        """Whether more than _BATCH_TIE_SHARE of the rows hold their minimum twice."""
+        return self.shared > _BATCH_TIE_SHARE * len(self.dist)
 
 
-# a one-column batch fills nothing when more than this share of its base's rows
-# hold their minimum twice: shared minima keep many pairs in the batch and tie
-# many votes, and past this share a batch scored slower than its candidates
-# one by one
+# a one-column batch votes its candidates' whole matrices, stacked, when more
+# than this share of its base's rows hold their minimum twice: shared minima
+# keep many pairs in the pair route and tie many votes, while stacking every
+# batch made a one-level Ionosphere search (few ties) about 35% slower
 _BATCH_TIE_SHARE = 0.2
 
 
-def _tie_heavy(dist: np.ndarray):
-    """Whether more than _BATCH_TIE_SHARE of dist's rows hold their minimum
-    twice (knn.shared_minima, which leaves dist unchanged), and each row's
-    first argmin."""
+def _shared_rows(dist: np.ndarray):
+    """How many of dist's rows hold their minimum twice (knn.shared_minima,
+    which leaves dist unchanged), and each row's first argmin."""
     nearest = dist.argmin(axis=1)
     shared = shared_minima(dist, nearest, dist[np.arange(len(dist)), nearest])
-    return np.count_nonzero(shared) > _BATCH_TIE_SHARE * len(dist), nearest
+    return int(np.count_nonzero(shared)), nearest
 
 
 def _key(model: ModelSpec, mask: np.ndarray, weights: np.ndarray) -> tuple:
@@ -193,6 +206,9 @@ class EvalContext:
         self._counts: dict[tuple, int] = {}  # correct count per side and resolved model
         self.requested = 0  # loo_count calls, repeats included
         self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
+        self.filled_by_pairs = 0  # counts fill_one_column summed on the pairs it kept
+        self.filled_by_stack = 0  # counts it voted as stacked rows, on tie-heavy bases
+        self.batches_refused = 0  # fill_one_column calls that filled nothing
 
     def _scale(self, key: str) -> float:
         """The training scale of key's terms."""
@@ -315,21 +331,23 @@ class EvalContext:
     def fill_one_column(self, model: ModelSpec, candidates) -> None:
         """Fill the count memo for the candidates, (feature_mask, weights) pairs
         of resolved arrays for model to hold, that each change one exact column
-        factor of model, at k=1, all from model's leave-one-out matrix at once;
-        see the module docstring.  The others are left to loo_count, and
-        model's matrix is left as the last one.  Each candidate is keyed once,
-        and none is keyed when the batch is refused before it.
+        factor of model, at k=1, all from model's leave-one-out matrix at once:
+        by the pairs that can hold a row minimum, or, on a tie-heavy base, by
+        stacked rows; see the module docstring.  The others are left to
+        loo_count, and model's matrix is left as the last one.  Each candidate
+        is keyed once, and none is keyed when the batch is refused before it.
         """
         last, kind, alpha = self._last, model.distance.kind, model.distance.alpha
         if model.k != 1 or kind == CHEBYSHEV:
+            self.batches_refused += 1
             return
-        # the last k=1 vote, on a neighbour of model, refuses a tie-heavy batch cheaply
-        if last and last.model[:2] == (kind, alpha) and \
-                last.shared > _BATCH_TIE_SHARE * self.train.n:
-            return
+        # the last matrix voted at k=1 or batched from, a neighbour of model, tells
+        # a tie-heavy base before model's matrix is made
+        stacked = bool(last) and last.model[:2] == (kind, alpha) and last.tie_heavy
         base_key = self.model_key(model)
         old, den = self._factors(base_key[4])
         if den is None:
+            self.batches_refused += 1
             return
         old = self._full(base_key[3], old)
         batch = {}  # model_key -> its changed column, new factor and denominator
@@ -345,6 +363,7 @@ class EvalContext:
             if len(changed) == 1:
                 batch[key] = int(changed[0]), new[changed[0]], new_den
         if len(batch) < 2:
+            self.batches_refused += 1
             return
         common = math.lcm(den, *(new_den for _, _, new_den in batch.values()))
         columns = np.array([j for j, _, _ in batch.values()])
@@ -353,46 +372,84 @@ class EvalContext:
         old *= common // den
         # numerators inside the headroom keep every sum below 2**53, as in _delta
         if max(old.max(), new.max()) >= 2 ** HEADROOM_BITS:
+            self.batches_refused += 1
             return
         dist = self._distances(base_key)
-        heavy, nearest = _tie_heavy(dist)
-        if heavy:
-            return
-        counts = self._one_column_counts(term_key(kind, alpha), dist, common // den, nearest,
-                                         columns, new - old[columns], ups)
+        if not stacked:
+            self._last.shared, nearest = _shared_rows(dist)
+            stacked = self._last.tie_heavy
+        up, steps, n = common // den, new - old[columns], len(dist)
+        distinct = sorted(set(columns.tolist()))  # np.unique imports numpy.ma, 1.7 MB
+        index = np.searchsorted(distinct, columns)
+        terms = term_key(kind, alpha)
+        cached = [self._column(terms, j).reshape(n, n) for j in distinct]
+        base = dist * up if up != 1 else dist  # the base's matrix at the batch's denominator
+        if stacked:
+            counts = np.zeros(len(steps), dtype=np.intp)
+            per = max(1, block_rows(n) // n)  # candidates voted at once: one block, or one matrix
+            for first in range(0, len(steps), per):
+                chunk = dict.fromkeys(range(first, min(first + per, len(steps))), slice(None))
+                counts[first:first + per] = self._stacked_counts(cached, index, base, steps, ups,
+                                                                 chunk)
+            self.filled_by_stack += len(batch)
+        else:
+            counts = self._one_column_counts(cached, index, base, nearest, steps, ups)
+            self.filled_by_pairs += len(batch)
         for key, count in zip(batch, counts.tolist()):
             self._counts["train", key] = count
         self.evaluations += len(batch)
 
-    def _one_column_counts(self, terms, dist, up, nearest, columns, steps, ups) -> np.ndarray:
+    def _stacked_counts(self, cached, index, base, steps, ups, rows: dict) -> np.ndarray:
+        """For each candidate c of rows, how many of its rows rows[c] (row
+        indices, or slice(None) for all) a k=1 vote gets right on its matrix,
+        (base + steps[c] * T_j) / ups[c] with T_j = cached[index[c]], in the
+        order of rows: the rows of every candidate stacked and voted by one
+        shell_votes call.  Every entry is exact, as in _delta, so each row is
+        bitwise the row that candidate's own scoring votes.
+        """
+        labels = self.train.labels
+        bounds = np.cumsum([0] + [len(labels[r]) for r in rows.values()]).tolist()
+        sub = np.empty((bounds[-1], len(base)))
+        for (c, r), lo, hi in zip(rows.items(), bounds, bounds[1:]):
+            part, t = sub[lo:hi], cached[index[c]][r]
+            if abs(steps[c]) == 1:  # a unit step adds or subtracts the column itself
+                (np.add if steps[c] > 0 else np.subtract)(base[r], t, out=part)
+            else:
+                np.multiply(t, steps[c], out=part)
+                part += base[r]
+            if ups[c] != 1:
+                part /= ups[c]
+        winners = shell_votes(sub, labels, 1, self.n_classes)[0]
+        return np.array([np.count_nonzero(winners[lo:hi] == labels[r])
+                         for r, lo, hi in zip(rows.values(), bounds, bounds[1:])], dtype=np.intp)
+
+    def _one_column_counts(self, cached, index, base, nearest, steps, ups) -> np.ndarray:
         """k=1 leave-one-out counts of the candidates whose matrices, at the batch's
-        denominator, are dist * up + steps[c] * T_j, j = columns[c], divided by
+        denominator, are base + steps[c] * T_j, T_j = cached[index[c]], divided by
         ups[c].  Each is summed only on the pairs that can hold some candidate's
         row minimum, and the first shell of each row is voted here; a tied vote,
-        which would widen past those pairs, goes to shell_votes.
+        which would widen past those pairs, goes to _stacked_counts.
         """
-        n, labels, classes = len(dist), self.train.labels, self.n_classes
-        distinct = np.array(sorted(set(columns.tolist())))  # np.unique imports numpy.ma, 1.7 MB
-        index = np.searchsorted(distinct, columns)
-        cached = [self._column(terms, j).reshape(-1) for j in distinct]
-        rise, fall = np.zeros(len(distinct)), np.zeros(len(distinct))
+        n, labels, classes = len(base), self.train.labels, self.n_classes
+        flat = [t.reshape(-1) for t in cached]
+        rise, fall = np.zeros(len(cached)), np.zeros(len(cached))
         np.maximum.at(rise, index, steps)  # per column, the largest step up
         np.maximum.at(fall, index, -steps)  # and down
         # every candidate's row minimum is at most its entry at the base's nearest
-        # point, and each of its entries at least dist * up - max_j fall_j * T_j
+        # point, and each of its entries at least base - max_j fall_j * T_j
         near = np.arange(n) * n + nearest
-        upper = dist.reshape(-1)[near] * up
-        upper += np.max([r * t[near] for r, t in zip(rise, cached) if r > 0], axis=0, initial=0.0)
+        upper = base.reshape(-1)[near]
+        upper += np.max([r * t[near] for r, t in zip(rise, flat) if r > 0], axis=0, initial=0.0)
         reach = np.zeros(n * n)
-        for f, t in zip(fall, cached):
+        for f, t in zip(fall, flat):
             if f > 0:
                 np.maximum(reach, t if f == 1 else t * f, out=reach)
-        np.subtract(dist.reshape(-1) * up if up != 1 else dist.reshape(-1), reach, out=reach)
+        np.subtract(base.reshape(-1), reach, out=reach)
         pairs = np.flatnonzero(reach.reshape(n, n) <= upper[:, None])
         del reach
         rows, cols = np.divmod(pairs, n)
-        at_base = dist.reshape(-1)[pairs] * up
-        gathered = np.stack([t.take(pairs) for t in cached])
+        at_base = base.reshape(-1)[pairs]
+        gathered = np.stack([t.take(pairs) for t in flat])
         near, width = np.searchsorted(pairs, near), len(pairs)
         del pairs
         counts = np.zeros(len(steps), dtype=np.intp)
@@ -419,13 +476,9 @@ class EvalContext:
             counts[first:first + m] = np.count_nonzero(right.reshape(m, n), axis=1)
             owner, at = np.divmod(np.flatnonzero(tied), n)
             if len(at):  # every tied row of the chunk, each its candidate's own, in one vote
-                owner += first
-                sub = np.concatenate([steps[c] * cached[index[c]].reshape(n, n)[at[owner == c]]
-                                      for c in dict.fromkeys(owner.tolist())])
-                sub += dist[at] * up
-                sub /= ups[owner, None]
-                hits = shell_votes(sub, labels, 1, classes)[0] == labels[at]
-                counts += np.bincount(owner, hits, minlength=len(counts)).astype(np.intp)
+                rows_of = {first + c: at[owner == c] for c in dict.fromkeys(owner.tolist())}
+                counts[list(rows_of)] += self._stacked_counts(cached, index, base, steps, ups,
+                                                              rows_of)
         return counts
 
     def model_key(self, model: ModelSpec) -> tuple:

@@ -3,14 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, rule,
                                  run_state_machine_as_test)
 
 from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
                      confusion_of, distance, evaluate, evaluation, leave_one_out, load_csv,
-                     load_monks, load_partition, meta_search, select_features)
+                     load_monks, load_partition, meta_search, select_features,
+                     weight_search_quantized)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
                               feature_terms, multipliers, term_key, term_scale)
 from metaknn.knn import shell_votes
@@ -518,31 +519,28 @@ class TestExactDistances:
     def test_backward_elimination_candidates_are_deltas(self, ionosphere, monks2, monkeypatch):
         # each round's drops are one-column batches from the round's base, which
         # is itself a delta from the last matrix; no scoring after the first
-        # sums more than three columns in full (a refused batch's candidates are
-        # deltas that change at most three), and the requests are unchanged
-        summed, filled = [], []
+        # sums more than three columns in full (an unbatched candidate is a
+        # delta that changes at most three), and the requests are unchanged
+        summed = []
         original = evaluation.distance_sums
         monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
             summed.append(len(args[6])) or original(*args)))
-        fill = EvalContext.fill_one_column
-
-        def spy(ctx, base, keys):
-            before = ctx.evaluations
-            fill(ctx, base, keys)
-            filled.append(ctx.evaluations - before)
-
-        monkeypatch.setattr(EvalContext, "fill_one_column", spy)
         ctx = EvalContext(ionosphere.train)
         select_features(ctx, ModelSpec())
         assert ctx.requested == 595 and ctx.evaluations > 500
         assert summed[0] == 34
         assert max(summed[1:], default=0) <= 3
-        assert sum(filled) > 500  # most of the 594 drops, from 33 rounds
-        # Monk-2's rounds are tie-heavy: the guard refuses every batch
-        filled.clear()
+        # most of the 594 drops, from 33 rounds
+        assert ctx.filled_by_pairs + ctx.filled_by_stack > 500
+        # Monk-2's rounds are tie-heavy: every drop of its 5 rounds is voted as
+        # stacked rows, and each count is the one a fresh context scores
+        summed.clear()
         ctx = EvalContext(monks2.train)
         select_features(ctx, ModelSpec())
-        assert ctx.evaluations > 0 and filled and sum(filled) == 0
+        assert ctx.requested == 21 and ctx.evaluations == 21 and summed == [6]
+        assert ctx.filled_by_stack == 20 and ctx.filled_by_pairs == ctx.batches_refused == 0
+        for (_, key), count in ctx._counts.items():
+            assert EvalContext(monks2.train).loo_count(model_of(key)) == count
 
     def test_delta_needs_numerators_inside_the_headroom(self, monks2, monkeypatch):
         # one column moves in both pairs; at the common denominator 4 every
@@ -670,18 +668,29 @@ def test_delta_scoring_equals_fresh_scoring_in_row_blocks(ionosphere, steps):
 
 
 BATCHES = ("drops", "grid", "lcm", "headroom")
+# _BATCH_TIE_SHARE values that force each route of a one-column batch: no
+# base's share of shared minima exceeds 1.0, and every base's exceeds -1.0
+ROUTES = {"pairs": 1.0, "stack": -1.0}
+
+
+def model_of(key: tuple) -> ModelSpec:
+    """The model whose EvalContext.model_key is key."""
+    k, kind, alpha, mask, weights = key
+    return ModelSpec(k, DistanceSpec(kind, alpha, np.frombuffer(weights).copy()),
+                     np.frombuffer(mask, dtype=bool).copy())
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(), kind=st.sampled_from(ALL_KINDS),
-       batch=st.sampled_from(BATCHES))
+       batch=st.sampled_from(BATCHES), route=st.sampled_from(sorted(ROUTES)))
 @settings(max_examples=200, deadline=None)
-def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch):
+def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch, route):
     # a batch of candidates that each change one column of the base: drops,
     # grid steps, quarters against tenths (worked at their lcm, 20), and
     # 1/1000ths against a 1/990 base, whose lcm 99000 puts a unit weight's
     # numerator past the headroom, so that batch fills nothing, and neither
-    # does a Chebyshev one; the tie guard is off, so that small-integer data
-    # reaches the batch's shared minima and tied votes
+    # does a Chebyshev one; the route is forced, so that small-integer data
+    # reaches the pair route's shared minima and tied votes, and spread data
+    # the stacked rows
     rng = np.random.default_rng(seed)
     n, width = int(rng.integers(8, 31)), int(rng.integers(2, 6))
     labels = rng.integers(0, 3, n)
@@ -701,13 +710,17 @@ def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch):
         candidates = [ModelSpec(1, DistanceSpec(*kind, np.where(np.arange(width) == pos, v, w)))
                       for v in values]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evaluation, "_BATCH_TIE_SHARE", 1.0)
+        patch.setattr(evaluation, "_BATCH_TIE_SHARE", ROUTES[route])
         ctx = EvalContext(train)
         ctx.fill_one_column(base, [(c.mask_for(width), c.active_weights(width))
                                    for c in candidates])
     refused = batch == "headroom" or kind[0] == CHEBYSHEV
+    filled = 0 if refused else len(candidates)
     assert ctx.requested == 0
-    assert ctx.evaluations == len(ctx._counts) == (0 if refused else len(candidates))
+    assert ctx.evaluations == len(ctx._counts) == filled
+    assert ctx.batches_refused == refused
+    assert (ctx.filled_by_pairs, ctx.filled_by_stack) == \
+        ((filled, 0) if route == "pairs" else (0, filled))
     if not refused:  # the base's matrix stays the last one
         assert ctx._last.model == ctx.model_key(base)[1:]
     for cand in candidates:
@@ -715,8 +728,46 @@ def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch):
         assert count in (None, EvalContext(train).loo_count(cand))
 
 
+class Unbatched(EvalContext):
+    """A context that scores every candidate one by one."""
+
+    def fill_one_column(self, model, candidates) -> None:
+        pass
+
+
+@pytest.mark.parametrize("monk", ["monks1", "monks2", "monks3"])
+@given(kind=st.sampled_from(ALL_KINDS), mask=st.lists(st.booleans(), min_size=6, max_size=6),
+       quarters=st.lists(st.integers(0, 4), min_size=6, max_size=6))
+@example(kind=(MINKOWSKI, 2), mask=[True] * 6, quarters=[4] * 6)  # the suites' reference
+@settings(max_examples=4, deadline=None)
+def test_batched_channels_equal_one_by_one(request, monk, kind, mask, quarters):
+    # backward elimination and a quantized weight search at step 0.25, each in
+    # a context with its batches and in one without: every count the two
+    # memos hold, and the requests and evaluations, must be the same
+    train = request.getfixturevalue(monk).train
+    mask, weights = np.array(mask), np.array(quarters) / 4
+    mask[np.argmax(weights)] = True  # one feature at least is active
+    ref = ModelSpec(1, DistanceSpec(*kind, weights[mask]), mask)
+    for channel, options in ((select_features, {}), (weight_search_quantized, {"step": 0.25})):
+        ctx, plain = EvalContext(train), Unbatched(train)
+        got, want = channel(ctx, ref, **options), channel(plain, ref, **options)
+        assert got.correct_count == want.correct_count
+        assert got.model.describe(6) == want.model.describe(6)
+        assert ctx._counts == plain._counts
+        assert (ctx.requested, ctx.evaluations) == (plain.requested, plain.evaluations)
+        assert plain.filled_by_pairs == plain.filled_by_stack == 0
+        batched = ctx.filled_by_pairs + ctx.filled_by_stack
+        if kind[0] == CHEBYSHEV:
+            assert batched == 0
+        elif channel is weight_search_quantized or np.count_nonzero(weights[mask]) > 1:
+            # some round has two candidates or more that change a column's
+            # factor (a dropped zero weight changes none)
+            assert batched > 0
+
+
 class TestFillRefusals:
-    """Batches that fill nothing, whose candidates take the scoring path."""
+    """Batches that fill nothing, whose candidates take the scoring path, and
+    one that a tie-heavy base does not refuse."""
 
     @staticmethod
     def filled(train, base, candidates) -> int:
@@ -749,9 +800,16 @@ class TestFillRefusals:
         assert self.filled(ionosphere.train, base, [one, two]) == 2
 
     def test_tie_heavy_base(self, monks2):
+        # Monk-2's plain model holds most rows' minima twice: the batch votes
+        # its candidates as stacked rows, each count the one a fresh context scores
         base, *candidates = self.weighted(*np.ones((3, 6)))
         candidates[0].distance.weights[0], candidates[1].distance.weights[1] = 0.5, 0.5
-        assert self.filled(monks2.train, base, candidates) == 0
+        ctx, n = EvalContext(monks2.train), 6
+        ctx.fill_one_column(base, [(c.mask_for(n), c.active_weights(n)) for c in candidates])
+        assert ctx.evaluations == ctx.filled_by_stack == len(ctx._counts) == 2
+        for cand in candidates:
+            fresh = EvalContext(monks2.train).loo_count(cand)
+            assert ctx._counts["train", ctx.model_key(cand)] == fresh
 
 
 VARIED = 6
