@@ -27,6 +27,21 @@ any positive factor, so the rescaling changes no comparison.  Other weights
 the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
+Term blocks.  feature_terms builds a term matrix's differences as one rank-2
+matrix product per row block, [x, 1] @ [p; -p * y], with a power of two p
+folded in: S itself for |x-y| and Camberra, and 2**(e // 2) for squares,
+where S = 2**e, completed by one multiplication by 2 when e is odd.  While
+p * x is exact for every operand, each entry is one rounding of p*x - p*y,
+which is p * fl(x - y), on any BLAS kernel, with a fused multiply-add or
+without; abs (or the square) and rint follow, with no fill, subtract or
+scale pass.  A Camberra denominator |x| + |y| is a product of the same
+shape, [|x|, 1] @ [1; |y|], and dividing p * |x - y| by it rounds once to p
+times the scalar loop's quotient.  p is 1, and the scale is applied after
+the difference as the scalar loop applies it, when 2 * p * max|x| could
+overflow (a column of large magnitude and small span), when S is below 1,
+or when S is above 2**1020, where a subnormal square's last bit can be
+worth a unit.
+
 block_sums() is the one matrix kernel.  It builds a distance matrix one
 block of rows at a time (block_rows) and yields each block once its rows
 are whole: a block's terms and its sum take BLOCK_BYTES each, and so does
@@ -48,10 +63,12 @@ x - y is exactly -(y - x) and |x| + |y| is |y| + |x|, so each block's rows
 are built and summed against its own and later rows only (the upper
 trapezoid) and the rest is mirrored: each unordered pair of blocks once.
 Given a cache of whole term matrices, it reads each column from there,
-building a missing one whole (column_terms) and adding it.  Given none, it
-keeps nothing: feature_terms builds each column per block into one reused
-buffer, which sum_into then multiplies in place.  pairwise_matrix and
-cross_matrix pass no cache.
+building a missing one whole (column_terms) and adding it; feature_terms
+builds a whole column in row blocks too, so no product is taller than a
+block (BLAS would thread one).  Given none, it keeps nothing: feature_terms
+builds each column per block into one reused buffer, which sum_into then
+multiplies in place, and Camberra's denominators into a second one.
+pairwise_matrix and cross_matrix pass no cache.
 evaluation.EvalContext passes its training terms when it keeps them (it
 decides when; it builds them through column_terms into one store per term
 kind, and passes the columns a sum reads), and updates its last matrix in
@@ -167,30 +184,66 @@ def _require_finite(bounds: np.ndarray, names) -> None:
         raise DataError(f"column {name!r}: values too large for exact distances")
 
 
+def _folded_scale(key: str, scale: float, a: np.ndarray, b: np.ndarray) -> float:
+    """The power of two p that feature_terms folds into its product: the scale
+    S = 2**e itself, or 2**(e // 2) for squares; 1 when p * x could overflow
+    for some operand x (or p * (x - y) for some pair), when e is negative or
+    above 1020, or when S is no power of two."""
+    mantissa, e = math.frexp(scale)  # scale = mantissa * 2**e
+    e -= 1
+    if mantissa != 0.5 or not 0 <= e <= 1020:
+        return 1.0
+    p = math.ldexp(1.0, e // 2 if key == "sq" else e)
+    bound = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
+    return p if math.isfinite(2 * p * bound) else 1.0
+
+
 def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Scaled per-feature term matrix rint(T[p, q] * scale) between rows of a and b,
+                  out: np.ndarray | None = None,
+                  denominators: np.ndarray | None = None) -> np.ndarray:
+    """Scaled per-feature term matrix rint(T[i, j] * scale) between rows of a and b,
     written into out when given.
 
-    Each row is filled with its entry of a and b is subtracted in place: the
-    same fl(x - y) as the scalar loop.  A square needs no abs first, as
-    (-d) * (-d) is d * d bit for bit.
+    The differences are rank-2 products [a, 1] @ [p; -p * b], p from
+    _folded_scale, one per chunk of at most block_rows(len(b)) rows (see
+    the module docstring).  Then only abs (or the square, which needs no
+    abs, as (-d) * (-d) is d * d bit for bit) and rint follow, with a
+    multiplication by what p leaves of the scale (2, for a square of odd
+    exponent, or the whole scale when p is 1) where that is not 1.
+    Camberra's denominators [|a|, 1] @ [1; |b|] are written into
+    denominators, a flat buffer of at least one chunk's entries (allocated
+    when not given).
     """
     t = np.empty((len(a), len(b))) if out is None else out
-    t[...] = a[:, None]
-    t -= b
-    if key == "sq":
-        np.multiply(t, t, out=t)
-    else:
-        np.abs(t, out=t)
+    p = _folded_scale(key, scale, a, b)
+    rest = scale / (p * p if key == "sq" else p)
+    lhs, rhs = np.ones((len(a), 2)), np.empty((2, len(b)))
+    lhs[:, 0] = a
+    rhs[0] = p
+    np.multiply(b, -p, out=rhs[1])
+    rows = block_rows(len(b))  # never one tall product, which BLAS would thread
     if key == "cam":
-        s = np.empty_like(t)
-        s[...] = np.abs(a)[:, None]
-        s += np.abs(b)
-        # |x| + |y| is 0 only where t is 0: 0 over the smallest subnormal is 0
-        t /= np.maximum(s, math.ulp(0.0), out=s)
-    t *= scale
-    return np.rint(t, out=t)
+        cam_lhs, cam_rhs = np.ones((len(a), 2)), np.ones((2, len(b)))
+        np.abs(a, out=cam_lhs[:, 0])
+        np.abs(b, out=cam_rhs[1])
+        if denominators is None:
+            denominators = np.empty(min(rows, len(a)) * len(b))
+    for r in range(0, len(a), rows):
+        chunk = t[r:r + rows]
+        np.matmul(lhs[r:r + rows], rhs, out=chunk)
+        if key == "sq":
+            np.multiply(chunk, chunk, out=chunk)
+        else:
+            np.abs(chunk, out=chunk)
+        if key == "cam":
+            s = np.matmul(cam_lhs[r:r + rows], cam_rhs,
+                          out=denominators[:chunk.size].reshape(chunk.shape))
+            # |x| + |y| is 0 only where the difference is 0: 0 over the smallest subnormal is 0
+            chunk /= np.maximum(s, math.ulp(0.0), out=s)
+        if rest != 1:
+            chunk *= rest
+        np.rint(chunk, out=chunk)
+    return t
 
 
 _DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)
@@ -357,15 +410,18 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     One buffer of a block's size serves every block's terms.  Without a
     cache, each column is built by feature_terms per block into it and not
     kept, and it is also the product: a factor other than 1 multiplies the
-    terms in place.  With a cache, which maps a column to its whole term
-    matrix between a and b, each column is read from it, or built whole
-    (column_terms) and added to it, so the caller keeps it; the cached terms
-    are multiplied into the buffer and never written.
+    terms in place; Camberra's denominators take a second such buffer.
+    With a cache, which maps a column to its whole term matrix between a
+    and b, each column is read from it, or built whole (column_terms) and
+    added to it, so the caller keeps it; the cached terms are multiplied
+    into the buffer and never written.
     """
     rows = block_rows(len(b))
     short = min(rows, len(a))  # a short matrix is one short block
     buffer = np.empty(short * len(b))
     block_out = np.empty(short * len(b)) if out is None else None
+    # Camberra's denominators, when built per block: a second block buffer
+    denominators = np.empty(short * len(b)) if key == "cam" and cache is None else None
     symmetric = a is b and out is not None
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
@@ -375,7 +431,8 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
         if out is None:
             sums.fill(0)
         if cache is None:  # the block's terms, multiplied in place
-            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, block) for j in columns)
+            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, block, denominators)
+                     for j in columns)
         else:  # the cache's terms, multiplied into the block
             terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
         sum_into(sums[:, c:], block, kind, terms, factors)

@@ -89,9 +89,12 @@ leaves the count there for the next batch.  Every entry is exact either
 way, as a delta's, so each count is the one the candidate's own scoring
 gives.  The batch takes k=1, non-Chebyshev models with exact multipliers
 whose numerators at the lcm stay inside the headroom (as a delta's), and at
-least two candidates not yet counted.  Each filled count adds one to
-ctx.evaluations and to ctx.filled_by_pairs or ctx.filled_by_stack (the
-route), a batch that fills nothing adds one to ctx.batches_refused,
+least two candidates not yet counted.  A candidate whose factors over their
+denominator equal the base's (a dropped feature whose weight is 0) changes
+no column and scores as the base does: it takes the base's count when the
+memo holds it, and is otherwise left to loo_count.  Each filled count adds one to ctx.evaluations
+and to ctx.filled_by_pairs, ctx.filled_by_stack or ctx.filled_by_base (the
+route), a call that batches nothing adds one to ctx.batches_refused,
 ctx.requested is unchanged, and the base's matrix is left as the last one.
 
 loo_count and test_count remember each count they compute, keyed on the
@@ -208,7 +211,8 @@ class EvalContext:
         self.evaluations = 0  # leave-one-out scorings computed, not served from _counts
         self.filled_by_pairs = 0  # counts fill_one_column summed on the pairs it kept
         self.filled_by_stack = 0  # counts it voted as stacked rows, on tie-heavy bases
-        self.batches_refused = 0  # fill_one_column calls that filled nothing
+        self.filled_by_base = 0  # counts it took from the base, for candidates with its factors
+        self.batches_refused = 0  # fill_one_column calls that batched nothing
 
     def _scale(self, key: str) -> float:
         """The training scale of key's terms."""
@@ -333,9 +337,11 @@ class EvalContext:
         of resolved arrays for model to hold, that each change one exact column
         factor of model, at k=1, all from model's leave-one-out matrix at once:
         by the pairs that can hold a row minimum, or, on a tie-heavy base, by
-        stacked rows; see the module docstring.  The others are left to
-        loo_count, and model's matrix is left as the last one.  Each candidate
-        is keyed once, and none is keyed when the batch is refused before it.
+        stacked rows; see the module docstring.  A candidate whose factors are
+        model's own (a dropped zero weight) takes model's count, when that is
+        in the memo.  The others are left to loo_count, and model's matrix is
+        left as the last one.  Each candidate is keyed once, and none is keyed
+        when the batch is refused before it.
         """
         last, kind, alpha = self._last, model.distance.kind, model.distance.alpha
         if model.k != 1 or kind == CHEBYSHEV:
@@ -350,6 +356,7 @@ class EvalContext:
             self.batches_refused += 1
             return
         old = self._full(base_key[3], old)
+        base_count = self._counts.get(("train", base_key))
         batch = {}  # model_key -> its changed column, new factor and denominator
         for mask, weights in candidates:
             key = _key(model, mask, weights)
@@ -362,6 +369,10 @@ class EvalContext:
             changed = np.flatnonzero(old * new_den != new * den)  # exact integers
             if len(changed) == 1:
                 batch[key] = int(changed[0]), new[changed[0]], new_den
+            elif len(changed) == 0 and base_count is not None:  # it scores as the base does
+                self._counts["train", key] = base_count
+                self.evaluations += 1
+                self.filled_by_base += 1
         if len(batch) < 2:
             self.batches_refused += 1
             return

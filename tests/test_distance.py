@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from metaknn import (DistanceSpec, ModelSpec, cross_matrix, dissimilarity, distance, neighbors,
                      pairwise_matrix)
-from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, _scaled_term, accumulate,
-                              distance_sums, feature_terms, multipliers, pair_sum, sum_into,
-                              term_key, term_scale)
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, _folded_scale, _scaled_term,
+                              accumulate, column_terms, distance_sums, feature_terms, multipliers,
+                              pair_sum, sum_into, term_key, term_scale)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset
 
@@ -160,6 +161,55 @@ def term_operands(draw, limit):
     return np.array(a), np.array(b)
 
 
+# the row blocks of an 800-wide matrix, of a 200-row Ionosphere one, and of
+# Monk's 432 test rows against 124 training rows
+BLOCK_SHAPES = [(81, 800), (200, 200), (432, 124)]
+
+
+@st.composite
+def block_operands(draw, m: int, n: int, limit: float):
+    """Two random vectors of m and n values up to limit, some shared, with the
+    special values of term_operands spliced in.  A large offset over a small
+    spread makes a column of large magnitude, which the folded power of two
+    could overflow; a large spread, or the limit spliced in, a scale below 1;
+    a tiny spread, a square scale above 2**1020."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([2.0 ** -530, 2.0 ** -512, 1e-3, 3.0, 1e3, limit / 4]))
+    offset = draw(st.sampled_from([0.0, 1.0, limit / 2, -limit / 2]))
+    a, b = (np.clip(offset + spread * np.round(rng.normal(size=size), 3), -limit, limit)
+            for size in (m, n))
+    shared = rng.integers(0, m, n // 4)
+    b[rng.integers(0, n, len(shared))] = a[shared]  # zero differences
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022] + draw(
+        st.sampled_from([[], [limit, -limit]]))
+    special = st.sampled_from(special)
+    for vector, size in ((a, m), (b, n)):
+        for i, value in draw(st.lists(st.tuples(st.integers(0, size - 1), special),
+                                      max_size=6)):
+            vector[i] = value
+    return a, b
+
+
+def subtracted_terms(a, b, key: str, scale: float) -> np.ndarray:
+    """Scaled terms by the formula feature_terms used before its rank-2
+    products: each row filled with a's entry, b subtracted, the square or abs,
+    Camberra's division, the scale, then rint."""
+    t = np.empty((len(a), len(b)))
+    t[...] = a[:, None]
+    t -= b
+    if key == "sq":
+        np.multiply(t, t, out=t)
+    else:
+        np.abs(t, out=t)
+    if key == "cam":
+        s = np.empty_like(t)
+        s[...] = np.abs(a)[:, None]
+        s += np.abs(b)
+        t /= np.maximum(s, math.ulp(0.0), out=s)
+    t *= scale
+    return np.rint(t, out=t)
+
+
 class TestFeatureTerms:
     @pytest.mark.parametrize("key", list(TERM_LIMITS))
     @given(data=st.data())
@@ -174,6 +224,73 @@ class TestFeatureTerms:
         for _ in range(2):  # into a NaN-filled buffer, then into the same buffer again
             assert feature_terms(a, b, key, scale, out) is out
             assert out.tobytes() == want
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    @pytest.mark.parametrize("key", list(TERM_LIMITS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_block_shapes_match_the_subtracting_formula(self, shape, key, data):
+        # BLAS picks other kernels at block shapes than at the oracle's few
+        # entries: every entry must still be the fill-subtract-scale formula's
+        a, b = data.draw(block_operands(*shape, TERM_LIMITS[key]))
+        scale = term_scale(key, np.concatenate([a, b])[:, None])
+        want = subtracted_terms(a, b, key, scale).tobytes()
+        assert feature_terms(a, b, key, scale).tobytes() == want
+        out = np.full(shape, np.nan)
+        denominators = np.full(out.size, np.nan)
+        assert feature_terms(a, b, key, scale, out, denominators).tobytes() == want
+
+    def test_the_folded_power_of_two(self):
+        # p is the scale, or the square root of its even part for squares, unless
+        # p * x could overflow, the scale is below 1 or above 2**1020, or it is
+        # no power of two; p = 1 is the subtracting formula itself
+        ones = np.ones(3)
+        assert _folded_scale("abs", 2.0 ** 30, ones, ones) == 2.0 ** 30
+        assert _folded_scale("cam", 2.0 ** 30, ones, ones) == 2.0 ** 30
+        assert _folded_scale("sq", 2.0 ** 30, ones, ones) == 2.0 ** 15
+        assert _folded_scale("sq", 2.0 ** 31, ones, ones) == 2.0 ** 15
+        assert _folded_scale("sq", 2.0 ** -3, ones, ones) == 1.0
+        assert _folded_scale("sq", 2.0 ** 1021, ones, ones) == 1.0
+        assert _folded_scale("abs", 2.0 ** -1, ones, ones) == 1.0
+        assert _folded_scale("abs", 3.0, ones, ones) == 1.0
+        big = np.full(3, 2.0 ** 1000)  # a constant column: its span sets no bound
+        assert _folded_scale("abs", 2.0 ** 30, ones, big) == 1.0
+        assert _folded_scale("cam", 2.0 ** 30, -big, ones) == 1.0
+        assert _folded_scale("abs", 2.0 ** 22, ones, big) == 2.0 ** 22
+        assert _folded_scale("abs", 2.0 ** 23, ones, big) == 1.0  # 2 * p * 2**1000 overflows
+
+    def test_a_subnormal_square_is_rounded_as_the_scalar_loop_rounds_it(self):
+        # d * d is subnormal here and loses its last bit, which the scale 2**1023
+        # makes worth 1: a folded p = 2**511 would square p * d without that loss
+        a, b = np.array([float.fromhex("0x1.bb67ae8584caap-512"), 0.0]), np.zeros(1)
+        scale = term_scale("sq", np.concatenate([a, b])[:, None])
+        assert scale == 2.0 ** 1023
+        want = [_scaled_term(x, 0.0, "sq", scale) for x in a.tolist()]
+        assert want == [2.0, 0.0]
+        assert feature_terms(a, b, "sq", scale).ravel().tolist() == want
+
+    def test_a_whole_column_is_never_one_tall_product(self, monkeypatch):
+        # a 600-row column is built by one feature_terms call, in products of
+        # at most one row block each: one tall product would be threaded by BLAS
+        rng = np.random.default_rng(14)
+        x = np.round(rng.normal(size=600) * 3, 3)
+        rows = distance.block_rows(600)
+        assert rows < 600
+        products, builds = [], []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda left, right, out: (
+            products.append(left.shape[0]) or matmul(left, right, out=out)))
+        monkeypatch.setattr(distance, "feature_terms", lambda *args: (
+            builds.append(args) or feature_terms(*args)))
+        for key in TERM_LIMITS:
+            products.clear()
+            builds.clear()
+            scale = term_scale(key, x[:, None])
+            got = column_terms(x[:, None], x[:, None], 0, key, scale, {})
+            assert len(builds) == 1
+            assert max(products) == rows
+            assert sum(products) == 600 * (1 + (key == "cam"))  # and the denominators
+            assert got.tobytes() == subtracted_terms(x, x, key, scale).tobytes()
 
 
 DRAWS = [False, True, "unit"]  # random_factors' draws; a draw's index seeds its tests
@@ -307,11 +424,12 @@ class TestDistanceSums:
         assert den == {"unit": 1, "tenths": 10}[weights]
         one = accumulate(kind, (feature_terms(a[:, j], b[:, j], key, scale) for j in columns),
                          factors, (len(a), len(b))).tobytes()
-        outs, products = [], []
+        outs, products, denominators = [], [], []
 
-        def spy_terms(x, y, key, scale, out=None):
+        def spy_terms(x, y, key, scale, out=None, spare=None):
             outs.append(out)
-            return feature_terms(x, y, key, scale, out)
+            denominators.append(spare)
+            return feature_terms(x, y, key, scale, out, spare)
 
         def spy_sum(out, product, *args):
             products.append(product)
@@ -329,6 +447,9 @@ class TestDistanceSums:
         assert len(outs) == len(columns) and len(products) == 1
         assert products[0].shape == (len(a), len(b))
         assert all(out is products[0] for out in outs)
+        # Camberra's denominators go to one second buffer, reused by every column
+        assert all(d is denominators[0] for d in denominators)
+        assert (denominators[0] is not None) == (key == "cam")
         # the sum and the term buffer, and Camberra's denominator: no product buffer
         assert peak < (2.5 + (key == "cam")) * got.nbytes
         outs.clear()  # a cache takes each column whole, built with no buffer

@@ -812,6 +812,30 @@ class TestFillRefusals:
             assert ctx._counts["train", ctx.model_key(cand)] == fresh
 
 
+@pytest.mark.parametrize("scored", [True, False])
+def test_a_dropped_zero_weight_takes_the_base_count(monks1, scored):
+    # dropping column 2, whose weight is 0, leaves the base's factors and so its
+    # matrix: the batch gives that drop the base's count when the memo holds it,
+    # and otherwise leaves it to loo_count; the other five drops are batched
+    train, n = monks1.train, 6
+    w = np.array([1.0, 0.5, 0.0, 1.0, 0.3, 1.0])
+    base = ModelSpec(1, DistanceSpec(MINKOWSKI, 2, w))
+    drops = [ModelSpec(1, DistanceSpec(MINKOWSKI, 2, np.delete(w, j)), np.arange(n) != j)
+             for j in range(n)]
+    ctx = EvalContext(train)
+    if scored:
+        ctx.loo_count(base)
+    ctx.fill_one_column(base, [(c.mask_for(n), c.active_weights(n)) for c in drops])
+    assert ctx.filled_by_base == scored
+    assert ctx.filled_by_pairs + ctx.filled_by_stack == 5
+    assert ctx.evaluations == len(ctx._counts) == 5 + 2 * scored
+    fresh = EvalContext(train).loo_count(drops[2])
+    assert ctx.loo_count(drops[2]) == fresh
+    assert ctx.evaluations == 6 + scored  # the drop is scored one by one only when not filled
+    if scored:
+        assert fresh == ctx.loo_count(base)
+
+
 VARIED = 6
 COLUMN = st.integers(0, VARIED - 1)  # the first Ionosphere features: steps meet on them
 
