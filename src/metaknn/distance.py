@@ -27,20 +27,29 @@ any positive factor, so the rescaling changes no comparison.  Other weights
 the largest at most 1, multiply the terms as they are; that is the one
 inexact path, through the same kernel.
 
-Term blocks.  feature_terms builds a term matrix's differences as one rank-2
-matrix product per row block, [x, 1] @ [p; -p * y], with a power of two p
-folded in: S itself for |x-y| and Camberra, and 2**(e // 2) for squares,
-where S = 2**e, completed by one multiplication by 2 when e is odd.  While
-p * x is exact for every operand, each entry is one rounding of p*x - p*y,
-which is p * fl(x - y), on any BLAS kernel, with a fused multiply-add or
-without; abs (or the square) and rint follow, with no fill, subtract or
-scale pass.  A Camberra denominator |x| + |y| is a product of the same
-shape, [|x|, 1] @ [1; |y|], and dividing p * |x - y| by it rounds once to p
-times the scalar loop's quotient.  p is 1, and the scale is applied after
-the difference as the scalar loop applies it, when 2 * p * max|x| could
-overflow (a column of large magnitude and small span), when S is below 1,
-or when S is above 2**1020, where a subnormal square's last bit can be
-worth a unit.
+Term stacks.  feature_terms builds the term matrices of F columns for a
+few rows of a against rows of b as one (F, m, w) stack: the differences are
+one batched rank-2 matrix product, [x, 1] @ [p; -p * y] for every column at
+once, with a power of two p folded in: S itself for |x-y| and Camberra, and
+2**(e // 2) for squares, where S = 2**e, completed by one multiplication by
+2 when e is odd.  While p * x is exact for every operand, each entry is one
+rounding of p*x - p*y, which is p * fl(x - y), on any BLAS kernel, with a
+fused multiply-add or without; then one call each over the whole stack
+takes abs (or the square), Camberra's division, the leftover scale and
+rint, with no fill, subtract or per-column pass.  A Camberra denominator
+|x| + |y| is a product of the same shape, [|x|, 1] @ [1; |y|], and dividing
+p * |x - y| by it rounds once to p times the scalar loop's quotient.  p is
+chosen per column: it is 1, and the scale is applied after the difference
+as the scalar loop applies it, when 2 * p * max|x| could overflow (a column
+of large magnitude and small span), and for every column when S is below 1
+or above 2**1020, where a subnormal square's last bit can be worth a unit.
+term_sides builds the b side [p; -p * y] of every column, and its p, once
+per block_sums call, from reductions and one copy of each column, with no
+temporary of the data; left_side builds the a side [x, 1] of one row block
+at a time, so the two sides never hold more than the b side and one
+block's rows.  column_terms builds the whole matrices of the columns a
+cache lacks through the same feature_terms, from one term_sides and one
+left_side of those columns, each as a stack of one.
 
 block_sums() is the one matrix kernel.  It builds a distance matrix one
 block of rows at a time (block_rows) and yields each block once its rows
@@ -52,22 +61,33 @@ none, it sums every block into one block-sized array, which the next block
 overwrites, so a caller that votes each block as it comes (a test-side
 scoring, through knn.shell_votes, whose own blocks are these) never holds
 the matrix.
-Within a block it combines per-feature term matrices one feature at a time,
-in index order, through sum_into, the one combine loop, with the same
-per-term operations as the scalar loop pair_sum (a factor of 1 combines the
-term matrix itself, as t * 1 is t), so matrix entries are bitwise equal to
-pair_sum on the corresponding rows at the same scale, and to accumulate()
-over whole term matrices.  A whole matrix of rows against themselves (a is
-b: a leave-one-out matrix, pairwise_matrix) is symmetric term by term, since
-x - y is exactly -(y - x) and |x| + |y| is |y| + |x|, so each block's rows
-are built and summed against its own and later rows only (the upper
-trapezoid) and the rest is mirrored: each unordered pair of blocks once.
+Without a cache it keeps nothing: it builds each block a few rows at a
+time, as a stack of every active column's terms for those rows (of some of
+the columns for one row, when a block has fewer rows than there are
+columns) in one reused buffer of a block's size, Camberra's denominators in
+a second one, so no stack holds more entries than one block.  A stack is
+combined by one of three routes (_route), each bitwise equal to
+accumulate() over whole term matrices, which adds each term matrix times
+its factor in index order through sum_into, the one combine loop, with the
+same per-term operations as the scalar loop pair_sum (a factor of 1
+combines the term matrix itself, as t * 1 is t), and so to pair_sum on the
+corresponding rows at the same scale.  When every factor is a non-negative
+integer and the sum over the columns of each factor times the column's
+largest term is below 2**53, the stack is combined by one product
+factors @ stack, every partial sum of which is an exact integer in any
+order, on any BLAS kernel; a Chebyshev stack by one maximum over its
+columns, exact in any order; any other (off-grid weights, or test rows so
+far outside the training range that a sum could pass 2**53) by adding its
+terms, each multiplied in place by its factor, in index order.
+A whole matrix of rows against themselves (a is b: a leave-one-out matrix,
+pairwise_matrix) is symmetric term by term, since x - y is exactly -(y - x)
+and |x| + |y| is |y| + |x|, so each block's rows are built and summed
+against its own and later rows only (the upper trapezoid) and the rest is
+mirrored: each unordered pair of blocks once.
 Given a cache of whole term matrices, it reads each column from there,
-building a missing one whole (column_terms) and adding it; feature_terms
-builds a whole column in row blocks too, so no product is taller than a
-block (BLAS would thread one).  Given none, it keeps nothing: feature_terms
-builds each column per block into one reused buffer, which sum_into then
-multiplies in place, and Camberra's denominators into a second one.
+first building each missing one whole (column_terms) and adding it, and
+combines the columns through sum_into; feature_terms builds a whole column in row
+blocks too, so no product is taller than a block (BLAS would thread one).
 pairwise_matrix and cross_matrix pass no cache.
 evaluation.EvalContext passes its training terms when it keeps them (it
 decides when; it builds them through column_terms into one store per term
@@ -85,6 +105,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,63 +205,101 @@ def _require_finite(bounds: np.ndarray, names) -> None:
         raise DataError(f"column {name!r}: values too large for exact distances")
 
 
-def _folded_scale(key: str, scale: float, a: np.ndarray, b: np.ndarray) -> float:
-    """The power of two p that feature_terms folds into its product: the scale
-    S = 2**e itself, or 2**(e // 2) for squares; 1 when p * x could overflow
-    for some operand x (or p * (x - y) for some pair), when e is negative or
-    above 1020, or when S is no power of two."""
+def _folded_scale(key: str, scale: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per column of a and b (their last axis), the power of two p that
+    feature_terms folds into its product: the scale S = 2**e itself, or
+    2**(e // 2) for squares; 1 when p * x could overflow for some operand x
+    of the column (or p * (x - y) for some pair), and for every column when
+    e is negative or above 1020, or when S is no power of two."""
     mantissa, e = math.frexp(scale)  # scale = mantissa * 2**e
     e -= 1
     if mantissa != 0.5 or not 0 <= e <= 1020:
-        return 1.0
+        return np.ones(a.shape[1:])
     p = math.ldexp(1.0, e // 2 if key == "sq" else e)
-    bound = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
-    return p if math.isfinite(2 * p * bound) else 1.0
+    # max|x| per column by reductions alone, with no |a| or |b| temporary
+    bound = np.maximum(np.maximum(-a.min(axis=0, initial=0.0), a.max(axis=0, initial=0.0)),
+                       np.maximum(-b.min(axis=0, initial=0.0), b.max(axis=0, initial=0.0)))
+    # 2 * p * bound is finite exactly where bound is at most the largest float over 2 * p
+    return np.where(bound <= sys.float_info.max / (2 * p), p, 1.0)
 
 
-def feature_terms(a: np.ndarray, b: np.ndarray, key: str, scale: float,
-                  out: np.ndarray | None = None,
-                  denominators: np.ndarray | None = None) -> np.ndarray:
-    """Scaled per-feature term matrix rint(T[i, j] * scale) between rows of a and b,
-    written into out when given.
-
-    The differences are rank-2 products [a, 1] @ [p; -p * b], p from
-    _folded_scale, one per chunk of at most block_rows(len(b)) rows (see
-    the module docstring).  Then only abs (or the square, which needs no
-    abs, as (-d) * (-d) is d * d bit for bit) and rint follow, with a
-    multiplication by what p leaves of the scale (2, for a square of odd
-    exponent, or the whole scale when p is 1) where that is not 1.
-    Camberra's denominators [|a|, 1] @ [1; |b|] are written into
-    denominators, a flat buffer of at least one chunk's entries (allocated
-    when not given).
-    """
-    t = np.empty((len(a), len(b))) if out is None else out
-    p = _folded_scale(key, scale, a, b)
+def term_sides(a: np.ndarray, b: np.ndarray, columns, key: str, scale: float) -> tuple:
+    """The b side of the term products between rows of a and b over columns,
+    built once for every stack (see the module docstring): (key, rhs, rest,
+    cam_rhs), each of a column's pieces stacked along a leading axis of
+    len(columns).  rhs[f] is [p_f; -p_f * b_f] (2 x len(b)), with p_f from
+    _folded_scale over the column of a and b; rest[f] is what p_f leaves of
+    the scale, shaped (F, 1, 1), or None where that is 1 for every column;
+    cam_rhs[f] is Camberra's [1; |b_f|] (None for other keys).  Each column
+    is copied out of b once, with no temporary of b's columns."""
+    p = _folded_scale(key, scale, a, b)[columns]
     rest = scale / (p * p if key == "sq" else p)
-    lhs, rhs = np.ones((len(a), 2)), np.empty((2, len(b)))
-    lhs[:, 0] = a
-    rhs[0] = p
-    np.multiply(b, -p, out=rhs[1])
-    rows = block_rows(len(b))  # never one tall product, which BLAS would thread
+    rhs = np.empty((len(p), 2, len(b)))
+    rhs[:, 0] = p[:, None]
+    cam_rhs = np.ones_like(rhs) if key == "cam" else None
+    for f, j in enumerate(columns):
+        np.multiply(b[:, j], -p[f], out=rhs[f, 1])
+        if cam_rhs is not None:
+            np.abs(b[:, j], out=cam_rhs[f, 1])
+    return key, rhs, None if (rest == 1).all() else rest[:, None, None], cam_rhs
+
+
+def left_side(a: np.ndarray, columns, key: str) -> tuple:
+    """The a side of the term products for the rows of a over columns:
+    (lhs, cam_lhs), lhs[f] = [a_f, 1] (len(a) x 2) and Camberra's
+    cam_lhs[f] = [|a_f|, 1] (None for other keys).  block_sums builds it per
+    row block, so it never holds more than a block's rows."""
+    lhs = np.ones((len(columns), len(a), 2))
+    lhs[:, :, 0] = a[:, columns].T
+    cam_lhs = None
     if key == "cam":
-        cam_lhs, cam_rhs = np.ones((len(a), 2)), np.ones((2, len(b)))
-        np.abs(a, out=cam_lhs[:, 0])
-        np.abs(b, out=cam_rhs[1])
+        cam_lhs = np.ones_like(lhs)
+        np.abs(lhs[:, :, 0], out=cam_lhs[:, :, 0])
+    return lhs, cam_lhs
+
+
+def feature_terms(sides: tuple, left: tuple, rows: slice = slice(None), start: int = 0,
+                  features: slice = slice(None), out: np.ndarray | None = None,
+                  denominators: np.ndarray | None = None) -> np.ndarray:
+    """The stack of scaled term matrices rint(T_f[i, j] * scale) between the
+    rows `rows` of left's a and the rows start: of sides' b, one matrix per
+    column f of features, shaped (F, m, w), written into out when given.
+
+    The differences are the batched rank-2 products lhs @ rhs of left and
+    sides, in row chunks that put at most one block (block_rows) of entries
+    in each product, as a whole column is built (column_terms).  Then one
+    call each takes the abs (or the square, which needs no abs, as
+    (-d) * (-d) is d * d bit for bit), divides Camberra's by its
+    denominators, multiplies by what p leaves of the scale where that is not
+    1 for every column, and rounds.  Camberra's denominators
+    [|a|, 1] @ [1; |b|] are written into denominators, a flat buffer of at
+    least one chunk's entries (allocated when not given).
+    """
+    key, rhs, rest, cam_rhs = sides
+    lhs, cam_lhs = left
+    lhs, rhs = lhs[features, rows], rhs[features, :, start:]
+    f, m, w = len(lhs), lhs.shape[1], rhs.shape[2]
+    t = np.empty((f, m, w)) if out is None else out
+    # never one tall product, which BLAS would thread
+    chunk_rows = max(1, block_rows(w) // max(1, f))
+    rest = None if rest is None else rest[features]
+    if key == "cam":
+        cam_lhs, cam_rhs = cam_lhs[features, rows], cam_rhs[features, :, start:]
         if denominators is None:
-            denominators = np.empty(min(rows, len(a)) * len(b))
-    for r in range(0, len(a), rows):
-        chunk = t[r:r + rows]
-        np.matmul(lhs[r:r + rows], rhs, out=chunk)
+            denominators = np.empty(f * min(chunk_rows, m) * w)
+    for r in range(0, m, chunk_rows):
+        chunk = t[:, r:r + chunk_rows]
+        np.matmul(lhs[:, r:r + chunk_rows], rhs, out=chunk)
         if key == "sq":
             np.multiply(chunk, chunk, out=chunk)
         else:
             np.abs(chunk, out=chunk)
         if key == "cam":
-            s = np.matmul(cam_lhs[r:r + rows], cam_rhs,
+            s = np.matmul(cam_lhs[:, r:r + chunk_rows], cam_rhs,
                           out=denominators[:chunk.size].reshape(chunk.shape))
             # |x| + |y| is 0 only where the difference is 0: 0 over the smallest subnormal is 0
             chunk /= np.maximum(s, math.ulp(0.0), out=s)
-        if rest != 1:
+        if rest is not None:
             chunk *= rest
         np.rint(chunk, out=chunk)
     return t
@@ -400,56 +459,130 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     one block-sized array that the next block overwrites, so no caller holds
     the whole matrix.
 
-    Each block's columns are combined by sum_into (a unit factor adds the
-    terms themselves, with no product pass), every entry bitwise the one
-    accumulate gives on whole term matrices.  When a is b and out is given,
-    the block of rows r:r+m is built against columns r: only, and its
-    entries right of the diagonal block are copied below it, transposed:
-    terms are symmetric bit for bit, so these are the entries the later
-    blocks would build, and rows r:r+m are whole when the block is yielded.
-    One buffer of a block's size serves every block's terms.  Without a
-    cache, each column is built by feature_terms per block into it and not
-    kept, and it is also the product: a factor other than 1 multiplies the
-    terms in place; Camberra's denominators take a second such buffer.
-    With a cache, which maps a column to its whole term matrix between a
-    and b, each column is read from it, or built whole (column_terms) and
-    added to it, so the caller keeps it; the cached terms are multiplied
-    into the buffer and never written.
+    Every entry is bitwise the one accumulate gives on whole term matrices.
+    When a is b and out is given, the block of rows r:r+m is built against
+    columns r: only, and its entries right of the diagonal block are copied
+    below it, transposed: terms are symmetric bit for bit, so these are the
+    entries the later blocks would build, and rows r:r+m are whole when the
+    block is yielded.  One buffer of a block's size serves every block's
+    terms.  Without a cache, the b side of every column (term_sides) is
+    built once and the a side once per block (left_side), and a block is
+    built a few rows at a time, each sub-block's
+    terms for every column in one stack (feature_terms) that fills at most
+    the buffer: as many columns as the block has rows, and as many rows as
+    fit.  Each stack is combined by the route _route picks: one product
+    factors @ stack for exact integer sums, one maximum over the stack for
+    Chebyshev, else the terms (times factors other than 1, in place) added
+    in index order, as sum_into adds them.  Camberra's denominators take a
+    second buffer.  With a cache, which maps a column to its whole term
+    matrix between a and b, each column is read from it, or built whole
+    (column_terms) and added to it, so the caller keeps it, and the columns
+    are combined by sum_into: the cached terms are multiplied into the
+    buffer and never written.
     """
     rows = block_rows(len(b))
     short = min(rows, len(a))  # a short matrix is one short block
     buffer = np.empty(short * len(b))
     block_out = np.empty(short * len(b)) if out is None else None
-    # Camberra's denominators, when built per block: a second block buffer
-    denominators = np.empty(short * len(b)) if key == "cam" and cache is None else None
     symmetric = a is b and out is not None
+    factors = np.asarray(factors, dtype=float)
+    if cache is not None:
+        column_terms(a, b, columns, key, scale, cache)
+    else:
+        sides = term_sides(a, b, columns, key, scale)
+        route = _route(kind, key, scale, factors, a, b, columns)
+        width = len(factors)
+        group = max(1, min(width, short))  # columns per stack
+        per = max(1, short // max(1, width))  # rows per stack
+        # what a stack is multiplied by: nothing for unit factors off the product route
+        step = (factors if route == "product" else
+                factors[:, None, None] if (factors != 1).any() else None)
+        denominators = np.empty(short * len(b)) if key == "cam" else None  # a second buffer
+        spare = np.empty(per * len(b))  # a product or maximum, before it joins the sums
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
         c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
-        block = buffer[:m * (len(b) - c)].reshape(m, -1)
+        w = len(b) - c
         sums = out[r:r + m] if out is not None else block_out[:m * len(b)].reshape(m, -1)
         if out is None:
             sums.fill(0)
-        if cache is None:  # the block's terms, multiplied in place
-            terms = (feature_terms(a[r:r + m, j], b[c:, j], key, scale, block, denominators)
-                     for j in columns)
+        if cache is None:  # every column's terms for a few rows at a time, in one stack
+            left = left_side(a[r:r + m], columns, key)
+            for i in range(0, m, per):
+                k = min(per, m - i)
+                for g in range(0, width, group):
+                    f = min(group, width - g)
+                    stack = feature_terms(sides, left, slice(i, i + k), c, slice(g, g + f),
+                                          buffer[:f * k * w].reshape(f, k, w), denominators)
+                    _combine(sums[i:i + k, c:], stack, route,
+                             None if step is None else step[g:g + f], spare)
         else:  # the cache's terms, multiplied into the block
-            terms = (column_terms(a, b, j, key, scale, cache)[r:r + m, c:] for j in columns)
-        sum_into(sums[:, c:], block, kind, terms, factors)
+            terms = (cache[j][r:r + m, c:] for j in columns)
+            sum_into(sums[:, c:], buffer[:m * w].reshape(m, w), kind, terms, factors)
         if symmetric:
             out[r + m:, r:r + m] = out[r:r + m, r + m:].T
         yield sums
 
 
-def column_terms(a, b, j: int, key: str, scale: float, cache: dict,
-                 store: np.ndarray | None = None) -> np.ndarray:
-    """Column j's whole term matrix between rows of a and b: read from cache,
-    or built and kept in it, built into store[j] when a store of every
-    column's matrix is given."""
-    if j not in cache:
-        args = (a[:, j], b[:, j], key, scale)
-        cache[j] = feature_terms(*args) if store is None else feature_terms(*args, store[j])
-    return cache[j]
+def _route(kind: str, key: str, scale: float, factors: np.ndarray, a: np.ndarray,
+           b: np.ndarray, columns) -> str:
+    """How block_sums combines the stacks of key's terms between rows of a
+    and b over columns (one per factor): "max" for Chebyshev; "product",
+    one factors @ stack product, when every factor is a non-negative integer
+    and the sum over the columns of each factor times the column's largest
+    scaled term is below 2**53, so that every partial sum is an exact
+    integer in any order, on any BLAS kernel; else "loop", index-order adds.
+    Off-grid weights, and test rows far outside the training range, take
+    the loop."""
+    if kind == CHEBYSHEV:
+        return "max"
+    if not all(f >= 0 and f.is_integer() for f in factors.tolist()):
+        return "loop"
+    ends = np.array([a.min(axis=0, initial=np.inf), a.max(axis=0, initial=-np.inf),
+                     b.min(axis=0, initial=np.inf), b.max(axis=0, initial=-np.inf)])[:, columns]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.rint(_term_bounds(key, ends) * scale)  # monotone: no term exceeds it
+    if not np.isfinite(top).all():
+        return "loop"
+    bound = sum(int(f) * int(t) for f, t in zip(factors.tolist(), top.tolist()))
+    return "product" if bound < 2 ** 53 else "loop"
+
+
+def _combine(target: np.ndarray, stack: np.ndarray, route: str, step, spare: np.ndarray):
+    """Combine a stack of terms into target by route (_route): the product
+    step @ stack, computed into spare and added; or, after each term matrix
+    is multiplied in place by its factor in step (when step is not None),
+    their maximum, computed into spare, or each term matrix added in index
+    order."""
+    if route == "loop":
+        if step is not None:
+            np.multiply(stack, step, out=stack)
+        for t in stack:
+            target += t
+        return
+    into = spare[:target.size].reshape(target.shape)
+    if route == "product":
+        np.matmul(step, stack.reshape(len(stack), -1), out=into.reshape(-1))
+        target += into
+    else:
+        if step is not None:
+            np.multiply(stack, step, out=stack)
+        np.maximum(target, stack.max(axis=0, out=into), out=target)
+
+
+def column_terms(a, b, columns, key: str, scale: float, cache: dict,
+                 store: np.ndarray | None = None) -> None:
+    """Build into cache the whole term matrix between rows of a and b of
+    each of columns that it lacks, into store[j] when a store of every
+    column's matrix is given: the sides of the missing columns built once
+    (term_sides, left_side), then each column by feature_terms as a stack
+    of one."""
+    missing = [j for j in columns if j not in cache]
+    if missing:
+        sides, left = term_sides(a, b, missing, key, scale), left_side(a, missing, key)
+        for i, j in enumerate(missing):
+            out = None if store is None else store[j][None]
+            cache[j] = feature_terms(sides, left, features=slice(i, i + 1), out=out)[0]
 
 
 def pairwise_matrix(spec: DistanceSpec, data) -> np.ndarray:

@@ -5,18 +5,22 @@ training set's distance.term_scale, so that the optimization channels can
 score thousands of leave-one-out candidates without recomputing |x-y|
 terms.  It keeps every whole training column it builds, each term kind's
 columns in one (n_features, n, n) store, allocated at that kind's first
-kept column and filled column by column, not one array per column.  When
-the n x n matrix is one block of distance.distance_sums
-(distance.block_rows), a whole column is no larger than that block, so each
-is kept the first time a scored model uses it.  A larger matrix is built
-block by block, keeping nothing, in the context's first leave-one-out
-scoring; from the second scoring on, every full sum and every delta (below)
-reads its columns whole and keeps them.  So a one-shot context (metaknn
-eval, leave_one_out, evaluate) on data larger than one block keeps no term
-matrix, and a search keeps its columns at any size.  Every matrix is summed
-by distance.block_sums, per feature in index order, which keeps the matrix
-path bitwise identical to classifying each vector independently with
-knn.classify.  A leave-one-out matrix is the training rows against
+kept column and filled column by column, not one array per column, each
+column built by distance.column_terms, which builds the columns a sum reads
+and the store lacks from one set of operands of those columns
+(distance.term_sides and distance.left_side).  When the n x n matrix is one
+block of distance.distance_sums (distance.block_rows), a whole column is no
+larger than that block, so each is kept the first time a scored model uses
+it.  A larger matrix is built block by block, keeping nothing, in the
+context's first leave-one-out scoring; from the second scoring on, every
+full sum and every delta (below) reads its columns whole and keeps them.
+So a one-shot context (metaknn eval, leave_one_out, evaluate) on data
+larger than one block keeps no term matrix, and a search keeps its columns
+at any size.  Every matrix is summed by distance.block_sums, each entry
+bitwise the sum over the features in index order (exact sums by one product
+per stack of streamed columns, the others feature by feature), which keeps
+the matrix path bitwise identical to classifying each vector independently
+with knn.classify.  A leave-one-out matrix is the training rows against
 themselves, so a full sum of several blocks builds and sums each unordered
 pair of row blocks once and mirrors it (distance_sums), whether it streams
 its terms or reads kept columns, and its rows are voted by one
@@ -24,7 +28,8 @@ knn.shell_votes call (a count filled by a one-column batch, below, is voted
 there instead).  A test-side scoring never holds its test x train matrix:
 it takes the sums one row block at a time from block_sums, in one
 block-sized array, and votes each block by shell_votes while it is in L2.
-Its terms are never kept: they are built per block, at the training scale.
+Its terms are never kept: they are built in stacks per block, at the
+training scale.
 A report keeps its arrays: the winner of each row, and each row's vote
 fractions over its deciding neighborhood.  The context checks once that the
 two sides agree: widths, class tables, feature kinds, and each test
@@ -84,18 +89,20 @@ row is such a row: whole matrices E_c are stacked, as many as fill one
 distance.block_rows block (or one, when a matrix is larger), and each stack
 is one shell_votes call.  The last matrix voted at k=1 or batched from (a
 neighbour of the base) can tell a tie-heavy base before the base's matrix is
-made; otherwise _shared_rows counts the shared minima of that matrix, and
-leaves the count there for the next batch.  Every entry is exact either
-way, as a delta's, so each count is the one the candidate's own scoring
-gives.  The batch takes k=1, non-Chebyshev models with exact multipliers
-whose numerators at the lcm stay inside the headroom (as a delta's), and at
-least two candidates not yet counted.  A candidate whose factors over their
-denominator equal the base's (a dropped feature whose weight is 0) changes
-no column and scores as the base does: it takes the base's count when the
-memo holds it, and is otherwise left to loo_count.  Each filled count adds one to ctx.evaluations
-and to ctx.filled_by_pairs, ctx.filled_by_stack or ctx.filled_by_base (the
-route), a call that batches nothing adds one to ctx.batches_refused,
-ctx.requested is unchanged, and the base's matrix is left as the last one.
+made; otherwise _shared_rows counts the shared minima of that matrix and
+finds each row's argmin, and leaves both on it, so a later batch on the
+same base (a round whose coordinate did not move) scans nothing.  Every
+entry is exact either way, as a delta's, so each count is the one the
+candidate's own scoring gives.  The batch takes k=1, non-Chebyshev models
+with exact multipliers whose numerators at the lcm stay inside the headroom
+(as a delta's), and at least two candidates not yet counted.  A candidate
+whose factors over their denominator equal the base's (a dropped feature
+whose weight is 0) changes no column and scores as the base does: it takes
+the base's count when the memo holds it, and is otherwise left to
+loo_count.  Each filled count adds one to ctx.evaluations and to
+ctx.filled_by_pairs, ctx.filled_by_stack or ctx.filled_by_base (the route),
+a call that batches nothing adds one to ctx.batches_refused, ctx.requested
+is unchanged, and the base's matrix is left as the last one.
 
 loo_count and test_count remember each count they compute, keyed on the
 side and model_key (k, the distance kind and the resolved feature mask and
@@ -153,6 +160,7 @@ class _Matrix:
     den: int | None  # None: inexact float multipliers
     factors: np.ndarray  # one per training column, 0 where inactive
     shared: int = 0  # rows holding their minimum twice, once voted at k=1 or batched from
+    nearest: np.ndarray | None = None  # each row's first argmin, once _shared_rows found it
 
     @property
     def tie_heavy(self) -> bool:
@@ -223,15 +231,16 @@ class EvalContext:
             self._scales[key] = term_scale(key, train, names, queries)
         return self._scales[key]
 
-    def _column(self, key: str, j: int) -> np.ndarray:
-        """Column j's whole training term matrix, kept once built in key's store,
-        which the first kept column allocates: a full sum or a delta reads it."""
+    def _columns(self, key: str, columns) -> list:
+        """The whole training term matrices of columns, each kept once built in
+        key's store, which the first kept column allocates: a full sum or a
+        delta reads them."""
         if key not in self._stores:
             n = self.train.n
             self._stores[key] = np.empty((self.n_features, n, n))
-        train = self.train.vectors
-        return column_terms(train, train, j, key, self._scale(key), self._terms.setdefault(key, {}),
-                            self._stores[key])
+        train, kept = self.train.vectors, self._terms.setdefault(key, {})
+        column_terms(train, train, columns, key, self._scale(key), kept, self._stores[key])
+        return [kept[j] for j in columns]
 
     def _factors(self, weights: bytes) -> tuple[np.ndarray, int | None]:
         """The multipliers of weight bytes and their denominator, derived once per context."""
@@ -264,7 +273,7 @@ class EvalContext:
             train = self.train.vectors
             # a whole column is no larger than one block, and pays once the context scores again
             keep = self.evaluations or block_rows(len(train)) >= len(train)
-            cache = {j: self._column(terms, j) for j in columns} if keep else None
+            cache = dict(zip(columns, self._columns(terms, columns))) if keep else None
             dist = distance_sums(kind, terms, self._scale(terms), train, train, columns, factors,
                                  cache)
             np.fill_diagonal(dist, np.inf)
@@ -302,7 +311,7 @@ class EvalContext:
         dist = last.dist
         if up_old != 1:
             dist *= up_old
-        sum_into(dist, None, kind, (self._column(term_key(kind, alpha), j) for j in changed),
+        sum_into(dist, None, kind, self._columns(term_key(kind, alpha), changed),
                  new[changed] - old[changed])
         if up_new != 1:
             dist /= up_new  # exact: every entry is a multiple of up_new
@@ -386,14 +395,17 @@ class EvalContext:
             self.batches_refused += 1
             return
         dist = self._distances(base_key)
+        base_matrix = self._last
         if not stacked:
-            self._last.shared, nearest = _shared_rows(dist)
-            stacked = self._last.tie_heavy
+            if base_matrix.nearest is None:  # a base batched from before keeps its scan
+                base_matrix.shared, base_matrix.nearest = _shared_rows(dist)
+            stacked = base_matrix.tie_heavy
+        nearest = base_matrix.nearest
         up, steps, n = common // den, new - old[columns], len(dist)
         distinct = sorted(set(columns.tolist()))  # np.unique imports numpy.ma, 1.7 MB
         index = np.searchsorted(distinct, columns)
         terms = term_key(kind, alpha)
-        cached = [self._column(terms, j).reshape(n, n) for j in distinct]
+        cached = [t.reshape(n, n) for t in self._columns(terms, distinct)]
         base = dist * up if up != 1 else dist  # the base's matrix at the batch's denominator
         if stacked:
             counts = np.zeros(len(steps), dtype=np.intp)

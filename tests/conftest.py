@@ -3,13 +3,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaknn import CONTINUOUS, Dataset, DistanceSpec, FeatureSpec, ModelSpec
-from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI
+from metaknn import CONTINUOUS, Dataset, DistanceSpec, FeatureSpec, ModelSpec, distance
+from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms, left_side, term_sides
 from metaknn.reproduce import load_suite, run_suite
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 ALL_KINDS = ((MINKOWSKI, 1), (MINKOWSKI, 2), (CHEBYSHEV, None), (CAMBERRA, None))
+
+
+def term_matrix(a: np.ndarray, b: np.ndarray, key: str, scale: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One column's scaled term matrix between the vectors a and b, written
+    into out when given: feature_terms's stack of one."""
+    a, b = a[:, None], b[:, None]
+    stack = feature_terms(term_sides(a, b, [0], key, scale), left_side(a, [0], key),
+                          out=None if out is None else out[None])
+    return stack[0] if out is None else out
+
+
+def spy_stacks(monkeypatch) -> list:
+    """The shape of the stack each feature_terms call builds."""
+    shapes = []
+
+    def spy(*args, **kwargs):
+        stack = feature_terms(*args, **kwargs)
+        shapes.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(distance, "feature_terms", spy)
+    return shapes
 
 
 def make_dataset(vectors, labels, n_classes=None) -> Dataset:

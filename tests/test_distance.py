@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metaknn import (DistanceSpec, ModelSpec, cross_matrix, dissimilarity, distance, neighbors,
-                     pairwise_matrix)
+from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, cross_matrix, dissimilarity,
+                     distance, neighbors, pairwise_matrix)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, _folded_scale, _scaled_term,
-                              accumulate, column_terms, distance_sums, feature_terms, multipliers,
-                              pair_sum, sum_into, term_key, term_scale)
+                              accumulate, column_terms, distance_sums, feature_terms, left_side,
+                              multipliers, pair_sum, sum_into, term_key, term_scale, term_sides)
 
-from conftest import ALL_KINDS, make_dataset, random_dataset
+from conftest import ALL_KINDS, make_dataset, random_dataset, spy_stacks, term_matrix
 
 
 def scale_of(spec, *rows):
@@ -219,10 +219,10 @@ class TestFeatureTerms:
         scale = term_scale(key, np.concatenate([a, b])[:, None])
         want = b"".join(np.float64(_scaled_term(x, y, key, scale)).tobytes()
                         for x in a.tolist() for y in b.tolist())
-        assert feature_terms(a, b, key, scale).tobytes() == want
+        assert term_matrix(a, b, key, scale).tobytes() == want
         out = np.full((len(a), len(b)), np.nan)
         for _ in range(2):  # into a NaN-filled buffer, then into the same buffer again
-            assert feature_terms(a, b, key, scale, out) is out
+            assert term_matrix(a, b, key, scale, out) is out
             assert out.tobytes() == want
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -235,10 +235,12 @@ class TestFeatureTerms:
         a, b = data.draw(block_operands(*shape, TERM_LIMITS[key]))
         scale = term_scale(key, np.concatenate([a, b])[:, None])
         want = subtracted_terms(a, b, key, scale).tobytes()
-        assert feature_terms(a, b, key, scale).tobytes() == want
-        out = np.full(shape, np.nan)
+        assert term_matrix(a, b, key, scale).tobytes() == want
+        out = np.full((1,) + shape, np.nan)
         denominators = np.full(out.size, np.nan)
-        assert feature_terms(a, b, key, scale, out, denominators).tobytes() == want
+        a, b = a[:, None], b[:, None]
+        sides, left = term_sides(a, b, [0], key, scale), left_side(a, [0], key)
+        assert feature_terms(sides, left, out=out, denominators=denominators).tobytes() == want
 
     def test_the_folded_power_of_two(self):
         # p is the scale, or the square root of its even part for squares, unless
@@ -267,7 +269,7 @@ class TestFeatureTerms:
         assert scale == 2.0 ** 1023
         want = [_scaled_term(x, 0.0, "sq", scale) for x in a.tolist()]
         assert want == [2.0, 0.0]
-        assert feature_terms(a, b, "sq", scale).ravel().tolist() == want
+        assert term_matrix(a, b, "sq", scale).ravel().tolist() == want
 
     def test_a_whole_column_is_never_one_tall_product(self, monkeypatch):
         # a 600-row column is built by one feature_terms call, in products of
@@ -279,14 +281,16 @@ class TestFeatureTerms:
         products, builds = [], []
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", lambda left, right, out: (
-            products.append(left.shape[0]) or matmul(left, right, out=out)))
-        monkeypatch.setattr(distance, "feature_terms", lambda *args: (
-            builds.append(args) or feature_terms(*args)))
+            products.append(left.shape[-2]) or matmul(left, right, out=out)))
+        monkeypatch.setattr(distance, "feature_terms", lambda *args, **kwargs: (
+            builds.append(args) or feature_terms(*args, **kwargs)))
         for key in TERM_LIMITS:
             products.clear()
             builds.clear()
             scale = term_scale(key, x[:, None])
-            got = column_terms(x[:, None], x[:, None], 0, key, scale, {})
+            cache = {}
+            column_terms(x[:, None], x[:, None], [0], key, scale, cache)
+            got = cache[0]
             assert len(builds) == 1
             assert max(products) == rows
             assert sum(products) == 600 * (1 + (key == "cam"))  # and the denominators
@@ -311,6 +315,69 @@ def random_factors(rng, width: int, exact):
     return columns, factors
 
 
+def spy_routes(patch) -> list:
+    """The route _route picks for each streamed block_sums call."""
+    routes = []
+    original = distance._route
+    patch.setattr(distance, "_route", lambda *args: routes.append(original(*args)) or routes[-1])
+    return routes
+
+
+class TestCombineRoutes:
+    """The three ways a stack is combined give the index-order sum's bytes."""
+
+    @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
+    @given(seed=st.integers(0, 2 ** 32 - 1), exact=st.sampled_from(DRAWS), far=st.booleans(),
+           rows=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_every_route_is_the_index_order_sum(self, kind, alpha, seed, exact, far, rows):
+        # exact factors take one product, Chebyshev one maximum, off-grid factors
+        # the index-order loop, and so do exact ones when a row of a lies so far
+        # outside b that some sum could pass 2**53 (never for Camberra, whose
+        # terms are at most the scale); stacks of a few rows, or of some
+        # columns when a block has fewer rows than there are columns
+        rng = np.random.default_rng(seed)
+        key = term_key(kind, alpha)
+        width = int(rng.integers(2, 9))
+        b = np.round(rng.normal(size=(int(rng.integers(2, 20)), width)) * 3, 3)
+        a = np.round(rng.normal(size=(int(rng.integers(1, 25)), width)) * 3, 3)
+        if far:
+            a[rng.integers(len(a))] += 2.0 ** 30 * (float(np.ptp(b, axis=0).sum()) + 1)
+        scale = term_scale(key, b, queries=a)
+        columns, factors = random_factors(rng, width, exact)
+        route = "max" if kind == CHEBYSHEV else "product" if exact else "loop"
+        far_route = ("loop" if route == "product" and far and key != "cam" and factors.any()
+                     else route)
+        with pytest.MonkeyPatch.context() as patch:
+            routes = spy_routes(patch)
+            patch.setattr(distance, "BLOCK_BYTES", 8 * len(b) * rows)
+            got = distance_sums(kind, key, scale, a, b, columns, factors)
+            square = distance_sums(kind, key, scale, b, b, columns, factors)
+        assert routes == [far_route, route]
+        for x, sums in ((a, got), (b, square)):
+            whole = (term_matrix(x[:, j], b[:, j], key, scale) for j in columns)
+            assert sums.tobytes() == accumulate(kind, whole, factors, sums.shape).tobytes()
+            for p, q in zip(rng.integers(0, len(x), 6), rng.integers(0, len(b), 6)):
+                assert sums[p, q] == pair_sum(kind, key, x[p, columns].tolist(),
+                                              b[q, columns].tolist(), scale, factors.tolist())
+
+    def test_a_far_query_takes_the_loop_and_agrees_with_classify(self):
+        # the training rows fix S = 2**33; the query sits 2**25 away, where a
+        # Manhattan sum is no longer exact: its sums take the index-order loop,
+        # and the vote is classify's, the scalar loop's, tie for tie
+        train = make_dataset([[0.0, 0.0], [0.0, 1.0], [-5.0, 0.5]], [0, 1, 0])
+        test = make_dataset([[2.0 ** 25, 0.5 + 2.0 ** -30]], [1], n_classes=2)
+        model = ModelSpec(1, DistanceSpec(MINKOWSKI, 1))
+        assert term_scale("abs", train.vectors) == 2.0 ** 33
+        with pytest.MonkeyPatch.context() as patch:
+            routes = spy_routes(patch)
+            report = EvalContext(train, test).test_report(model)
+        assert routes == ["loop"]
+        direct = classify(model, train, test.vectors[0])
+        assert report.winners[0] == direct.winner
+        assert np.array_equal(report.class_probs[0], direct.class_probs)
+
+
 class TestDistanceSums:
     """The row-blocked kernel, with blocks of a few rows: ragged and many."""
 
@@ -319,7 +386,7 @@ class TestDistanceSums:
         rng = np.random.default_rng(12)
         a = rng.normal(size=(6, len(factors)))
         scale = term_scale("abs", a)
-        terms = [feature_terms(a[:, j], a[:, j], "abs", scale) for j in range(len(factors))]
+        terms = [term_matrix(a[:, j], a[:, j], "abs", scale) for j in range(len(factors))]
         start = rng.integers(0, 2 ** 20, (6, 6)).astype(float)  # as a delta's last matrix
         ref = start
         for f, t in zip(factors, terms):
@@ -345,7 +412,7 @@ class TestDistanceSums:
             b = np.round(rng.normal(size=(int(rng.integers(2, 20)), width)) * 3, 3)
             scale = term_scale(key, b, queries=a)
             columns, factors = random_factors(rng, width, exact)
-            whole = [feature_terms(a[:, j], b[:, j], key, scale) for j in columns]
+            whole = [term_matrix(a[:, j], b[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (len(a), len(b)))
             # some columns come from the cache, the rest are built whole into it;
             # without a cache, every column is built per block
@@ -373,18 +440,17 @@ class TestDistanceSums:
             n = len(a)
             scale = term_scale(key, a)
             columns, factors = random_factors(rng, width, exact)
-            whole = [feature_terms(a[:, j], a[:, j], key, scale) for j in columns]
+            whole = [term_matrix(a[:, j], a[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (n, n)).tobytes()
             cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
             monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * n * rows)
-            built = []
-            monkeypatch.setattr(distance, "feature_terms",
-                                lambda *args: built.append(args[0].size * args[1].size)
-                                or feature_terms(*args))
+            built = spy_stacks(monkeypatch)
             # b is a: each block builds and sums its rows against columns r: only
             assert distance_sums(kind, key, scale, a, a, columns, factors).tobytes() == one
             trapezoid = sum(min(rows, n - r) * (n - r) for r in range(0, n, rows))
-            assert sum(built) == len(columns) * trapezoid
+            sizes = [math.prod(shape) for shape in built]
+            assert sum(sizes) == len(columns) * trapezoid  # every entry built once
+            assert max(sizes) <= rows * n  # and no stack larger than one block
             assert distance_sums(kind, key, scale, a, a, columns, factors, cache).tobytes() == one
             assert sorted(cache) == list(columns)
             # b a copy of a: the general path, every block against every row
@@ -395,14 +461,12 @@ class TestDistanceSums:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(12, 4))
         scale = term_scale("abs", a)
-        whole = {j: feature_terms(a[:, j], a[:, j], "abs", scale) for j in (1, 3)}
+        whole = {j: term_matrix(a[:, j], a[:, j], "abs", scale) for j in (1, 3)}
         monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * 12 * rows)
-        calls = []
-        monkeypatch.setattr(distance, "feature_terms",
-                            lambda *args: calls.append(args[2:]) or feature_terms(*args))
+        built = spy_stacks(monkeypatch)
         cache = {1: whole[1]}
         got = distance_sums(MINKOWSKI, "abs", scale, a, a, [1, 3], np.ones(2), cache)
-        assert calls == [("abs", scale)] and sorted(cache) == [1, 3]  # column 3, built once
+        assert built == [(1, 12, 12)] and sorted(cache) == [1, 3]  # column 3, built once, whole
         assert cache[3].tobytes() == whole[3].tobytes()
         assert got.tobytes() == accumulate(MINKOWSKI, (whole[1], whole[3]), np.ones(2),
                                            (12, 12)).tobytes()
@@ -412,8 +476,9 @@ class TestDistanceSums:
     def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch, kind, alpha,
                                                   weights):
         # a matrix of one block is the loop's single block: without a cache,
-        # every column is built into one buffer of the matrix's shape, which
-        # is also the product, so a factor other than 1 multiplies it in place
+        # every stack of all columns and a few rows is built into one buffer
+        # of the matrix's size, and combined from there, with no block-sized
+        # product buffer
         b, a = monks1.train.vectors, monks1.test.vectors
         assert distance.block_rows(len(b)) >= len(a)
         key = term_key(kind, alpha)
@@ -422,14 +487,15 @@ class TestDistanceSums:
         w = np.ones(len(columns)) if weights == "unit" else np.array([0.1, 0.3, 1, 0.7, 0.5, 0.9])
         factors, den, _ = multipliers(w)
         assert den == {"unit": 1, "tenths": 10}[weights]
-        one = accumulate(kind, (feature_terms(a[:, j], b[:, j], key, scale) for j in columns),
+        one = accumulate(kind, (term_matrix(a[:, j], b[:, j], key, scale) for j in columns),
                          factors, (len(a), len(b))).tobytes()
         outs, products, denominators = [], [], []
 
-        def spy_terms(x, y, key, scale, out=None, spare=None):
+        def spy_terms(sides, left, rows=slice(None), start=0, features=slice(None), out=None,
+                      spare=None):
             outs.append(out)
             denominators.append(spare)
-            return feature_terms(x, y, key, scale, out, spare)
+            return feature_terms(sides, left, rows, start, features, out, spare)
 
         def spy_sum(out, product, *args):
             products.append(product)
@@ -444,13 +510,16 @@ class TestDistanceSums:
         finally:
             tracemalloc.stop()
         assert got.tobytes() == one
-        assert len(outs) == len(columns) and len(products) == 1
-        assert products[0].shape == (len(a), len(b))
-        assert all(out is products[0] for out in outs)
-        # Camberra's denominators go to one second buffer, reused by every column
+        # each stack holds every column for some of the rows, and all rows are built once
+        assert all(out.shape[0] == len(columns) for out in outs) and not products
+        assert sum(out.shape[1] for out in outs) == len(a)
+        assert all(out.base is outs[0].base for out in outs)
+        assert outs[0].base.size == len(a) * len(b)
+        # Camberra's denominators go to one second buffer, reused by every stack
         assert all(d is denominators[0] for d in denominators)
         assert (denominators[0] is not None) == (key == "cam")
-        # the sum and the term buffer, and Camberra's denominator: no product buffer
+        # the sum and the term buffer, and Camberra's denominator: no block-sized
+        # product buffer
         assert peak < (2.5 + (key == "cam")) * got.nbytes
         outs.clear()  # a cache takes each column whole, built with no buffer
         products.clear()

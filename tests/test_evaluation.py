@@ -13,10 +13,11 @@ from metaknn import (Dataset, DistanceSpec, EvalContext, ModelSpec, classify,
                      load_monks, load_partition, meta_search, select_features,
                      weight_search_quantized)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distance_sums,
-                              feature_terms, multipliers, term_key, term_scale)
+                              multipliers, term_key, term_scale)
 from metaknn.knn import shell_votes
 
-from conftest import ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model
+from conftest import (ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model,
+                      spy_stacks, term_matrix)
 
 
 class TestLeaveOneOut:
@@ -137,13 +138,12 @@ class TestCachedOracle:
         assert back["correct"] == 95 and back["total"] == 124
 
 
-def spy_term_builds(monkeypatch) -> list:
-    """Every feature_terms call."""
-    calls = []
-    original = distance.feature_terms
-    monkeypatch.setattr(distance, "feature_terms",
-                        lambda *args: calls.append(args) or original(*args))
-    return calls
+def streamed(shapes, columns: int, entries: int) -> bool:
+    """Whether stacks of every one of columns hold entries (rows x width)
+    once each, none of them more than one row block."""
+    return (all(shape[0] == columns for shape in shapes)
+            and sum(np.prod(shape) for shape in shapes) == columns * entries
+            and max(np.prod(shape) for shape in shapes) <= distance.BLOCK_BYTES // 8)
 
 
 def kept(ctx) -> dict:
@@ -154,7 +154,7 @@ class TestTrainingTerms:
     def test_built_per_column_on_first_use(self, monks1, monkeypatch):
         # a 124-row Monk matrix is one block, so each column is built whole and
         # kept when first used, by a full sum or by a delta
-        calls = spy_term_builds(monkeypatch)
+        calls = spy_stacks(monkeypatch)
         ctx = EvalContext(monks1.train)
         mask = [False, True, False, False, True, False]
         ctx.loo_count(ModelSpec(feature_mask=mask))
@@ -173,12 +173,19 @@ class TestTrainingTerms:
                             n_classes=3)
         one_block = distance.block_rows(n) >= n
         assert one_block == (n == 40)
-        calls = spy_term_builds(monkeypatch)
+        built = spy_stacks(monkeypatch)
         ctx = EvalContext(train, test)
         ctx.test_report(ModelSpec())
+        test_side = len(built)
+        # the test side streams stacks of its 4 columns, 30 x n entries each
+        assert streamed(built[:test_side], 4, 30 * n)
         ctx.loo_report(ModelSpec(k=3))
         assert kept(ctx) == ({"sq": [0, 1, 2, 3]} if one_block else {})
-        assert len(calls) == 4 + 4 * (1 if one_block else 2)
+        if one_block:  # each column built whole, once
+            assert built[test_side:] == [(1, n, n)] * 4
+        else:  # streamed over the upper trapezoid of the two row blocks
+            rows = distance.block_rows(n)
+            assert streamed(built[test_side:], 4, rows * n + (n - rows) ** 2)
 
     def test_a_delta_after_the_first_scoring_keeps_only_its_columns(self):
         rng = np.random.default_rng(47)
@@ -190,7 +197,7 @@ class TestTrainingTerms:
         assert kept(ctx) == {"sq": [2]}
         vectors = train.vectors
         scale = term_scale("sq", vectors)
-        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
+        terms = (term_matrix(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
         fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
         np.fill_diagonal(fresh, np.inf)
         assert ctx._last.dist.tobytes() == fresh.tobytes()
@@ -210,19 +217,20 @@ class TestTrainingTerms:
         assert kept(ctx) == {}
         ctx.loo_report(ModelSpec())
         assert kept(ctx) == {"sq": [0, 1, 2, 3]}
-        calls = spy_term_builds(monkeypatch)
+        built = spy_stacks(monkeypatch)
         dropped = ModelSpec(feature_mask=[True, True, False, True])
         ctx.loo_report(dropped)
+        assert built == []  # a delta on kept columns
         vectors = train.vectors
         scale = term_scale("sq", vectors, queries=test.vectors)
-        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
+        terms = (term_matrix(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
         fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
         np.fill_diagonal(fresh, np.inf)
         assert ctx._last.dist.tobytes() == fresh.tobytes()
         ctx.test_report(dropped)
         ctx.loo_report(ModelSpec())
-        # only the test scoring builds terms, one block of its 3 columns
-        assert len(calls) == 3
+        # only the test scoring builds terms, in stacks of its 3 columns
+        assert streamed(built, 3, test.n * train.n)
 
     def test_column_order_keeps_counts(self, monks1):
         # filling columns out of order must not change any entry
@@ -459,7 +467,7 @@ def test_kept_columns_share_one_store_per_term_kind(monks1):
         for j in columns:
             kept = ctx._terms[key][j]
             assert kept.base is store
-            fresh = feature_terms(train.vectors[:, j], train.vectors[:, j], key, ctx._scale(key))
+            fresh = term_matrix(train.vectors[:, j], train.vectors[:, j], key, ctx._scale(key))
             assert kept.tobytes() == fresh.tobytes()
 
 
@@ -512,8 +520,8 @@ class TestExactDistances:
         for key in ("abs", "sq", "cam"):
             s1, s2 = term_scale(key, ds.vectors), term_scale(key, tiny)
             for j in range(ds.n_features):
-                terms = feature_terms(ds.vectors[:, j], ds.vectors[:, j], key, s1)
-                assert np.array_equal(terms, feature_terms(tiny[:, j], tiny[:, j], key, s2))
+                terms = term_matrix(ds.vectors[:, j], ds.vectors[:, j], key, s1)
+                assert np.array_equal(terms, term_matrix(tiny[:, j], tiny[:, j], key, s2))
                 assert terms.max() > 2 ** 20 and np.array_equal(terms, np.rint(terms))
 
     def test_backward_elimination_candidates_are_deltas(self, ionosphere, monks2, monkeypatch):
@@ -584,7 +592,7 @@ def test_column_steps_leave_the_fresh_matrix(request, monkeypatch, name):
         scale = term_scale("sq", vectors, [f.name for f in train.features])
         columns = np.flatnonzero(model.mask_for(n))
         factors, _, _ = multipliers(model.active_weights(n))
-        terms = (feature_terms(vectors[:, j], vectors[:, j], "sq", scale) for j in columns)
+        terms = (term_matrix(vectors[:, j], vectors[:, j], "sq", scale) for j in columns)
         dist = accumulate(MINKOWSKI, terms, factors, (train.n, train.n))
         np.fill_diagonal(dist, np.inf)
         return dist
@@ -726,6 +734,32 @@ def test_filled_counts_equal_fresh_counts(seed, ties, kind, batch, route):
     for cand in candidates:
         count = ctx._counts.get(("train", ctx.model_key(cand)))
         assert count in (None, EvalContext(train).loo_count(cand))
+
+
+def test_an_unchanged_base_is_scanned_once(ionosphere, monkeypatch):
+    # two weight-grid rounds on one base, each on its own coordinate: the
+    # base's row argmin and shared-minimum count stay on its matrix, so the
+    # second batch scans nothing, and every count is a fresh context's
+    train = ionosphere.train
+    width = train.n_features
+    scans = []
+    original = evaluation._shared_rows
+    monkeypatch.setattr(evaluation, "_shared_rows",
+                        lambda dist: scans.append(dist) or original(dist))
+    base = ModelSpec(1, DistanceSpec(MINKOWSKI, 1, np.ones(width)))
+    ctx = EvalContext(train)
+    candidates = []
+    for j in (3, 7):
+        round_ = [ModelSpec(1, DistanceSpec(MINKOWSKI, 1, np.where(np.arange(width) == j, g / 10,
+                                                                   1.0)))
+                  for g in range(10)]
+        ctx.fill_one_column(base, [(c.mask_for(width), c.active_weights(width)) for c in round_])
+        assert len(scans) == 1 and ctx.filled_by_pairs == len(candidates) + 10
+        candidates += round_
+    assert not ctx._last.tie_heavy and ctx._last.nearest is not None
+    for cand in candidates:
+        assert ctx.loo_count(cand) == EvalContext(train).loo_count(cand)
+    assert ctx.evaluations == len(candidates)
 
 
 class Unbatched(EvalContext):
