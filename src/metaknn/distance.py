@@ -44,10 +44,11 @@ as the scalar loop applies it, when 2 * p * max|x| could overflow (a column
 of large magnitude and small span), and for every column when S is below 1
 or above 2**1020, where a subnormal square's last bit can be worth a unit.
 term_sides builds the b side [p; -p * y] of every column, and its p, once
-per block_sums call, from reductions and one copy of each column, with no
-temporary of the data; left_side builds the a side [x, 1] of one row block
-at a time, so the two sides never hold more than the b side and one
-block's rows.  column_terms builds the whole matrices of the columns a
+per block_sums call, from the columns' ends (column_ends: four reductions,
+which block_sums also reads for its combine route) and one copy of each
+column, with no temporary of the data; left_side builds the a side [x, 1]
+of one row block at a time, so the two sides never hold more than the b
+side and one block's rows.  column_terms builds the whole matrices of the columns a
 cache lacks through the same feature_terms, from one term_sides and one
 left_side of those columns, each as a stack of one.
 
@@ -61,24 +62,26 @@ none, it sums every block into one block-sized array, which the next block
 overwrites, so a caller that votes each block as it comes (a test-side
 scoring, through knn.shell_votes, whose own blocks are these) never holds
 the matrix.
-Without a cache it keeps nothing: it builds each block a few rows at a
-time, as a stack of every active column's terms for those rows (of some of
-the columns for one row, when a block has fewer rows than there are
-columns) in one reused buffer of a block's size, Camberra's denominators in
-a second one, so no stack holds more entries than one block.  A stack is
-combined by one of three routes (_route), each bitwise equal to
-accumulate() over whole term matrices, which adds each term matrix times
-its factor in index order through sum_into, the one combine loop, with the
-same per-term operations as the scalar loop pair_sum (a factor of 1
-combines the term matrix itself, as t * 1 is t), and so to pair_sum on the
-corresponding rows at the same scale.  When every factor is a non-negative
-integer and the sum over the columns of each factor times the column's
-largest term is below 2**53, the stack is combined by one product
-factors @ stack, every partial sum of which is an exact integer in any
-order, on any BLAS kernel; a Chebyshev stack by one maximum over its
-columns, exact in any order; any other (off-grid weights, or test rows so
-far outside the training range that a sum could pass 2**53) by adding its
-terms, each multiplied in place by its factor, in index order.
+Without a cache it keeps nothing: it builds each block's terms in one
+reused buffer of a block's size, Camberra's denominators in a second one,
+so no stack holds more entries than one block, and combines them by the
+route _route picks, bitwise equal to accumulate() over whole term matrices,
+which adds each term matrix times its factor in index order through
+sum_into, the one combine loop, with the same per-term operations as the
+scalar loop pair_sum (a factor of 1 combines the term matrix itself, as
+t * 1 is t), and so to pair_sum on the corresponding rows at the same
+scale.  When every factor is a non-negative integer and the sum over the
+columns of each factor times the column's largest term is below 2**53, a
+block is built a few rows at a time, as a stack of every active column's
+terms for those rows (of some of the columns for one row, when a block has
+fewer rows than there are columns), and each stack is combined by one
+product factors @ stack, every partial sum of which is an exact integer in
+any order, on any BLAS kernel.  Any other block (Chebyshev, off-grid
+weights, or test rows so far outside the training range that a sum could
+pass 2**53) is built one column at a time, each a stack of one column's
+whole block, which sum_into multiplies in place and combines: sum_into over
+stacks of a few rows would pay its per-column calls once per stack, not
+once per block.
 A whole matrix of rows against themselves (a is b: a leave-one-out matrix,
 pairwise_matrix) is symmetric term by term, since x - y is exactly -(y - x)
 and |x| + |y| is |y| + |x|, so each block's rows are built and summed
@@ -205,8 +208,17 @@ def _require_finite(bounds: np.ndarray, names) -> None:
         raise DataError(f"column {name!r}: values too large for exact distances")
 
 
-def _folded_scale(key: str, scale: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per column of a and b (their last axis), the power of two p that
+def column_ends(a: np.ndarray, b: np.ndarray, columns) -> np.ndarray:
+    """Per column of columns, the ends [min a, max a, min b, max b] of its
+    values (+-inf for no rows), shaped (4, len(columns)): the reductions that
+    both the folded scale (term_sides) and the product route's bound (_route)
+    read, taken once per block_sums call."""
+    return np.array([a.min(axis=0, initial=np.inf), a.max(axis=0, initial=-np.inf),
+                     b.min(axis=0, initial=np.inf), b.max(axis=0, initial=-np.inf)])[:, columns]
+
+
+def _folded_scale(key: str, scale: float, ends: np.ndarray) -> np.ndarray:
+    """Per column of ends (column_ends), the power of two p that
     feature_terms folds into its product: the scale S = 2**e itself, or
     2**(e // 2) for squares; 1 when p * x could overflow for some operand x
     of the column (or p * (x - y) for some pair), and for every column when
@@ -214,25 +226,24 @@ def _folded_scale(key: str, scale: float, a: np.ndarray, b: np.ndarray) -> np.nd
     mantissa, e = math.frexp(scale)  # scale = mantissa * 2**e
     e -= 1
     if mantissa != 0.5 or not 0 <= e <= 1020:
-        return np.ones(a.shape[1:])
+        return np.ones(ends.shape[1:])
     p = math.ldexp(1.0, e // 2 if key == "sq" else e)
-    # max|x| per column by reductions alone, with no |a| or |b| temporary
-    bound = np.maximum(np.maximum(-a.min(axis=0, initial=0.0), a.max(axis=0, initial=0.0)),
-                       np.maximum(-b.min(axis=0, initial=0.0), b.max(axis=0, initial=0.0)))
+    bound = np.maximum(-ends[0::2], ends[1::2]).max(axis=0)  # max|x| over a and b
     # 2 * p * bound is finite exactly where bound is at most the largest float over 2 * p
     return np.where(bound <= sys.float_info.max / (2 * p), p, 1.0)
 
 
-def term_sides(a: np.ndarray, b: np.ndarray, columns, key: str, scale: float) -> tuple:
+def term_sides(b: np.ndarray, columns, key: str, scale: float, ends: np.ndarray) -> tuple:
     """The b side of the term products between rows of a and b over columns,
     built once for every stack (see the module docstring): (key, rhs, rest,
     cam_rhs), each of a column's pieces stacked along a leading axis of
     len(columns).  rhs[f] is [p_f; -p_f * b_f] (2 x len(b)), with p_f from
-    _folded_scale over the column of a and b; rest[f] is what p_f leaves of
-    the scale, shaped (F, 1, 1), or None where that is 1 for every column;
-    cam_rhs[f] is Camberra's [1; |b_f|] (None for other keys).  Each column
-    is copied out of b once, with no temporary of b's columns."""
-    p = _folded_scale(key, scale, a, b)[columns]
+    _folded_scale over ends, the columns' column_ends in a and b; rest[f] is
+    what p_f leaves of the scale, shaped (F, 1, 1), or None where that is 1
+    for every column; cam_rhs[f] is Camberra's [1; |b_f|] (None for other
+    keys).  Each column is copied out of b once, with no temporary of b's
+    columns."""
+    p = _folded_scale(key, scale, ends)
     rest = scale / (p * p if key == "sq" else p)
     rhs = np.empty((len(p), 2, len(b)))
     rhs[:, 0] = p[:, None]
@@ -466,19 +477,18 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     entries the later blocks would build, and rows r:r+m are whole when the
     block is yielded.  One buffer of a block's size serves every block's
     terms.  Without a cache, the b side of every column (term_sides) is
-    built once and the a side once per block (left_side), and a block is
-    built a few rows at a time, each sub-block's
-    terms for every column in one stack (feature_terms) that fills at most
-    the buffer: as many columns as the block has rows, and as many rows as
-    fit.  Each stack is combined by the route _route picks: one product
-    factors @ stack for exact integer sums, one maximum over the stack for
-    Chebyshev, else the terms (times factors other than 1, in place) added
-    in index order, as sum_into adds them.  Camberra's denominators take a
-    second buffer.  With a cache, which maps a column to its whole term
-    matrix between a and b, each column is read from it, or built whole
-    (column_terms) and added to it, so the caller keeps it, and the columns
-    are combined by sum_into: the cached terms are multiplied into the
-    buffer and never written.
+    built once (from one column_ends, which _route reads too) and the a side
+    once per block (left_side).  On the product route a block is built a few
+    rows at a time, each sub-block's terms for every column in one stack
+    (feature_terms) that fills at most the buffer: as many columns as the
+    block has rows, and as many rows as fit; each stack is combined by one
+    product factors @ stack.  On the others each column's terms for the whole
+    block are one stack, which sum_into multiplies in place and combines.
+    Camberra's denominators take a second buffer.  With a cache, which maps
+    a column to its whole term matrix between a and b, each column is read
+    from it, or built whole (column_terms) and added to it, so the caller
+    keeps it, and the columns are combined by sum_into: the cached terms
+    are multiplied into the buffer and never written.
     """
     rows = block_rows(len(b))
     short = min(rows, len(a))  # a short matrix is one short block
@@ -489,16 +499,16 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     if cache is not None:
         column_terms(a, b, columns, key, scale, cache)
     else:
-        sides = term_sides(a, b, columns, key, scale)
-        route = _route(kind, key, scale, factors, a, b, columns)
+        ends = column_ends(a, b, columns)
+        sides = term_sides(b, columns, key, scale, ends)
+        route = _route(kind, key, scale, factors, ends)
         width = len(factors)
-        group = max(1, min(width, short))  # columns per stack
-        per = max(1, short // max(1, width))  # rows per stack
-        # what a stack is multiplied by: nothing for unit factors off the product route
-        step = (factors if route == "product" else
-                factors[:, None, None] if (factors != 1).any() else None)
+        if route == "product":  # every column's terms for a few rows at a time
+            group, per = max(1, min(width, short)), max(1, short // max(1, width))
+            spare = np.empty(per * len(b))  # the product, before it joins the sums
+        else:  # one column's terms for a whole block, multiplied in place
+            group, per = 1, short
         denominators = np.empty(short * len(b)) if key == "cam" else None  # a second buffer
-        spare = np.empty(per * len(b))  # a product or maximum, before it joins the sums
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
         c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
@@ -506,7 +516,7 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
         sums = out[r:r + m] if out is not None else block_out[:m * len(b)].reshape(m, -1)
         if out is None:
             sums.fill(0)
-        if cache is None:  # every column's terms for a few rows at a time, in one stack
+        if cache is None:  # the block's terms in stacks, as the route builds them
             left = left_side(a[r:r + m], columns, key)
             for i in range(0, m, per):
                 k = min(per, m - i)
@@ -514,8 +524,12 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
                     f = min(group, width - g)
                     stack = feature_terms(sides, left, slice(i, i + k), c, slice(g, g + f),
                                           buffer[:f * k * w].reshape(f, k, w), denominators)
-                    _combine(sums[i:i + k, c:], stack, route,
-                             None if step is None else step[g:g + f], spare)
+                    if route == "product":
+                        into = spare[:k * w]
+                        np.matmul(factors[g:g + f], stack.reshape(f, -1), out=into)
+                        sums[i:i + k, c:] += into.reshape(k, w)
+                    else:
+                        sum_into(sums[i:i + k, c:], stack[0], kind, stack, factors[g:g + f])
         else:  # the cache's terms, multiplied into the block
             terms = (cache[j][r:r + m, c:] for j in columns)
             sum_into(sums[:, c:], buffer[:m * w].reshape(m, w), kind, terms, factors)
@@ -524,50 +538,25 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
         yield sums
 
 
-def _route(kind: str, key: str, scale: float, factors: np.ndarray, a: np.ndarray,
-           b: np.ndarray, columns) -> str:
+def _route(kind: str, key: str, scale: float, factors: np.ndarray, ends: np.ndarray) -> str:
     """How block_sums combines the stacks of key's terms between rows of a
-    and b over columns (one per factor): "max" for Chebyshev; "product",
-    one factors @ stack product, when every factor is a non-negative integer
-    and the sum over the columns of each factor times the column's largest
-    scaled term is below 2**53, so that every partial sum is an exact
-    integer in any order, on any BLAS kernel; else "loop", index-order adds.
+    and b over columns (one per factor, with their column_ends): "max" for
+    Chebyshev; "product", one factors @ stack product, when every factor is
+    a non-negative integer and the sum over the columns of each factor times
+    the column's largest scaled term is below 2**53, so that every partial
+    sum is an exact integer in any order, on any BLAS kernel; else "loop".
     Off-grid weights, and test rows far outside the training range, take
-    the loop."""
+    the loop.  "max" and "loop" blocks are combined alike, by sum_into."""
     if kind == CHEBYSHEV:
         return "max"
     if not all(f >= 0 and f.is_integer() for f in factors.tolist()):
         return "loop"
-    ends = np.array([a.min(axis=0, initial=np.inf), a.max(axis=0, initial=-np.inf),
-                     b.min(axis=0, initial=np.inf), b.max(axis=0, initial=-np.inf)])[:, columns]
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.rint(_term_bounds(key, ends) * scale)  # monotone: no term exceeds it
     if not np.isfinite(top).all():
         return "loop"
     bound = sum(int(f) * int(t) for f, t in zip(factors.tolist(), top.tolist()))
     return "product" if bound < 2 ** 53 else "loop"
-
-
-def _combine(target: np.ndarray, stack: np.ndarray, route: str, step, spare: np.ndarray):
-    """Combine a stack of terms into target by route (_route): the product
-    step @ stack, computed into spare and added; or, after each term matrix
-    is multiplied in place by its factor in step (when step is not None),
-    their maximum, computed into spare, or each term matrix added in index
-    order."""
-    if route == "loop":
-        if step is not None:
-            np.multiply(stack, step, out=stack)
-        for t in stack:
-            target += t
-        return
-    into = spare[:target.size].reshape(target.shape)
-    if route == "product":
-        np.matmul(step, stack.reshape(len(stack), -1), out=into.reshape(-1))
-        target += into
-    else:
-        if step is not None:
-            np.multiply(stack, step, out=stack)
-        np.maximum(target, stack.max(axis=0, out=into), out=target)
 
 
 def column_terms(a, b, columns, key: str, scale: float, cache: dict,
@@ -579,7 +568,8 @@ def column_terms(a, b, columns, key: str, scale: float, cache: dict,
     of one."""
     missing = [j for j in columns if j not in cache]
     if missing:
-        sides, left = term_sides(a, b, missing, key, scale), left_side(a, missing, key)
+        sides = term_sides(b, missing, key, scale, column_ends(a, b, missing))
+        left = left_side(a, missing, key)
         for i, j in enumerate(missing):
             out = None if store is None else store[j][None]
             cache[j] = feature_terms(sides, left, features=slice(i, i + 1), out=out)[0]

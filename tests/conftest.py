@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from metaknn import CONTINUOUS, Dataset, DistanceSpec, FeatureSpec, ModelSpec, distance
-from metaknn.distance import CAMBERRA, CHEBYSHEV, MINKOWSKI, feature_terms, left_side, term_sides
+from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, column_ends, feature_terms, left_side,
+                              term_sides)
 from metaknn.reproduce import load_suite, run_suite
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -17,7 +18,8 @@ def term_matrix(a: np.ndarray, b: np.ndarray, key: str, scale: float,
     """One column's scaled term matrix between the vectors a and b, written
     into out when given: feature_terms's stack of one."""
     a, b = a[:, None], b[:, None]
-    stack = feature_terms(term_sides(a, b, [0], key, scale), left_side(a, [0], key),
+    sides = term_sides(b, [0], key, scale, column_ends(a, b, [0]))
+    stack = feature_terms(sides, left_side(a, [0], key),
                           out=None if out is None else out[None])
     return stack[0] if out is None else out
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from metaknn import (DistanceSpec, EvalContext, ModelSpec, classify, cross_matrix, dissimilarity,
                      distance, neighbors, pairwise_matrix)
 from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, _folded_scale, _scaled_term,
-                              accumulate, column_terms, distance_sums, feature_terms, left_side,
-                              multipliers, pair_sum, sum_into, term_key, term_scale, term_sides)
+                              accumulate, column_ends, column_terms, distance_sums, feature_terms,
+                              left_side, multipliers, pair_sum, sum_into, term_key, term_scale,
+                              term_sides)
 
 from conftest import ALL_KINDS, make_dataset, random_dataset, spy_stacks, term_matrix
 
@@ -239,27 +240,30 @@ class TestFeatureTerms:
         out = np.full((1,) + shape, np.nan)
         denominators = np.full(out.size, np.nan)
         a, b = a[:, None], b[:, None]
-        sides, left = term_sides(a, b, [0], key, scale), left_side(a, [0], key)
+        sides, left = term_sides(b, [0], key, scale, column_ends(a, b, [0])), left_side(a, [0], key)
         assert feature_terms(sides, left, out=out, denominators=denominators).tobytes() == want
 
     def test_the_folded_power_of_two(self):
         # p is the scale, or the square root of its even part for squares, unless
         # p * x could overflow, the scale is below 1 or above 2**1020, or it is
         # no power of two; p = 1 is the subtracting formula itself
-        ones = np.ones(3)
-        assert _folded_scale("abs", 2.0 ** 30, ones, ones) == 2.0 ** 30
-        assert _folded_scale("cam", 2.0 ** 30, ones, ones) == 2.0 ** 30
-        assert _folded_scale("sq", 2.0 ** 30, ones, ones) == 2.0 ** 15
-        assert _folded_scale("sq", 2.0 ** 31, ones, ones) == 2.0 ** 15
-        assert _folded_scale("sq", 2.0 ** -3, ones, ones) == 1.0
-        assert _folded_scale("sq", 2.0 ** 1021, ones, ones) == 1.0
-        assert _folded_scale("abs", 2.0 ** -1, ones, ones) == 1.0
-        assert _folded_scale("abs", 3.0, ones, ones) == 1.0
-        big = np.full(3, 2.0 ** 1000)  # a constant column: its span sets no bound
-        assert _folded_scale("abs", 2.0 ** 30, ones, big) == 1.0
-        assert _folded_scale("cam", 2.0 ** 30, -big, ones) == 1.0
-        assert _folded_scale("abs", 2.0 ** 22, ones, big) == 2.0 ** 22
-        assert _folded_scale("abs", 2.0 ** 23, ones, big) == 1.0  # 2 * p * 2**1000 overflows
+        def fold(key, scale, a, b):  # one column of a and b
+            return _folded_scale(key, scale, column_ends(a, b, [0]))[0]
+
+        ones = np.ones((3, 1))
+        assert fold("abs", 2.0 ** 30, ones, ones) == 2.0 ** 30
+        assert fold("cam", 2.0 ** 30, ones, ones) == 2.0 ** 30
+        assert fold("sq", 2.0 ** 30, ones, ones) == 2.0 ** 15
+        assert fold("sq", 2.0 ** 31, ones, ones) == 2.0 ** 15
+        assert fold("sq", 2.0 ** -3, ones, ones) == 1.0
+        assert fold("sq", 2.0 ** 1021, ones, ones) == 1.0
+        assert fold("abs", 2.0 ** -1, ones, ones) == 1.0
+        assert fold("abs", 3.0, ones, ones) == 1.0
+        big = np.full((3, 1), 2.0 ** 1000)  # a constant column: its span sets no bound
+        assert fold("abs", 2.0 ** 30, ones, big) == 1.0
+        assert fold("cam", 2.0 ** 30, -big, ones) == 1.0
+        assert fold("abs", 2.0 ** 22, ones, big) == 2.0 ** 22
+        assert fold("abs", 2.0 ** 23, ones, big) == 1.0  # 2 * p * 2**1000 overflows
 
     def test_a_subnormal_square_is_rounded_as_the_scalar_loop_rounds_it(self):
         # d * d is subnormal here and loses its last bit, which the scale 2**1023
@@ -324,18 +328,19 @@ def spy_routes(patch) -> list:
 
 
 class TestCombineRoutes:
-    """The three ways a stack is combined give the index-order sum's bytes."""
+    """The three routes by which stacks are combined give the index-order sum's bytes."""
 
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     @given(seed=st.integers(0, 2 ** 32 - 1), exact=st.sampled_from(DRAWS), far=st.booleans(),
            rows=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_every_route_is_the_index_order_sum(self, kind, alpha, seed, exact, far, rows):
-        # exact factors take one product, Chebyshev one maximum, off-grid factors
-        # the index-order loop, and so do exact ones when a row of a lies so far
-        # outside b that some sum could pass 2**53 (never for Camberra, whose
-        # terms are at most the scale); stacks of a few rows, or of some
-        # columns when a block has fewer rows than there are columns
+        # exact factors take one product per stack of a few rows (or of some
+        # columns, when a block has fewer rows than there are columns);
+        # Chebyshev and off-grid factors take sum_into over one column's block at
+        # a time, and so do exact ones when a row of a lies so far outside b that
+        # some sum could pass 2**53 (never for Camberra, whose terms are at most
+        # the scale)
         rng = np.random.default_rng(seed)
         key = term_key(kind, alpha)
         width = int(rng.integers(2, 9))
@@ -476,7 +481,8 @@ class TestDistanceSums:
     def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch, kind, alpha,
                                                   weights):
         # a matrix of one block is the loop's single block: without a cache,
-        # every stack of all columns and a few rows is built into one buffer
+        # every stack (all columns and a few rows for the product route, one
+        # column and the whole block for Chebyshev) is built into one buffer
         # of the matrix's size, and combined from there, with no block-sized
         # product buffer
         b, a = monks1.train.vectors, monks1.test.vectors
@@ -510,9 +516,16 @@ class TestDistanceSums:
         finally:
             tracemalloc.stop()
         assert got.tobytes() == one
-        # each stack holds every column for some of the rows, and all rows are built once
-        assert all(out.shape[0] == len(columns) for out in outs) and not products
-        assert sum(out.shape[1] for out in outs) == len(a)
+        # every column's rows are built once: a product stack holds every column
+        # for some of the rows; a Chebyshev stack holds one column of the whole
+        # block, which sum_into multiplies in place
+        assert sum(out.shape[0] * out.shape[1] for out in outs) == len(columns) * len(a)
+        if kind == CHEBYSHEV:
+            assert all(out.shape[:2] == (1, len(a)) for out in outs)
+            assert len(products) == len(columns)
+            assert all(p.base is outs[0].base for p in products)
+        else:
+            assert all(out.shape[0] == len(columns) for out in outs) and not products
         assert all(out.base is outs[0].base for out in outs)
         assert outs[0].base.size == len(a) * len(b)
         # Camberra's denominators go to one second buffer, reused by every stack
