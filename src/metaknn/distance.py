@@ -48,55 +48,51 @@ per block_sums call, from the columns' ends (column_ends: four reductions,
 which block_sums also reads for its combine route) and one copy of each
 column, with no temporary of the data; left_side builds the a side [x, 1]
 of one row block at a time, so the two sides never hold more than the b
-side and one block's rows.  column_terms builds the whole matrices of the columns a
-cache lacks through the same feature_terms, from one term_sides and one
+side and one block's rows.  column_terms builds whole term matrices of some
+columns through the same feature_terms, from one term_sides and one
 left_side of those columns, each as a stack of one.
 
 block_sums() is the one matrix kernel.  It builds a distance matrix one
 block of rows at a time (block_rows) and yields each block once its rows
-are whole: a block's terms and its sum take BLOCK_BYTES each, and so does
-the product of cached terms (terms built for the block are multiplied in
-place), so the block stays in L2 through all of its passes.  Given the
-whole matrix it sums each block into it, as distance_sums() does; given
-none, it sums every block into one block-sized array, which the next block
-overwrites, so a caller that votes each block as it comes (a test-side
-scoring, through knn.shell_votes, whose own blocks are these) never holds
-the matrix.
-Without a cache it keeps nothing: it builds each block's terms in one
-reused buffer of a block's size, Camberra's denominators in a second one,
-so no stack holds more entries than one block, and combines them by the
-route _route picks, bitwise equal to accumulate() over whole term matrices,
-which adds each term matrix times its factor in index order through
-sum_into, the one combine loop, with the same per-term operations as the
-scalar loop pair_sum (a factor of 1 combines the term matrix itself, as
-t * 1 is t), and so to pair_sum on the corresponding rows at the same
-scale.  When every factor is a non-negative integer and the sum over the
-columns of each factor times the column's largest term is below 2**53, a
-block is built a few rows at a time, as a stack of every active column's
-terms for those rows (of some of the columns for one row, when a block has
-fewer rows than there are columns), and each stack is combined by one
-product factors @ stack, every partial sum of which is an exact integer in
-any order, on any BLAS kernel.  Any other block (Chebyshev, off-grid
-weights, or test rows so far outside the training range that a sum could
-pass 2**53) is built one column at a time, each a stack of one column's
-whole block, which sum_into multiplies in place and combines: sum_into over
+are whole: a block's terms and its sum take BLOCK_BYTES each, so the block
+stays in L2 through all of its passes.  Given the whole matrix it sums each
+block into it, as distance_sums() does; given none, it sums every block
+into one block-sized array, which the next block overwrites, so a caller
+that votes each block as it comes (a test-side scoring, through
+knn.shell_votes, whose own blocks are these) never holds the matrix.
+It keeps nothing: it builds each block's terms in one reused buffer of a
+block's size, Camberra's denominators in a second one, so no stack holds
+more entries than one block, and combines them by the route _route picks,
+bitwise equal to accumulate() over whole term matrices, which adds each
+term matrix times its factor in index order through sum_into, the one
+combine loop, with the same per-term operations as the scalar loop
+pair_sum (a factor of 1 combines the term matrix itself, as t * 1 is t),
+and so to pair_sum on the corresponding rows at the same scale.  When every
+factor is a non-negative integer and the sum over the columns of each
+factor times the column's largest term is below 2**53, a block is built a
+few rows at a time, as a stack of every active column's terms for those
+rows (of some of the columns for one row, when a block has fewer rows than
+there are columns), and each stack is combined by one product
+factors @ stack, every partial sum of which is an exact integer in any
+order, on any BLAS kernel.  Any other block (Chebyshev, off-grid weights,
+or test rows so far outside the training range that a sum could pass
+2**53) is built one column at a time, each a stack of one column's whole
+block, which sum_into multiplies in place and combines: sum_into over
 stacks of a few rows would pay its per-column calls once per stack, not
 once per block.
 A whole matrix of rows against themselves (a is b: a leave-one-out matrix,
 pairwise_matrix) is symmetric term by term, since x - y is exactly -(y - x)
 and |x| + |y| is |y| + |x|, so each block's rows are built and summed
 against its own and later rows only (the upper trapezoid) and the rest is
-mirrored: each unordered pair of blocks once.
-Given a cache of whole term matrices, it reads each column from there,
-first building each missing one whole (column_terms) and adding it, and
-combines the columns through sum_into; feature_terms builds a whole column in row
-blocks too, so no product is taller than a block (BLAS would thread one).
-pairwise_matrix and cross_matrix pass no cache.
-evaluation.EvalContext passes its training terms when it keeps them (it
-decides when; it builds them through column_terms into one store per term
-kind, and passes the columns a sum reads), and updates its last matrix in
-place when a model changes a few exact multipliers, stepping the changed
-columns through sum_into.  It also keeps the multipliers of each weight
+mirrored: each unordered pair of blocks once.  feature_terms builds a whole
+column in row blocks too, so no product is taller than a block (BLAS would
+thread one).
+evaluation.EvalContext keeps whole training columns when it decides to (it
+builds them through column_terms into one store per term kind) and sums the
+kept columns of a model through accumulate, in full, or through sum_into,
+updating its last matrix in place when a model changes a few exact
+multipliers; it streams any other leave-one-out matrix and every test side
+through block_sums.  It also keeps the multipliers of each weight
 vector it scores: multipliers() keeps nothing between calls, and only
 _fraction's per-weight fractions are cached for the process.
 dissimilarity (at the scale of its two vectors), pairwise_matrix and
@@ -123,7 +119,7 @@ KINDS = (MINKOWSKI, CAMBERRA, CHEBYSHEV)
 HEADROOM_BITS = 16  # bits of a distance sum left to weight numerators
 MAX_DENOMINATOR = 1000  # largest weight denominator L carried exactly
 GRID_TOLERANCE = 1e-9  # how far a weight may sit from p/L and still be p/L
-BLOCK_BYTES = 2 ** 19  # per row block: terms, sum and (cached terms only) product fit a 2 MB L2
+BLOCK_BYTES = 2 ** 19  # per row block: terms, sum and Camberra's denominators fit a 2 MB L2
 
 
 @dataclass
@@ -420,7 +416,8 @@ def accumulate(kind: str, terms, factors, shape) -> np.ndarray:
     terms yields one scaled term matrix per active feature and factors holds
     the matching multipliers; they are combined in the order given, which
     callers keep ascending by column to mirror the scalar loop exactly.
-    It is the whole-matrix reference that distance_sums is tested against.
+    It sums an EvalContext's kept training columns in full, and it is the
+    whole-matrix reference that distance_sums is tested against.
     """
     return sum_into(np.zeros(shape), np.empty(shape), kind, terms, factors)
 
@@ -453,18 +450,18 @@ def block_rows(width: int) -> int:
 
 
 def distance_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
-                  columns, factors, cache: dict | None = None) -> np.ndarray:
+                  columns, factors) -> np.ndarray:
     """Distance sums (before division by scale and unit) from each row of a to
     each row of b, over columns with the matching factors: the whole matrix
     that block_sums builds block by block."""
     out = np.zeros((len(a), len(b)))
-    for _ in block_sums(kind, key, scale, a, b, columns, factors, cache, out):
+    for _ in block_sums(kind, key, scale, a, b, columns, factors, out):
         pass
     return out
 
 
 def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
-               columns, factors, cache: dict | None = None, out: np.ndarray | None = None):
+               columns, factors, out: np.ndarray | None = None):
     """Yield, for each block of rows of a in order, the distance sums of its
     rows to every row of b: a view of out, the whole matrix, when given; else
     one block-sized array that the next block overwrites, so no caller holds
@@ -476,19 +473,15 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     below it, transposed: terms are symmetric bit for bit, so these are the
     entries the later blocks would build, and rows r:r+m are whole when the
     block is yielded.  One buffer of a block's size serves every block's
-    terms.  Without a cache, the b side of every column (term_sides) is
-    built once (from one column_ends, which _route reads too) and the a side
-    once per block (left_side).  On the product route a block is built a few
-    rows at a time, each sub-block's terms for every column in one stack
+    terms.  The b side of every column (term_sides) is built once (from one
+    column_ends, which _route reads too) and the a side once per block
+    (left_side).  On the product route a block is built a few rows at a
+    time, each sub-block's terms for every column in one stack
     (feature_terms) that fills at most the buffer: as many columns as the
     block has rows, and as many rows as fit; each stack is combined by one
     product factors @ stack.  On the others each column's terms for the whole
     block are one stack, which sum_into multiplies in place and combines.
-    Camberra's denominators take a second buffer.  With a cache, which maps
-    a column to its whole term matrix between a and b, each column is read
-    from it, or built whole (column_terms) and added to it, so the caller
-    keeps it, and the columns are combined by sum_into: the cached terms
-    are multiplied into the buffer and never written.
+    Camberra's denominators take a second buffer.
     """
     rows = block_rows(len(b))
     short = min(rows, len(a))  # a short matrix is one short block
@@ -496,19 +489,16 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
     block_out = np.empty(short * len(b)) if out is None else None
     symmetric = a is b and out is not None
     factors = np.asarray(factors, dtype=float)
-    if cache is not None:
-        column_terms(a, b, columns, key, scale, cache)
-    else:
-        ends = column_ends(a, b, columns)
-        sides = term_sides(b, columns, key, scale, ends)
-        route = _route(kind, key, scale, factors, ends)
-        width = len(factors)
-        if route == "product":  # every column's terms for a few rows at a time
-            group, per = max(1, min(width, short)), max(1, short // max(1, width))
-            spare = np.empty(per * len(b))  # the product, before it joins the sums
-        else:  # one column's terms for a whole block, multiplied in place
-            group, per = 1, short
-        denominators = np.empty(short * len(b)) if key == "cam" else None  # a second buffer
+    ends = column_ends(a, b, columns)
+    sides = term_sides(b, columns, key, scale, ends)
+    route = _route(kind, key, scale, factors, ends)
+    width = len(factors)
+    if route == "product":  # every column's terms for a few rows at a time
+        group, per = max(1, min(width, short)), max(1, short // max(1, width))
+        spare = np.empty(per * len(b))  # the product, before it joins the sums
+    else:  # one column's terms for a whole block, multiplied in place
+        group, per = 1, short
+    denominators = np.empty(short * len(b)) if key == "cam" else None  # a second buffer
     for r in range(0, len(a), rows):
         m = min(rows, len(a) - r)
         c = r if symmetric else 0  # rows against themselves: columns r: only, mirrored below
@@ -516,23 +506,19 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
         sums = out[r:r + m] if out is not None else block_out[:m * len(b)].reshape(m, -1)
         if out is None:
             sums.fill(0)
-        if cache is None:  # the block's terms in stacks, as the route builds them
-            left = left_side(a[r:r + m], columns, key)
-            for i in range(0, m, per):
-                k = min(per, m - i)
-                for g in range(0, width, group):
-                    f = min(group, width - g)
-                    stack = feature_terms(sides, left, slice(i, i + k), c, slice(g, g + f),
-                                          buffer[:f * k * w].reshape(f, k, w), denominators)
-                    if route == "product":
-                        into = spare[:k * w]
-                        np.matmul(factors[g:g + f], stack.reshape(f, -1), out=into)
-                        sums[i:i + k, c:] += into.reshape(k, w)
-                    else:
-                        sum_into(sums[i:i + k, c:], stack[0], kind, stack, factors[g:g + f])
-        else:  # the cache's terms, multiplied into the block
-            terms = (cache[j][r:r + m, c:] for j in columns)
-            sum_into(sums[:, c:], buffer[:m * w].reshape(m, w), kind, terms, factors)
+        left = left_side(a[r:r + m], columns, key)
+        for i in range(0, m, per):  # the block's terms in stacks, as the route builds them
+            k = min(per, m - i)
+            for g in range(0, width, group):
+                f = min(group, width - g)
+                stack = feature_terms(sides, left, slice(i, i + k), c, slice(g, g + f),
+                                      buffer[:f * k * w].reshape(f, k, w), denominators)
+                if route == "product":
+                    into = spare[:k * w]
+                    np.matmul(factors[g:g + f], stack.reshape(f, -1), out=into)
+                    sums[i:i + k, c:] += into.reshape(k, w)
+                else:
+                    sum_into(sums[i:i + k, c:], stack[0], kind, stack, factors[g:g + f])
         if symmetric:
             out[r + m:, r:r + m] = out[r:r + m, r + m:].T
         yield sums
@@ -540,16 +526,14 @@ def block_sums(kind: str, key: str, scale: float, a: np.ndarray, b: np.ndarray,
 
 def _route(kind: str, key: str, scale: float, factors: np.ndarray, ends: np.ndarray) -> str:
     """How block_sums combines the stacks of key's terms between rows of a
-    and b over columns (one per factor, with their column_ends): "max" for
-    Chebyshev; "product", one factors @ stack product, when every factor is
-    a non-negative integer and the sum over the columns of each factor times
-    the column's largest scaled term is below 2**53, so that every partial
-    sum is an exact integer in any order, on any BLAS kernel; else "loop".
-    Off-grid weights, and test rows far outside the training range, take
-    the loop.  "max" and "loop" blocks are combined alike, by sum_into."""
-    if kind == CHEBYSHEV:
-        return "max"
-    if not all(f >= 0 and f.is_integer() for f in factors.tolist()):
+    and b over columns (one per factor, with their column_ends): "product",
+    one factors @ stack product, when the sums are not Chebyshev maxima,
+    every factor is a non-negative integer and the sum over the columns of
+    each factor times the column's largest scaled term is below 2**53, so
+    that every partial sum is an exact integer in any order, on any BLAS
+    kernel; else "loop", through sum_into.  Chebyshev, off-grid weights,
+    and test rows far outside the training range take the loop."""
+    if kind == CHEBYSHEV or not all(f >= 0 and f.is_integer() for f in factors.tolist()):
         return "loop"
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.rint(_term_bounds(key, ends) * scale)  # monotone: no term exceeds it
@@ -559,20 +543,17 @@ def _route(kind: str, key: str, scale: float, factors: np.ndarray, ends: np.ndar
     return "product" if bound < 2 ** 53 else "loop"
 
 
-def column_terms(a, b, columns, key: str, scale: float, cache: dict,
-                 store: np.ndarray | None = None) -> None:
-    """Build into cache the whole term matrix between rows of a and b of
-    each of columns that it lacks, into store[j] when a store of every
-    column's matrix is given: the sides of the missing columns built once
-    (term_sides, left_side), then each column by feature_terms as a stack
-    of one."""
-    missing = [j for j in columns if j not in cache]
-    if missing:
-        sides = term_sides(b, missing, key, scale, column_ends(a, b, missing))
-        left = left_side(a, missing, key)
-        for i, j in enumerate(missing):
-            out = None if store is None else store[j][None]
-            cache[j] = feature_terms(sides, left, features=slice(i, i + 1), out=out)[0]
+def column_terms(a, b, columns, key: str, scale: float,
+                 store: np.ndarray | None = None) -> list:
+    """The whole term matrix between rows of a and b of each of columns,
+    written into store[j] when a store of every column's matrix is given:
+    the sides of the columns built once (term_sides, left_side), then each
+    column by feature_terms as a stack of one."""
+    sides = term_sides(b, columns, key, scale, column_ends(a, b, columns))
+    left = left_side(a, columns, key)
+    return [feature_terms(sides, left, features=slice(i, i + 1),
+                          out=None if store is None else store[j][None])[0]
+            for i, j in enumerate(columns)]
 
 
 def pairwise_matrix(spec: DistanceSpec, data) -> np.ndarray:

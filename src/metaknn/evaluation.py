@@ -16,18 +16,20 @@ context's first leave-one-out scoring; from the second scoring on, every
 full sum and every delta (below) reads its columns whole and keeps them.
 So a one-shot context (metaknn eval, leave_one_out, evaluate) on data
 larger than one block keeps no term matrix, and a search keeps its columns
-at any size.  Every matrix is summed by distance.block_sums, each entry
-bitwise the sum over the features in index order (exact sums by one product
-per stack of streamed columns, the others feature by feature), which keeps
-the matrix path bitwise identical to classifying each vector independently
-with knn.classify.  A leave-one-out matrix is the training rows against
-themselves, so a full sum of several blocks builds and sums each unordered
-pair of row blocks once and mirrors it (distance_sums), whether it streams
-its terms or reads kept columns, and its rows are voted by one
-knn.shell_votes call (a count filled by a one-column batch, below, is voted
-there instead).  A test-side scoring never holds its test x train matrix:
-it takes the sums one row block at a time from block_sums, in one
-block-sized array, and votes each block by shell_votes while it is in L2.
+at any size.  A full sum of kept columns is distance.accumulate over them,
+through distance.sum_into, the loop a delta (below) steps its columns by;
+any other matrix is streamed by distance.block_sums.  Either way each entry
+is bitwise the sum over the features in index order (a streamed exact sum by
+one product per stack of columns, the others feature by feature), which
+keeps the matrix path bitwise identical to classifying each vector
+independently with knn.classify.  A leave-one-out matrix is the training
+rows against themselves, so a streamed sum of several blocks builds and sums
+each unordered pair of row blocks once and mirrors it (distance_sums), and
+its rows are voted by one knn.shell_votes call (a count filled by a
+one-column batch, below, is voted there instead).  A test-side scoring
+never holds its test x train matrix: it takes the sums one row block at a
+time from block_sums, in one block-sized array, and votes each block by
+shell_votes while it is in L2.
 Its terms are never kept: they are built in stacks per block, at the
 training scale.
 A report keeps its arrays: the winner of each row, and each row's vote
@@ -87,15 +89,14 @@ stacked with the other tied rows in one shell_votes call.  On a tie-heavy
 base, where shared minima would keep many pairs and tie many votes, every
 row is such a row: whole matrices E_c are stacked, as many as fill one
 distance.block_rows block (or one, when a matrix is larger), and each stack
-is one shell_votes call.  The last matrix voted at k=1 or batched from (a
-neighbour of the base) can tell a tie-heavy base before the base's matrix is
-made; otherwise _shared_rows counts the shared minima of that matrix and
-finds each row's argmin, and leaves both on it, so a later batch on the
-same base (a round whose coordinate did not move) scans nothing.  Every
-entry is exact either way, as a delta's, so each count is the one the
-candidate's own scoring gives.  The batch takes k=1, non-Chebyshev models
-with exact multipliers whose numerators at the lcm stay inside the headroom
-(as a delta's), and at least two candidates not yet counted.  A candidate
+is one shell_votes call.  _shared_rows counts the shared minima of the
+base's matrix and finds each row's argmin, and leaves both on it, so a later
+batch on the same base (a round whose coordinate did not move) scans
+nothing.  Every entry is exact either way, as a delta's, so each count is
+the one the candidate's own scoring gives.  The batch takes k=1,
+non-Chebyshev models with exact multipliers whose numerators at the lcm stay
+inside the headroom (as a delta's), and at least two candidates not yet
+counted.  A candidate
 whose factors over their denominator equal the base's (a dropped feature
 whose weight is 0) changes no column and scores as the base does: it takes
 the base's count when the memo holds it, and is otherwise left to
@@ -120,8 +121,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import (CHEBYSHEV, HEADROOM_BITS, block_rows, block_sums, column_terms,
-                       distance_sums, multipliers, sum_into, term_key, term_scale)
+from .distance import (CHEBYSHEV, HEADROOM_BITS, accumulate, block_rows, block_sums,
+                       column_terms, distance_sums, multipliers, sum_into, term_key, term_scale)
 from .knn import ModelSpec, shared_minima, shell_votes
 
 
@@ -159,13 +160,8 @@ class _Matrix:
     model: tuple  # kind, alpha, mask bytes, weight bytes: the key without k
     den: int | None  # None: inexact float multipliers
     factors: np.ndarray  # one per training column, 0 where inactive
-    shared: int = 0  # rows holding their minimum twice, once voted at k=1 or batched from
+    shared: int = 0  # rows holding their minimum twice, once _shared_rows counted them
     nearest: np.ndarray | None = None  # each row's first argmin, once _shared_rows found it
-
-    @property
-    def tie_heavy(self) -> bool:
-        """Whether more than _BATCH_TIE_SHARE of the rows hold their minimum twice."""
-        return self.shared > _BATCH_TIE_SHARE * len(self.dist)
 
 
 # a one-column batch votes its candidates' whole matrices, stacked, when more
@@ -238,8 +234,12 @@ class EvalContext:
         if key not in self._stores:
             n = self.train.n
             self._stores[key] = np.empty((self.n_features, n, n))
-        train, kept = self.train.vectors, self._terms.setdefault(key, {})
-        column_terms(train, train, columns, key, self._scale(key), kept, self._stores[key])
+        kept = self._terms.setdefault(key, {})
+        missing = [j for j in columns if j not in kept]
+        if missing:
+            train = self.train.vectors
+            kept.update(zip(missing, column_terms(train, train, missing, key, self._scale(key),
+                                                  self._stores[key])))
         return [kept[j] for j in columns]
 
     def _factors(self, weights: bytes) -> tuple[np.ndarray, int | None]:
@@ -270,12 +270,13 @@ class EvalContext:
             dist = self._delta(last, full, den, len(columns))
         if dist is None:
             self._last = last = None  # the old matrix is freed before the new one is allocated
-            train = self.train.vectors
+            train, n = self.train.vectors, self.train.n
             # a whole column is no larger than one block, and pays once the context scores again
-            keep = self.evaluations or block_rows(len(train)) >= len(train)
-            cache = dict(zip(columns, self._columns(terms, columns))) if keep else None
-            dist = distance_sums(kind, terms, self._scale(terms), train, train, columns, factors,
-                                 cache)
+            if self.evaluations or block_rows(n) >= n:
+                dist = accumulate(kind, self._columns(terms, columns), factors, (n, n))
+            else:
+                dist = distance_sums(kind, terms, self._scale(terms), train, train, columns,
+                                     factors)
             np.fill_diagonal(dist, np.inf)
         self._last = _Matrix(dist, key[1:], den, full)
         return dist
@@ -331,8 +332,6 @@ class EvalContext:
             dist = self._distances(key)
             self.evaluations += 1
             winners, votes, sizes = shell_votes(dist, self.train.labels, key[0], self.n_classes)
-            if key[0] == 1:
-                self._last.shared = int(np.count_nonzero(sizes > 1))
         else:
             winners, votes, sizes = self._test_votes(key)
         correct = int(np.count_nonzero(winners == data.labels))
@@ -352,13 +351,10 @@ class EvalContext:
         left as the last one.  Each candidate is keyed once, and none is keyed
         when the batch is refused before it.
         """
-        last, kind, alpha = self._last, model.distance.kind, model.distance.alpha
+        kind, alpha = model.distance.kind, model.distance.alpha
         if model.k != 1 or kind == CHEBYSHEV:
             self.batches_refused += 1
             return
-        # the last matrix voted at k=1 or batched from, a neighbour of model, tells
-        # a tie-heavy base before model's matrix is made
-        stacked = bool(last) and last.model[:2] == (kind, alpha) and last.tie_heavy
         base_key = self.model_key(model)
         old, den = self._factors(base_key[4])
         if den is None:
@@ -396,10 +392,9 @@ class EvalContext:
             return
         dist = self._distances(base_key)
         base_matrix = self._last
-        if not stacked:
-            if base_matrix.nearest is None:  # a base batched from before keeps its scan
-                base_matrix.shared, base_matrix.nearest = _shared_rows(dist)
-            stacked = base_matrix.tie_heavy
+        if base_matrix.nearest is None:  # a base batched from before keeps its scan
+            base_matrix.shared, base_matrix.nearest = _shared_rows(dist)
+        stacked = base_matrix.shared > _BATCH_TIE_SHARE * len(dist)
         nearest = base_matrix.nearest
         up, steps, n = common // den, new - old[columns], len(dist)
         distinct = sorted(set(columns.tolist()))  # np.unique imports numpy.ma, 1.7 MB

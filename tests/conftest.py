@@ -75,6 +75,13 @@ def random_model(rng, n_features: int) -> ModelSpec:
     return ModelSpec(k=k, distance=DistanceSpec(kind, alpha, weights), feature_mask=mask)
 
 
+def model_of(key: tuple) -> ModelSpec:
+    """The model whose EvalContext.model_key is key."""
+    k, kind, alpha, mask, weights = key
+    return ModelSpec(k, DistanceSpec(kind, alpha, np.frombuffer(weights).copy()),
+                     np.frombuffer(mask, dtype=bool).copy())
+
+
 # the bundled datasets as the reproduction suites load them
 @pytest.fixture(scope="session")
 def monks1():

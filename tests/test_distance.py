@@ -292,9 +292,7 @@ class TestFeatureTerms:
             products.clear()
             builds.clear()
             scale = term_scale(key, x[:, None])
-            cache = {}
-            column_terms(x[:, None], x[:, None], [0], key, scale, cache)
-            got = cache[0]
+            [got] = column_terms(x[:, None], x[:, None], [0], key, scale)
             assert len(builds) == 1
             assert max(products) == rows
             assert sum(products) == 600 * (1 + (key == "cam"))  # and the denominators
@@ -320,7 +318,7 @@ def random_factors(rng, width: int, exact):
 
 
 def spy_routes(patch) -> list:
-    """The route _route picks for each streamed block_sums call."""
+    """The route _route picks for each block_sums call."""
     routes = []
     original = distance._route
     patch.setattr(distance, "_route", lambda *args: routes.append(original(*args)) or routes[-1])
@@ -328,7 +326,7 @@ def spy_routes(patch) -> list:
 
 
 class TestCombineRoutes:
-    """The three routes by which stacks are combined give the index-order sum's bytes."""
+    """The two routes by which stacks are combined give the index-order sum's bytes."""
 
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     @given(seed=st.integers(0, 2 ** 32 - 1), exact=st.sampled_from(DRAWS), far=st.booleans(),
@@ -350,7 +348,7 @@ class TestCombineRoutes:
             a[rng.integers(len(a))] += 2.0 ** 30 * (float(np.ptp(b, axis=0).sum()) + 1)
         scale = term_scale(key, b, queries=a)
         columns, factors = random_factors(rng, width, exact)
-        route = "max" if kind == CHEBYSHEV else "product" if exact else "loop"
+        route = "product" if exact and kind != CHEBYSHEV else "loop"
         far_route = ("loop" if route == "product" and far and key != "cam" and factors.any()
                      else route)
         with pytest.MonkeyPatch.context() as patch:
@@ -419,15 +417,9 @@ class TestDistanceSums:
             columns, factors = random_factors(rng, width, exact)
             whole = [term_matrix(a[:, j], b[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (len(a), len(b)))
-            # some columns come from the cache, the rest are built whole into it;
-            # without a cache, every column is built per block
-            cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
             monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * len(b) * rows)
-            for given in (None, cache):
-                got = distance_sums(kind, key, scale, a, b, columns, factors, given)
-                assert got.tobytes() == one.tobytes()
-            assert sorted(cache) == list(columns)
-            assert all(cache[j].tobytes() == t.tobytes() for j, t in zip(columns, whole))
+            got = distance_sums(kind, key, scale, a, b, columns, factors)
+            assert got.tobytes() == one.tobytes()
             for p, q in zip(rng.integers(0, len(a), 10), rng.integers(0, len(b), 10)):
                 assert got[p, q] == pair_sum(kind, key, a[p, columns].tolist(),
                                              b[q, columns].tolist(), scale, factors.tolist())
@@ -447,7 +439,6 @@ class TestDistanceSums:
             columns, factors = random_factors(rng, width, exact)
             whole = [term_matrix(a[:, j], a[:, j], key, scale) for j in columns]
             one = accumulate(kind, whole, factors, (n, n)).tobytes()
-            cache = {j: t for j, t in zip(columns, whole) if rng.random() < 0.5}
             monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * n * rows)
             built = spy_stacks(monkeypatch)
             # b is a: each block builds and sums its rows against columns r: only
@@ -456,35 +447,17 @@ class TestDistanceSums:
             sizes = [math.prod(shape) for shape in built]
             assert sum(sizes) == len(columns) * trapezoid  # every entry built once
             assert max(sizes) <= rows * n  # and no stack larger than one block
-            assert distance_sums(kind, key, scale, a, a, columns, factors, cache).tobytes() == one
-            assert sorted(cache) == list(columns)
             # b a copy of a: the general path, every block against every row
             assert distance_sums(kind, key, scale, a, a.copy(), columns, factors).tobytes() == one
-
-    @pytest.mark.parametrize("rows", [3, 12])  # several blocks, and one
-    def test_a_cache_is_read_and_filled(self, monkeypatch, rows):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(12, 4))
-        scale = term_scale("abs", a)
-        whole = {j: term_matrix(a[:, j], a[:, j], "abs", scale) for j in (1, 3)}
-        monkeypatch.setattr(distance, "BLOCK_BYTES", 8 * 12 * rows)
-        built = spy_stacks(monkeypatch)
-        cache = {1: whole[1]}
-        got = distance_sums(MINKOWSKI, "abs", scale, a, a, [1, 3], np.ones(2), cache)
-        assert built == [(1, 12, 12)] and sorted(cache) == [1, 3]  # column 3, built once, whole
-        assert cache[3].tobytes() == whole[3].tobytes()
-        assert got.tobytes() == accumulate(MINKOWSKI, (whole[1], whole[3]), np.ones(2),
-                                           (12, 12)).tobytes()
 
     @pytest.mark.parametrize("weights", ["unit", "tenths"])
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_one_block_streams_through_one_buffer(self, monks1, monkeypatch, kind, alpha,
                                                   weights):
-        # a matrix of one block is the loop's single block: without a cache,
-        # every stack (all columns and a few rows for the product route, one
-        # column and the whole block for Chebyshev) is built into one buffer
-        # of the matrix's size, and combined from there, with no block-sized
-        # product buffer
+        # a matrix of one block is the loop's single block: every stack (all
+        # columns and a few rows for the product route, one column and the
+        # whole block for Chebyshev) is built into one buffer of the matrix's
+        # size, and combined from there, with no block-sized product buffer
         b, a = monks1.train.vectors, monks1.test.vectors
         assert distance.block_rows(len(b)) >= len(a)
         key = term_key(kind, alpha)
@@ -534,14 +507,6 @@ class TestDistanceSums:
         # the sum and the term buffer, and Camberra's denominator: no block-sized
         # product buffer
         assert peak < (2.5 + (key == "cam")) * got.nbytes
-        outs.clear()  # a cache takes each column whole, built with no buffer
-        products.clear()
-        cache = {}
-        got = distance_sums(kind, key, scale, a, b, columns, factors, cache)
-        assert got.tobytes() == one
-        assert outs == [None] * len(columns)
-        # and its terms are multiplied into a buffer of their own, never into the cache
-        assert not any(np.shares_memory(products[0], t) for t in cache.values())
 
     @pytest.mark.parametrize("kind, alpha", ALL_KINDS)
     def test_blocked_cross_matrix_matches_scalar(self, monkeypatch, kind, alpha):

@@ -16,8 +16,8 @@ from metaknn.distance import (CAMBERRA, CHEBYSHEV, MINKOWSKI, accumulate, distan
                               multipliers, term_key, term_scale)
 from metaknn.knn import shell_votes
 
-from conftest import (ALL_KINDS, DATA_DIR, make_dataset, random_dataset, random_model,
-                      spy_stacks, term_matrix)
+from conftest import (ALL_KINDS, DATA_DIR, make_dataset, model_of, random_dataset,
+                      random_model, spy_stacks, term_matrix)
 
 
 class TestLeaveOneOut:
@@ -471,6 +471,27 @@ def test_kept_columns_share_one_store_per_term_kind(monks1):
             assert kept.tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_kept_full_sum_leaves_its_columns(monks1, kind):
+    # a full sum of kept columns multiplies each column by a factor other than
+    # 1 into a buffer of its own: afterwards every kept column is still its
+    # fresh term matrix, bit for bit, and the matrix is accumulate's on those
+    train = monks1.train
+    weights = np.array([0.1, 0.3, 1, 0.7, 0.5, 0.9])
+    ctx = EvalContext(train)
+    ctx.loo_count(ModelSpec(distance=DistanceSpec(*kind, weights)))
+    key = term_key(*kind)
+    fresh = [term_matrix(train.vectors[:, j], train.vectors[:, j], key, ctx._scale(key))
+             for j in range(6)]
+    assert sorted(ctx._terms[key]) == list(range(6))
+    for j, t in enumerate(fresh):
+        assert ctx._terms[key][j].tobytes() == t.tobytes()
+    factors, _, _ = multipliers(weights)
+    dist = accumulate(kind[0], fresh, factors, (train.n, train.n))
+    np.fill_diagonal(dist, np.inf)
+    assert ctx._last.dist.tobytes() == dist.tobytes()
+
+
 KINDS_BY_NAME = {"euclidean": (MINKOWSKI, 2), "camberra": (CAMBERRA, None),
                  "chebyshev": (CHEBYSHEV, None)}
 
@@ -530,9 +551,9 @@ class TestExactDistances:
         # sums more than three columns in full (an unbatched candidate is a
         # delta that changes at most three), and the requests are unchanged
         summed = []
-        original = evaluation.distance_sums
-        monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
-            summed.append(len(args[6])) or original(*args)))
+        original = evaluation.accumulate
+        monkeypatch.setattr(evaluation, "accumulate", lambda *args: (
+            summed.append(len(args[2])) or original(*args)))
         ctx = EvalContext(ionosphere.train)
         select_features(ctx, ModelSpec())
         assert ctx.requested == 595 and ctx.evaluations > 500
@@ -554,9 +575,9 @@ class TestExactDistances:
         # one column moves in both pairs; at the common denominator 4 every
         # numerator is small, at 999000 the unit weight's is 999000 >= 2**16
         summed = []
-        original = evaluation.distance_sums
-        monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
-            summed.append(len(args[6])) or original(*args)))
+        original = evaluation.accumulate
+        monkeypatch.setattr(evaluation, "accumulate", lambda *args: (
+            summed.append(len(args[2])) or original(*args)))
         train = monks2.train
         n = train.n_features
 
@@ -584,9 +605,9 @@ def test_column_steps_leave_the_fresh_matrix(request, monkeypatch, name):
     train = request.getfixturevalue(name).train
     n, vectors = train.n_features, train.vectors
     summed = []
-    original = evaluation.distance_sums
-    monkeypatch.setattr(evaluation, "distance_sums", lambda *args: (
-        summed.append(len(args[6])) or original(*args)))
+    original = evaluation.accumulate
+    monkeypatch.setattr(evaluation, "accumulate", lambda *args: (
+        summed.append(len(args[2])) or original(*args)))
 
     def fresh(model):
         scale = term_scale("sq", vectors, [f.name for f in train.features])
@@ -669,7 +690,7 @@ def test_delta_scoring_equals_fresh_scoring_ionosphere(ionosphere, steps):
 def test_delta_scoring_equals_fresh_scoring_in_row_blocks(ionosphere, steps):
     # blocks of 7 rows cut the 60-row slice into 9, the last ragged: the first
     # scoring streams each block against its own and later rows, and later
-    # full sums read the kept columns block by block
+    # full sums add the kept columns whole
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "BLOCK_BYTES", 8 * 60 * 7)
         _walk(first_rows(ionosphere.train, 60), steps)
@@ -679,13 +700,6 @@ BATCHES = ("drops", "grid", "lcm", "headroom")
 # _BATCH_TIE_SHARE values that force each route of a one-column batch: no
 # base's share of shared minima exceeds 1.0, and every base's exceeds -1.0
 ROUTES = {"pairs": 1.0, "stack": -1.0}
-
-
-def model_of(key: tuple) -> ModelSpec:
-    """The model whose EvalContext.model_key is key."""
-    k, kind, alpha, mask, weights = key
-    return ModelSpec(k, DistanceSpec(kind, alpha, np.frombuffer(weights).copy()),
-                     np.frombuffer(mask, dtype=bool).copy())
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(), kind=st.sampled_from(ALL_KINDS),
@@ -756,7 +770,8 @@ def test_an_unchanged_base_is_scanned_once(ionosphere, monkeypatch):
         ctx.fill_one_column(base, [(c.mask_for(width), c.active_weights(width)) for c in round_])
         assert len(scans) == 1 and ctx.filled_by_pairs == len(candidates) + 10
         candidates += round_
-    assert not ctx._last.tie_heavy and ctx._last.nearest is not None
+    assert ctx._last.shared <= evaluation._BATCH_TIE_SHARE * train.n  # the pair route
+    assert ctx._last.nearest is not None
     for cand in candidates:
         assert ctx.loo_count(cand) == EvalContext(train).loo_count(cand)
     assert ctx.evaluations == len(candidates)
