@@ -57,7 +57,7 @@ DISTANCE_NAMES = {
     "chebyshev": (CHEBYSHEV, None),
     "camberra": (CAMBERRA, None),
 }
-_NOT_ECHOED = ("func", "command", "output")  # arguments the config line leaves out
+_NOT_ECHOED = ("command", "output")  # arguments the config line leaves out
 LABEL_COLUMN = "-1"  # --label-column's default: the last CSV column
 
 

@@ -8,15 +8,15 @@ columns in one (n_features, n, n) store, allocated at that kind's first
 kept column and filled column by column, not one array per column, each
 column built by distance.column_terms, which builds the columns a sum reads
 and the store lacks from one set of operands of those columns
-(distance.term_sides and distance.left_side).  When the n x n matrix is one
-block of distance.distance_sums (distance.block_rows), a whole column is no
-larger than that block, so each is kept the first time a scored model uses
-it.  A larger matrix is built block by block, keeping nothing, in the
-context's first leave-one-out scoring; from the second scoring on, every
-full sum and every delta (below) reads its columns whole and keeps them.
-So a one-shot context (metaknn eval, leave_one_out, evaluate) on data
-larger than one block keeps no term matrix, and a search keeps its columns
-at any size.  A full sum of kept columns is distance.accumulate over them,
+(distance.term_sides and distance.left_side).  One rule, by the matrix size
+alone, decides what is kept.  When the n x n matrix is one block of
+distance.distance_sums (distance.block_rows), a whole column is no larger
+than that block, so each is kept the first time a scored model uses it, by
+a full sum, a delta or a one-column batch (below).  A larger matrix streams
+every full sum block by block, keeping nothing, and keeps only the columns
+that a delta or a one-column batch steps.  So a one-shot context (metaknn
+eval, leave_one_out, evaluate) on data larger than one block keeps no term
+matrix.  A full sum of kept columns is distance.accumulate over them,
 through distance.sum_into, the loop a delta (below) steps its columns by;
 any other matrix is streamed by distance.block_sums.  Either way each entry
 is bitwise the sum over the features in index order (a streamed exact sum by
@@ -271,8 +271,8 @@ class EvalContext:
         if dist is None:
             self._last = last = None  # the old matrix is freed before the new one is allocated
             train, n = self.train.vectors, self.train.n
-            # a whole column is no larger than one block, and pays once the context scores again
-            if self.evaluations or block_rows(n) >= n:
+            # a whole column of a one-block matrix is no larger than that block
+            if block_rows(n) >= n:
                 dist = accumulate(kind, self._columns(terms, columns), factors, (n, n))
             else:
                 dist = distance_sums(kind, terms, self._scale(terms), train, train, columns,
@@ -400,7 +400,7 @@ class EvalContext:
         distinct = sorted(set(columns.tolist()))  # np.unique imports numpy.ma, 1.7 MB
         index = np.searchsorted(distinct, columns)
         terms = term_key(kind, alpha)
-        cached = [t.reshape(n, n) for t in self._columns(terms, distinct)]
+        cached = self._columns(terms, distinct)
         base = dist * up if up != 1 else dist  # the base's matrix at the batch's denominator
         if stacked:
             counts = np.zeros(len(steps), dtype=np.intp)

@@ -202,35 +202,37 @@ class TestTrainingTerms:
         np.fill_diagonal(fresh, np.inf)
         assert ctx._last.dist.tobytes() == fresh.tobytes()
 
-    def test_a_context_that_scores_again_keeps_its_columns(self, monkeypatch):
-        # 300 rows make a 720 KB matrix, two row blocks: the first full sum
-        # builds per block and keeps nothing, the second keeps every column,
-        # and later sums and deltas read them
+    def test_a_context_that_scores_again_still_streams_its_full_sums(self, monkeypatch):
+        # 300 rows make a 720 KB matrix, two row blocks: a full sum streams over
+        # the upper trapezoid and keeps nothing however often the context has
+        # scored, and a later delta keeps only the column it steps
         rng = np.random.default_rng(46)
         train = make_dataset(np.round(rng.normal(size=(300, 4)) * 3, 3), rng.integers(0, 3, 300))
         test = make_dataset(np.round(rng.normal(size=(100, 4)) * 3, 3), rng.integers(0, 3, 100),
                             n_classes=3)
-        assert 8 * train.n * train.n > distance.BLOCK_BYTES
+        n, rows = train.n, distance.block_rows(train.n)
+        assert rows < n
+        vectors = train.vectors
+        scale = term_scale("sq", vectors, queries=test.vectors)
+
+        def fresh(columns):
+            terms = (term_matrix(vectors[:, j], vectors[:, j], "sq", scale) for j in columns)
+            dist = accumulate(MINKOWSKI, terms, np.ones(len(columns)), (n, n))
+            np.fill_diagonal(dist, np.inf)
+            return dist.tobytes()
+
         ctx = EvalContext(train, test)
         ctx.loo_report(ModelSpec())
         ctx.test_report(ModelSpec())  # releases the last matrix
-        assert kept(ctx) == {}
-        ctx.loo_report(ModelSpec())
-        assert kept(ctx) == {"sq": [0, 1, 2, 3]}
         built = spy_stacks(monkeypatch)
-        dropped = ModelSpec(feature_mask=[True, True, False, True])
-        ctx.loo_report(dropped)
-        assert built == []  # a delta on kept columns
-        vectors = train.vectors
-        scale = term_scale("sq", vectors, queries=test.vectors)
-        terms = (term_matrix(vectors[:, j], vectors[:, j], "sq", scale) for j in (0, 1, 3))
-        fresh = accumulate(MINKOWSKI, terms, np.ones(3), (train.n, train.n))
-        np.fill_diagonal(fresh, np.inf)
-        assert ctx._last.dist.tobytes() == fresh.tobytes()
-        ctx.test_report(dropped)
         ctx.loo_report(ModelSpec())
-        # only the test scoring builds terms, in stacks of its 3 columns
-        assert streamed(built, 3, test.n * train.n)
+        assert kept(ctx) == {}
+        assert streamed(built, 4, rows * n + (n - rows) ** 2)
+        assert ctx._last.dist.tobytes() == fresh([0, 1, 2, 3])
+        built.clear()
+        ctx.loo_report(ModelSpec(feature_mask=[True, True, False, True]))
+        assert kept(ctx) == {"sq": [2]} and built == [(1, n, n)]  # the stepped column, whole
+        assert ctx._last.dist.tobytes() == fresh([0, 1, 3])
 
     def test_column_order_keeps_counts(self, monks1):
         # filling columns out of order must not change any entry

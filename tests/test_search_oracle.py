@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaknn import Dataset, EvalContext, build_pool, classify, meta_search, metasearch
+from metaknn import (Dataset, EvalContext, build_pool, classify, load_csv, meta_search, metasearch,
+                     split_rows)
 from metaknn.evaluation import EvalReport, confusion_of
 
-from conftest import make_dataset, model_of
+from conftest import DATA_DIR, make_dataset, model_of
 
 
 class OracleContext(EvalContext):
@@ -87,15 +88,26 @@ def scaled(data: Dataset, factor: float) -> Dataset:
     return Dataset(data.features, data.vectors * factor, data.labels, data.class_names)
 
 
-@pytest.mark.parametrize("monk", ["monks1", "monks3"])
-def test_the_suite_search_is_invariant(request, monk):
-    # the Monk-1 and Monk-3 suites' search: permuting the training rows, and
-    # scaling every feature of both sides by 8 (a power of two, so every term
-    # scales exactly), must each leave every record of the trace unchanged
-    part = request.getfixturevalue(monk)
+@pytest.fixture(scope="module")
+def ionosphere300():
+    # 300 training rows: a leave-one-out matrix of two row blocks
+    return split_rows(load_csv(DATA_DIR / "ionosphere.data"), 300, 51)
+
+
+@pytest.mark.parametrize("suite, options", [
+    pytest.param(suite, options, id=suite) for suite, options in (
+        ("monks1", {}), ("monks2", {}), ("monks3", {}),
+        ("ionosphere300", {"step": 1.0, "max_levels": 2}))
+])
+def test_the_suite_search_is_invariant(request, suite, options):
+    # the Monk suites' search, and a search whose training matrix is larger
+    # than one row block: permuting the training rows, and scaling every
+    # feature of both sides by 8 (a power of two, so every term scales
+    # exactly), must each leave every record of the trace unchanged
+    part = request.getfixturevalue(suite)
     train, test = part.train, part.test
-    want = meta_search(train, test)[1].to_records()
-    rng = np.random.default_rng(len(monk))
+    want = meta_search(train, test, **options)[1].to_records()
+    rng = np.random.default_rng(len(suite))
     for order in (rng.permutation(train.n), np.arange(train.n)[::-1]):
-        assert meta_search(permuted(train, order), test)[1].to_records() == want
-    assert meta_search(scaled(train, 8.0), scaled(test, 8.0))[1].to_records() == want
+        assert meta_search(permuted(train, order), test, **options)[1].to_records() == want
+    assert meta_search(scaled(train, 8.0), scaled(test, 8.0), **options)[1].to_records() == want
